@@ -1,33 +1,30 @@
 // End-to-end per-interval pipeline timings over the §VII-A workload — the
-// perf trajectory anchor for the snapshot-level motion plane (ISSUE 2), the
-// locality-bounded incremental engine (ISSUE 3), and the shard-parallel
-// pipeline (ISSUE 8).
+// perf trajectory anchor for the snapshot-level motion plane and the
+// locality-bounded incremental engine.
 //
 // For every (n, A) cell the bench generates `steps` scenario intervals and
 // streams them through a FrameEngine exactly like the online monitor does:
-// per interval the engine rolls its StatePair in place, re-buckets only the
-// devices that moved (halo-exchange routing + per-shard apply), rebuilds the
-// motion plane over the 4r-closure of A_k, and characterizes every abnormal
-// device. Timings are per observe() call and broken down by phase from the
-// engine's FrameStats. Scenario generation is excluded. A `scratch ms`
-// column times the seed-style from-scratch rebuild (fresh Characterizer per
-// interval) whose verdicts every engine run is checked against — the
-// incremental path must match it byte for byte, for every thread and shard
-// count.
+// per interval the engine rolls its StatePair in place, indexes A_k,
+// builds the motion plane over the 4r-closure of A_k, and characterizes
+// every abnormal device. Timings are per observe() call and broken down by
+// phase from the engine's FrameStats. Scenario generation is excluded. A
+// `scratch ms` column times the seed-style from-scratch rebuild (fresh
+// Characterizer per interval) whose verdicts every engine run is checked
+// against — the incremental path must match it byte for byte, for every
+// thread count.
 //
 // A second table reports the pooled engine's per-phase lane skew: max vs
-// mean busy ms across worker lanes for each fan-out phase, plus the serial
-// halo-exchange ms — the shard-balance health check. (On a single-core
-// runner the pool collapses to one lane, so max == mean there; the columns
-// carry information on multi-core hosts.)
+// mean busy ms across worker lanes for each fan-out phase — the load-balance
+// health check. (On a single-core runner the pool collapses to one lane, so
+// max == mean there; the columns carry information on multi-core hosts.)
 //
 // The full grid ends with n=1,000,000 scale rows: the same pipeline at one
 // million devices, the engine's per-interval cost staying a function of the
 // 4r-closure, not n.
 //
-// `--smoke` runs a single small cell (CI-sized, 4-lane pool over a 3-shard
-// grid) and exits non-zero if the engine (serial or pooled/sharded) ever
-// disagrees with the from-scratch rebuild.
+// `--smoke` runs a single small cell (CI-sized, 4-lane pool) and exits
+// non-zero if the engine (serial or pooled) ever disagrees with the
+// from-scratch rebuild.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -47,33 +44,30 @@ double ms_since(Clock::time_point start) {
 }
 
 struct CellResult {
-  double grid_ms_per_step = 0.0;   // state roll + fleet-grid re-bucketing
+  double grid_ms_per_step = 0.0;   // state roll + A_k index build
   double plane_ms_per_step = 0.0;  // motion-plane build (4r-closure)
   double characterize_ms_per_step = 0.0;
   double serial_ms_per_step = 0.0;    // engine, threads=1
-  double parallel_ms_per_step = 0.0;  // engine, pooled + sharded
+  double parallel_ms_per_step = 0.0;  // engine, pooled
   double scratch_ms_per_step = 0.0;   // from-scratch rebuild (reference)
   double abnormal_mean = 0.0;
   bool ok = true;
 };
 
 /// Per-phase lane skew of the pooled engine, averaged over the steps.
-struct ShardTiming {
-  unsigned shards = 0;
-  double halo_ms = 0.0;  // serial halo-exchange (staging) slice of grid_ms
+struct LaneTiming {
   double state_max = 0.0, state_mean = 0.0;
-  double grid_max = 0.0, grid_mean = 0.0;
   double plane_max = 0.0, plane_mean = 0.0;  // enumeration fan-out
   double char_max = 0.0, char_mean = 0.0;
 };
 
 /// Streams the generated intervals through one engine; returns per-step
 /// verdicts, accumulating phase timings into `cell` and lane skew into
-/// `shard` when given.
+/// `skew` when given.
 std::vector<acn::CharacterizationSets> run_engine(
     const std::vector<acn::ScenarioStep>& generated, const acn::ScenarioParams& params,
-    unsigned threads, bool force_fanout, unsigned shards, CellResult* phases,
-    ShardTiming* shard, double* total_ms) {
+    unsigned threads, bool force_fanout, CellResult* phases, LaneTiming* skew,
+    double* total_ms) {
   // force_fanout drops the serial-fallback thresholds to 1 so the pool
   // machinery genuinely runs in the smoke cell (whose |A_k| sits below the
   // production grain) even on single-core CI.
@@ -83,8 +77,7 @@ std::vector<acn::CharacterizationSets> run_engine(
       .model = params.model,
       .characterize = options,
       .threads = threads,
-      .component_fanout = force_fanout ? 1u : 2u,
-      .shards = shards});
+      .component_fanout = force_fanout ? 1u : 2u});
   (void)engine.observe(generated.front().state.prev(), acn::DeviceSet{});
 
   std::vector<acn::CharacterizationSets> sets;
@@ -99,17 +92,13 @@ std::vector<acn::CharacterizationSets> run_engine(
       phases->plane_ms_per_step += stats.plane_ms;
       phases->characterize_ms_per_step += stats.characterize_ms;
     }
-    if (shard != nullptr) {
-      shard->shards = stats.shards;
-      shard->halo_ms += stats.halo_ms;
-      shard->state_max += stats.state_lanes.max_ms;
-      shard->state_mean += stats.state_lanes.mean_ms;
-      shard->grid_max += stats.grid_lanes.max_ms;
-      shard->grid_mean += stats.grid_lanes.mean_ms;
-      shard->plane_max += stats.plane_enum_lanes.max_ms;
-      shard->plane_mean += stats.plane_enum_lanes.mean_ms;
-      shard->char_max += stats.characterize_lanes.max_ms;
-      shard->char_mean += stats.characterize_lanes.mean_ms;
+    if (skew != nullptr) {
+      skew->state_max += stats.state_lanes.max_ms;
+      skew->state_mean += stats.state_lanes.mean_ms;
+      skew->plane_max += stats.plane_enum_lanes.max_ms;
+      skew->plane_mean += stats.plane_enum_lanes.mean_ms;
+      skew->char_max += stats.characterize_lanes.max_ms;
+      skew->char_mean += stats.characterize_lanes.mean_ms;
     }
   }
   *total_ms = ms_since(start);
@@ -117,7 +106,7 @@ std::vector<acn::CharacterizationSets> run_engine(
 }
 
 CellResult run_cell(std::size_t n, std::uint32_t errors, std::uint64_t steps,
-                    bool smoke, ShardTiming* shard) {
+                    bool smoke, LaneTiming* skew) {
   acn::ScenarioParams params;
   params.n = n;
   params.errors_per_step = errors;
@@ -152,32 +141,27 @@ CellResult run_cell(std::size_t n, std::uint32_t errors, std::uint64_t steps,
   result.scratch_ms_per_step = ms_since(scratch_start) / static_cast<double>(steps);
 
   double serial_ms = 0.0;
-  const std::vector<acn::CharacterizationSets> serial_sets = run_engine(
-      generated, params, 1, false, 0, &result, nullptr, &serial_ms);
+  const std::vector<acn::CharacterizationSets> serial_sets =
+      run_engine(generated, params, 1, false, &result, nullptr, &serial_ms);
   result.serial_ms_per_step = serial_ms / static_cast<double>(steps);
   result.grid_ms_per_step /= static_cast<double>(steps);
   result.plane_ms_per_step /= static_cast<double>(steps);
   result.characterize_ms_per_step /= static_cast<double>(steps);
 
-  // Pooled path: hardware concurrency, shards sized to the lane count; in
-  // smoke mode an explicit 4-lane pool over 3 shards, so the pool AND the
-  // cross-shard halo reads are exercised even on single-core CI.
+  // Pooled path: hardware concurrency; in smoke mode an explicit 4-lane
+  // pool, so the pool machinery is exercised even on single-core CI.
   double parallel_ms = 0.0;
-  const std::vector<acn::CharacterizationSets> parallel_sets =
-      run_engine(generated, params, smoke ? 4 : 0, smoke, smoke ? 3 : 0,
-                 nullptr, shard, &parallel_ms);
+  const std::vector<acn::CharacterizationSets> parallel_sets = run_engine(
+      generated, params, smoke ? 4 : 0, smoke, nullptr, skew, &parallel_ms);
   result.parallel_ms_per_step = parallel_ms / static_cast<double>(steps);
-  if (shard != nullptr) {
+  if (skew != nullptr) {
     const auto divisor = static_cast<double>(steps);
-    shard->halo_ms /= divisor;
-    shard->state_max /= divisor;
-    shard->state_mean /= divisor;
-    shard->grid_max /= divisor;
-    shard->grid_mean /= divisor;
-    shard->plane_max /= divisor;
-    shard->plane_mean /= divisor;
-    shard->char_max /= divisor;
-    shard->char_mean /= divisor;
+    skew->state_max /= divisor;
+    skew->state_mean /= divisor;
+    skew->plane_max /= divisor;
+    skew->plane_mean /= divisor;
+    skew->char_max /= divisor;
+    skew->char_mean /= divisor;
   }
 
   for (std::size_t k = 0; k < generated.size(); ++k) {
@@ -186,8 +170,8 @@ CellResult run_cell(std::size_t n, std::uint32_t errors, std::uint64_t steps,
         generated[k].state.abnormal().size()) {
       result.ok = false;
     }
-    // Byte-identical verdicts: incremental engine (any pool size, any shard
-    // count) vs the from-scratch rebuild — the pipeline's core guarantee.
+    // Byte-identical verdicts: incremental engine (any pool size) vs the
+    // from-scratch rebuild — the pipeline's core guarantee.
     for (const auto* sets : {&serial_sets[k], &parallel_sets[k]}) {
       if (sets->isolated != truth.isolated || sets->massive != truth.massive ||
           sets->unresolved != truth.unresolved) {
@@ -311,11 +295,11 @@ int main(int argc, char** argv) {
   const std::size_t cell_count =
       smoke ? sizeof(cells_smoke) / sizeof(Cell) : sizeof(cells_full) / sizeof(Cell);
 
-  std::vector<ShardTiming> shard_rows(cell_count);
+  std::vector<LaneTiming> skew_rows(cell_count);
   bool all_ok = true;
   for (std::size_t i = 0; i < cell_count; ++i) {
     const CellResult cell =
-        run_cell(cells[i].n, cells[i].a, cells[i].steps, smoke, &shard_rows[i]);
+        run_cell(cells[i].n, cells[i].a, cells[i].steps, smoke, &skew_rows[i]);
     all_ok = all_ok && cell.ok;
     std::printf(
         "| %zu | %u | %.1f | %.3f | %.3f | %.3f | %.3f | %.3f | %.3f | %s |\n",
@@ -328,20 +312,16 @@ int main(int argc, char** argv) {
 
   // Lane-skew table for the pooled engine: per phase, max vs mean busy ms
   // across the lanes that ran (max/mean gap = load imbalance the LPT
-  // dispatch and shard striping are there to close).
-  std::printf("\n# shard-phase skew (pooled engine, per-step lane busy ms, "
+  // dispatch is there to close).
+  std::printf("\n# phase skew (pooled engine, per-step lane busy ms, "
               "max/mean)\n");
-  std::printf(
-      "| n | A | shards | halo ms | state | grid | plane | characterize |\n");
-  std::printf("|---|---|---|---|---|---|---|---|\n");
+  std::printf("| n | A | state | plane | characterize |\n");
+  std::printf("|---|---|---|---|---|\n");
   for (std::size_t i = 0; i < cell_count; ++i) {
-    const ShardTiming& row = shard_rows[i];
-    std::printf(
-        "| %zu | %u | %u | %.3f | %.3f/%.3f | %.3f/%.3f | %.3f/%.3f | "
-        "%.3f/%.3f |\n",
-        cells[i].n, cells[i].a, row.shards, row.halo_ms, row.state_max,
-        row.state_mean, row.grid_max, row.grid_mean, row.plane_max,
-        row.plane_mean, row.char_max, row.char_mean);
+    const LaneTiming& row = skew_rows[i];
+    std::printf("| %zu | %u | %.3f/%.3f | %.3f/%.3f | %.3f/%.3f |\n",
+                cells[i].n, cells[i].a, row.state_max, row.state_mean,
+                row.plane_max, row.plane_mean, row.char_max, row.char_mean);
   }
   // Telemetry overhead: the same stream through the OnlineMonitor with the
   // telemetry layer off, then on, back to back (min over reps). The rows

@@ -10,7 +10,7 @@
 //   --json             emit ONLY the machine-readable JSON payload
 //   --telemetry <path> additionally replay every family through a
 //                      telemetry-enabled monitor and write the per-family
-//                      acn.telemetry.v1 dumps to <path> (the nightly
+//                      acn.telemetry.v2 dumps to <path> (the nightly
 //                      pipeline uploads this as an artifact)
 //
 // A budget-sweep section reruns the superposition-bomb family (the family
@@ -319,7 +319,7 @@ std::vector<DeliveryResult> run_delivery_section(std::size_t n,
 // --- telemetry dump ------------------------------------------------------
 
 /// Replays every hostile family through a telemetry-enabled OnlineMonitor
-/// and renders the per-family acn.telemetry.v1 documents into one JSON
+/// and renders the per-family acn.telemetry.v2 documents into one JSON
 /// file — the artifact the nightly pipeline uploads, and the quickest way
 /// to eyeball what the telemetry layer sees under each fault family.
 void write_telemetry_dump(const char* path, std::size_t n, std::uint64_t seed,

@@ -1,7 +1,7 @@
 #include "core/frame.hpp"
 
+#include <algorithm>
 #include <chrono>
-#include <stdexcept>
 
 namespace acn {
 namespace {
@@ -14,87 +14,48 @@ double ms_since(Clock::time_point start) {
 
 }  // namespace
 
-void SnapshotRing::prime(Snapshot first) {
-  Snapshot prev = first;  // the one unavoidable copy: both slots of S_0
-  state_.emplace(std::move(prev), std::move(first), DeviceSet{});
-  moved_.clear();
-}
-
-const std::vector<DeviceId>& SnapshotRing::advance(Snapshot next,
-                                                   DeviceSet abnormal,
-                                                   WorkerPool* pool,
-                                                   std::vector<double>* lane_ms) {
-  if (!primed()) {
-    throw std::logic_error("SnapshotRing::advance: prime() a snapshot first");
-  }
-  state_->advance(std::move(next), std::move(abnormal), &moved_, pool, lane_ms);
-  return moved_;
-}
-
-FrameEngine::FrameEngine(Config config)
-    : config_(config),
-      pool_(config.threads),
-      grid_(std::max(config.model.window(), kMinGridCell),
-            config.shards != 0 ? config.shards : pool_.parallelism()),
-      source_(*this) {
+FrameEngine::FrameEngine(Config config) : config_(config), pool_(config.threads) {
   config_.model.validate();
 }
 
 std::optional<FrameEngine::Result> FrameEngine::observe(Snapshot positions,
                                                         DeviceSet abnormal) {
   stats_ = {};
-  stats_.shards = grid_.shards();
   const kernels::Counters kernel_before = kernels::counters_snapshot();
   std::vector<double> lane_scratch;
-  if (!ring_.primed()) {
-    // Priming snapshot: no previous state, nothing to characterize (any
-    // abnormal ids are moot — there is no interval they fired in).
-    auto t0 = Clock::now();
-    ring_.prime(std::move(positions));
-    abnormal_flag_.assign(ring_.state().n(), 0);
+  if (!state_.has_value()) {
+    // Priming snapshot: the state becomes (S_0, S_0, {}) — no previous
+    // state, nothing to characterize (any abnormal ids are moot — there is
+    // no interval they fired in).
+    const auto t0 = Clock::now();
+    Snapshot prev = positions;  // the one unavoidable copy: both slots of S_0
+    state_.emplace(std::move(prev), std::move(positions), DeviceSet{});
     stats_.state_ms = ms_since(t0);
-    t0 = Clock::now();
-    grid_.rebuild(ring_.state(), &pool_, &lane_scratch);
-    stats_.grid_ms = ms_since(t0);
-    stats_.grid_lanes = LaneBreakdown::of(lane_scratch);
     ++intervals_;
     return std::nullopt;
   }
 
-  // Roll the ring (validates shape; strong guarantee), then swap the A_k
-  // mask from the previous interval's ids to the new ones — O(|A_{k-1}| +
-  // |A_k|), never O(n).
+  // Roll the state in place (validates shape; strong guarantee).
   auto t0 = Clock::now();
-  const DeviceSet previous_abnormal = ring_.state().abnormal();
-  const std::vector<DeviceId>& moved =
-      ring_.advance(std::move(positions), std::move(abnormal), &pool_, &lane_scratch);
-  const StatePair& state = ring_.state();
-  for (const DeviceId j : previous_abnormal) abnormal_flag_[j] = 0;
-  for (const DeviceId j : state.abnormal()) abnormal_flag_[j] = 1;
+  stats_.moved =
+      state_->advance(std::move(positions), std::move(abnormal), &pool_, &lane_scratch);
+  const StatePair& state = *state_;
   stats_.state_ms = ms_since(t0);
   stats_.state_lanes = LaneBreakdown::of(lane_scratch);
-  stats_.moved = moved.size();
   stats_.abnormal = state.abnormal().size();
 
-  // Grid re-bucket in two steps: the serial halo exchange routes each
-  // move's bucket edits to the owner shards, then every shard drains its
-  // queue concurrently (disjoint maps — no locks).
+  // The interval's one spatial index: A_k only, at the plane's cell side.
   t0 = Clock::now();
-  grid_.stage(state, moved);
-  stats_.halo_ms = ms_since(t0);
-  const auto t_apply = Clock::now();
-  grid_.apply_staged(state, &pool_, &lane_scratch);
-  stats_.grid_ms = stats_.halo_ms + ms_since(t_apply);
-  stats_.grid_lanes = LaneBreakdown::of(lane_scratch);
+  GridIndex grid(state, state.abnormal(), std::max(config_.model.window(), kMinGridCell));
+  stats_.grid_ms = ms_since(t0);
 
-  // Plane over the 4r-closure of A_k: neighbourhoods come from the sharded
-  // fleet grid masked to A_k (cross-shard halo reads are plain lookups into
-  // immutable neighbour maps), both build passes fan out over the pool.
+  // Plane over the 4r-closure of A_k, through the from-scratch plane's own
+  // build path; both build passes fan out over the pool.
   t0 = Clock::now();
   PlaneBuildLanes plane_lanes;
   plane_.reset();
-  plane_.emplace(state, config_.model, source_, &pool_, config_.component_fanout,
-                 &plane_lanes, config_.plane_arena_budget);
+  plane_.emplace(state, config_.model, std::move(grid), &pool_,
+                 config_.component_fanout, &plane_lanes, config_.plane_arena_budget);
   stats_.plane_ms = ms_since(t0);
   stats_.plane_query_lanes = LaneBreakdown::of(plane_lanes.query_lane_ms);
   stats_.plane_enum_lanes = LaneBreakdown::of(plane_lanes.enumerate_lane_ms);

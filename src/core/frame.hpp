@@ -1,39 +1,27 @@
 // The locality-bounded incremental snapshot pipeline (the streaming engine).
 //
-// The seed pipeline paid O(n) work per interval before a single theorem
-// ran: OnlineMonitor copied the incoming snapshot for its retained state,
-// StatePair recomputed every joint coordinate and SoA column from scratch,
-// and a fresh GridIndex re-bucketed A_k — every step, for every device.
 // The paper's locality result (§V, Corollary 8: a verdict depends only on
-// trajectories within 4r of the deciding device) licenses the opposite
-// architecture, which this engine implements:
+// trajectories within 4r of the deciding device) bounds every interval's
+// work to the 4r-closure of A_k. The engine runs four phases per interval:
 //
-//   * SnapshotRing double-buffers the rolling StatePair: the new snapshot
-//     is MOVED in, the old current snapshot becomes the previous one by
-//     move, and the joint/SoA columns are rewritten in place only where a
-//     trajectory changed — per-interval cost tracks |moved|, i.e. the
-//     devices errors displaced, not n;
-//   * the fleet grid is sharded spatially (ShardMap stripes of [0,1]^d,
-//     sized to the worker count) and maintained incrementally: only devices
-//     whose grid cell key changed are re-bucketed, via a serial
-//     halo-exchange pass routing each move's bucket edits to the owner
-//     shards' staging queues followed by a lock-free per-shard parallel
-//     apply; 4r queries read neighbour shards' between-interval-immutable
-//     maps directly;
-//   * the MotionPlane is built over exactly the 4r-closure of A_k — the
-//     plane covers A_k, each device's neighbourhood is the A_k-restricted
-//     2r-ball from the fleet grid, and every Theorem 5/6/7 decision reads
-//     only those neighbourhoods and their neighbours' families (the 4r
-//     shell); nothing beyond the closure is ever touched. The
-//     per-component family enumeration and the per-device characterization
-//     both fan out over the engine's persistent WorkerPool;
-//   * verdicts are byte-identical to a from-scratch rebuild
-//     (tests/core/frame_equivalence_test.cc sweeps this, teleports and
-//     all-abnormal edge cases included).
+//   1. state roll — the rolling StatePair takes the new snapshot by MOVE
+//      (the old current snapshot becomes the previous one, also by move),
+//      and the joint/SoA columns are rewritten in place only where a
+//      trajectory changed (StatePair::advance);
+//   2. A_k index — one GridIndex over the abnormal devices, cell
+//      max(2r, kMinGridCell): the only spatial index, sized by |A_k|, not n;
+//   3. plane — the MotionPlane built over that index, through the same path
+//      as the from-scratch MotionPlane(state, params), with its
+//      neighbourhood queries and per-component family enumeration fanned
+//      out over the engine's persistent WorkerPool;
+//   4. characterize — Theorems 5-7 for every device of A_k, fanned out over
+//      the same pool.
 //
-// OnlineMonitor, the MonitoringSwarm, and the simulation harness all sit on
-// top of this engine; per-phase timings are exposed through FrameStats and
-// reported by bench_characterize_all.
+// Verdicts are byte-identical to a from-scratch rebuild for every thread
+// count (tests/core/frame_equivalence_test.cc sweeps this, teleports and
+// all-abnormal edge cases included). OnlineMonitor, the MonitoringSwarm,
+// and the simulation harness all sit on top of this engine; per-phase
+// timings are exposed through FrameStats.
 #pragma once
 
 #include <cstdint>
@@ -51,35 +39,6 @@
 #include "core/state.hpp"
 
 namespace acn {
-
-/// Rolling (S_{k-1}, S_k, A_k) double buffer. prime() installs the first
-/// snapshot; each advance() moves the next one in and rolls the pair in
-/// place (StatePair::advance), tracking which devices moved.
-class SnapshotRing {
- public:
-  [[nodiscard]] bool primed() const noexcept { return state_.has_value(); }
-
-  /// Installs the first snapshot: the state becomes (S_0, S_0, {}) — no
-  /// interval to characterize yet.
-  void prime(Snapshot first);
-
-  /// Rolls to the next interval; returns the devices whose current
-  /// position changed (the fleet grid's re-bucket set). Requires primed().
-  /// `pool`/`lane_ms` pass through to StatePair::advance (chunk-parallel
-  /// roll, byte-identical for every pool size).
-  const std::vector<DeviceId>& advance(Snapshot next, DeviceSet abnormal,
-                                       WorkerPool* pool = nullptr,
-                                       std::vector<double>* lane_ms = nullptr);
-
-  /// Devices moved by the latest advance.
-  [[nodiscard]] std::span<const DeviceId> moved() const noexcept { return moved_; }
-
-  [[nodiscard]] const StatePair& state() const { return *state_; }
-
- private:
-  std::optional<StatePair> state_;
-  std::vector<DeviceId> moved_;
-};
 
 /// Busy-time aggregate over the worker lanes of one parallel phase. The
 /// max/mean gap is the phase's skew: max is the wall-clock the phase paid,
@@ -108,22 +67,17 @@ struct LaneBreakdown {
 /// Wall-clock phase breakdown of one engine interval, in milliseconds —
 /// what bench_characterize_all reports per phase.
 struct FrameStats {
-  double state_ms = 0.0;         ///< ring roll (joint/SoA in-place update)
-  double grid_ms = 0.0;          ///< grid re-bucketing (staging + apply)
+  double state_ms = 0.0;         ///< state roll (joint/SoA in-place update)
+  double grid_ms = 0.0;          ///< A_k index build
   double plane_ms = 0.0;         ///< motion-plane build over the 4r-closure
   double characterize_ms = 0.0;  ///< Theorems 5-7 over A_k
-  /// The halo-exchange slice of grid_ms: the serial pass routing each move
-  /// to its old/new owner shards' staging queues.
-  double halo_ms = 0.0;
   std::size_t moved = 0;         ///< devices whose position changed
   std::size_t abnormal = 0;      ///< |A_k|
   std::size_t components = 0;    ///< 2r-interaction components enumerated
   std::size_t motions = 0;       ///< distinct maximal motions interned
-  unsigned shards = 0;           ///< spatial shards of the fleet grid
 
   // Per-lane skew of each fan-out phase (see LaneBreakdown).
-  LaneBreakdown state_lanes;        ///< ring-roll chunk fan-out
-  LaneBreakdown grid_lanes;         ///< per-shard staged-op application
+  LaneBreakdown state_lanes;        ///< state-roll chunk fan-out
   LaneBreakdown plane_query_lanes;  ///< plane pass 1 (neighbourhood queries)
   LaneBreakdown plane_enum_lanes;   ///< plane pass 2 (component enumeration)
   LaneBreakdown characterize_lanes; ///< per-device decision fan-out
@@ -133,8 +87,7 @@ struct FrameStats {
   /// ACN_KERNEL_CYCLES=1 was set at startup).
   kernels::Counters kernel;
 
-  /// Sum of the phase timers: the engine-side wall clock of one interval
-  /// (halo_ms is a slice of grid_ms, so it is not added again).
+  /// Sum of the phase timers: the engine-side wall clock of one interval.
   [[nodiscard]] double total_ms() const noexcept {
     return state_ms + grid_ms + plane_ms + characterize_ms;
   }
@@ -163,18 +116,12 @@ class FrameEngine {
     /// is the |A_k| below which the characterization fan-out runs inline
     /// (the one threshold, shared with the standalone batch APIs).
     CharacterizeOptions characterize;
-    /// Lanes for every per-interval fan-out (ring roll, staged grid apply,
-    /// plane build, per-device characterization): 1 = inline serial
-    /// (default), 0 = hardware concurrency. Verdicts are identical for
-    /// every value.
+    /// Lanes for every per-interval fan-out (state roll, plane build,
+    /// per-device characterization): 1 = inline serial (default), 0 =
+    /// hardware concurrency. Verdicts are identical for every value.
     unsigned threads = 1;
     /// Component count below which the plane build runs inline.
     std::size_t component_fanout = 2;
-    /// Spatial shards of the fleet grid (ShardMap stripes): 0 sizes the
-    /// partition to the worker count (the per-core-cell default), any other
-    /// value pins it. Verdicts are byte-identical for every shard count —
-    /// sharding moves bucket ownership, never query results.
-    unsigned shards = 0;
     /// Byte cap on the per-interval motion-plane arenas (neighbourhoods,
     /// window covers, interned motions, membership bitsets). An adversarial
     /// placement can make the motion-family arenas combinatorially large;
@@ -209,8 +156,8 @@ class FrameEngine {
   }
 
   /// The rolling state (requires at least one observe()).
-  [[nodiscard]] const StatePair& state() const { return ring_.state(); }
-  [[nodiscard]] bool primed() const noexcept { return ring_.primed(); }
+  [[nodiscard]] const StatePair& state() const { return *state_; }
+  [[nodiscard]] bool primed() const noexcept { return state_.has_value(); }
 
   /// The last interval's motion plane (null before the second observe()).
   [[nodiscard]] const MotionPlane* plane() const noexcept {
@@ -225,27 +172,10 @@ class FrameEngine {
   [[nodiscard]] WorkerPool& pool() noexcept { return pool_; }
 
  private:
-  /// NeighbourSource over the fleet grid restricted to the abnormal mask.
-  class AbnormalSource final : public NeighbourSource {
-   public:
-    AbnormalSource(const FrameEngine& engine) : engine_(engine) {}
-    void within_into(DeviceId j, double radius,
-                     std::vector<DeviceId>& out) const override {
-      engine_.grid_.within_into(engine_.ring_.state(), j, radius,
-                                engine_.abnormal_flag_, out);
-    }
-
-   private:
-    const FrameEngine& engine_;
-  };
-
   Config config_;
-  SnapshotRing ring_;
-  WorkerPool pool_;          ///< before grid_: its lane count sizes the shards
-  ShardedFleetGrid grid_;
-  AbnormalSource source_;
-  std::vector<std::uint8_t> abnormal_flag_;  ///< byte per device, A_k mask
-  std::optional<MotionPlane> plane_;         ///< rebuilt per interval
+  std::optional<StatePair> state_;    ///< (S_{k-1}, S_k, A_k), rolled in place
+  WorkerPool pool_;
+  std::optional<MotionPlane> plane_;  ///< rebuilt per interval
   FrameStats stats_;
   std::uint64_t intervals_ = 0;
 };

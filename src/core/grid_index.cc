@@ -5,8 +5,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/worker_pool.hpp"
-
 namespace acn {
 namespace {
 
@@ -22,68 +20,6 @@ std::uint64_t mix(std::uint64_t key, std::int64_t cell_coord) noexcept {
   key ^= static_cast<std::uint64_t>(cell_coord) + 0x9E3779B97F4A7C15ULL;
   key *= 1099511628211ULL;
   return key;
-}
-
-std::uint64_t key_of(const Point& position, double cell) noexcept {
-  std::uint64_t key = kKeyBasis;
-  for (std::size_t i = 0; i < position.dim(); ++i) {
-    key = mix(key, static_cast<std::int64_t>(std::floor(position[i] / cell)));
-  }
-  return key;
-}
-
-/// Odometer over every cell within `radius` of `centre`, invoking
-/// visit(bucket) once per distinct bucket (two colliding cell keys share a
-/// bucket, which must then be scanned once — the visited guard below).
-/// `lookup(cell0, key) -> const std::vector<DeviceId>*` resolves a cell to
-/// its bucket (or nullptr); it receives the first-dimension cell index so a
-/// sharded caller can pick the owning shard's map — that index is exactly
-/// what ShardMap stripes on. Shared by every within_into so all the indexes
-/// agree on scan geometry.
-template <typename Lookup, typename Visit>
-void scan_cells_with(Lookup&& lookup, const Point& centre, double cell,
-                     double radius, Visit&& visit) {
-  const std::size_t d = centre.dim();
-  const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell));
-
-  std::array<std::int64_t, Point::kMaxDim> base{};
-  for (std::size_t i = 0; i < d; ++i) {
-    base[i] = static_cast<std::int64_t>(std::floor(centre[i] / cell));
-  }
-
-  std::vector<const std::vector<DeviceId>*> visited;
-  visited.reserve(16);
-
-  std::array<std::int64_t, Point::kMaxDim> offset{};
-  offset.fill(0);
-  for (std::size_t i = 0; i < d; ++i) offset[i] = -reach;
-  for (;;) {
-    std::uint64_t key = kKeyBasis;
-    for (std::size_t i = 0; i < d; ++i) key = mix(key, base[i] + offset[i]);
-    if (const std::vector<DeviceId>* bucket = lookup(base[0] + offset[0], key)) {
-      if (std::find(visited.begin(), visited.end(), bucket) == visited.end()) {
-        visited.push_back(bucket);
-        visit(*bucket);
-      }
-    }
-    std::size_t i = 0;
-    while (i < d && ++offset[i] > reach) {
-      offset[i] = -reach;
-      ++i;
-    }
-    if (i == d) break;
-  }
-}
-
-template <typename Visit>
-void scan_cells(const std::unordered_map<std::uint64_t, std::vector<DeviceId>>& cells,
-                const Point& centre, double cell, double radius, Visit&& visit) {
-  scan_cells_with(
-      [&cells](std::int64_t, std::uint64_t key) -> const std::vector<DeviceId>* {
-        const auto it = cells.find(key);
-        return it != cells.end() ? &it->second : nullptr;
-      },
-      centre, cell, radius, visit);
 }
 
 }  // namespace
@@ -153,225 +89,39 @@ std::vector<DeviceId> GridIndex::within(DeviceId j, double radius) const {
 void GridIndex::within_into(DeviceId j, double radius,
                             std::vector<DeviceId>& out) const {
   out.clear();
-  scan_cells(cells_, state_.curr_pos(j), cell_, radius,
-             [&](const std::vector<DeviceId>& bucket) {
-               for (const DeviceId candidate : bucket) {
-                 if (state_.joint_distance(j, candidate) <= radius) {
-                   out.push_back(candidate);
-                 }
-               }
-             });
+  // Odometer over every cell within `radius` of j's cell. Two colliding
+  // cell keys share a bucket, which must then be scanned once — the
+  // visited guard.
+  const Point& centre = state_.curr_pos(j);
+  const std::size_t d = centre.dim();
+  const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell_));
+  std::array<std::int64_t, Point::kMaxDim> base{};
+  std::array<std::int64_t, Point::kMaxDim> offset{};
+  for (std::size_t i = 0; i < d; ++i) {
+    base[i] = static_cast<std::int64_t>(std::floor(centre[i] / cell_));
+    offset[i] = -reach;
+  }
+  std::vector<const std::vector<DeviceId>*> visited;
+  visited.reserve(16);
+  for (;;) {
+    std::uint64_t key = kKeyBasis;
+    for (std::size_t i = 0; i < d; ++i) key = mix(key, base[i] + offset[i]);
+    if (const auto it = cells_.find(key);
+        it != cells_.end() &&
+        std::find(visited.begin(), visited.end(), &it->second) == visited.end()) {
+      visited.push_back(&it->second);
+      for (const DeviceId candidate : it->second) {
+        if (state_.joint_distance(j, candidate) <= radius) out.push_back(candidate);
+      }
+    }
+    std::size_t i = 0;
+    while (i < d && ++offset[i] > reach) {
+      offset[i] = -reach;
+      ++i;
+    }
+    if (i == d) break;
+  }
   std::sort(out.begin(), out.end());
-}
-
-FleetGrid::FleetGrid(double cell) : cell_(cell) {
-  if (cell <= 0.0) throw std::invalid_argument("FleetGrid: cell must be > 0");
-}
-
-void FleetGrid::rebuild(const StatePair& state) {
-  cells_.clear();
-  device_count_ = state.n();
-  cells_.reserve(device_count_ / 4 + 1);
-  for (DeviceId j = 0; j < device_count_; ++j) {
-    cells_[key_of(state.curr_pos(j), cell_)].push_back(j);
-  }
-}
-
-void FleetGrid::apply(const StatePair& state, std::span<const DeviceId> moved) {
-  for (const DeviceId j : moved) {
-    const std::uint64_t old_key = key_of(state.prev_pos(j), cell_);
-    const std::uint64_t new_key = key_of(state.curr_pos(j), cell_);
-    if (old_key == new_key) continue;
-    std::vector<DeviceId>& old_bucket = cells_[old_key];
-    if (const auto it = std::find(old_bucket.begin(), old_bucket.end(), j);
-        it != old_bucket.end()) {
-      old_bucket.erase(it);
-    }
-    if (old_bucket.empty()) cells_.erase(old_key);
-    cells_[new_key].push_back(j);
-  }
-}
-
-void FleetGrid::insert(const StatePair& state, DeviceId j) {
-  cells_[key_of(state.curr_pos(j), cell_)].push_back(j);
-  ++device_count_;
-}
-
-void FleetGrid::remove(const StatePair& state, DeviceId j) {
-  const std::uint64_t key = key_of(state.curr_pos(j), cell_);
-  const auto bucket_it = cells_.find(key);
-  if (bucket_it != cells_.end()) {
-    std::vector<DeviceId>& bucket = bucket_it->second;
-    if (const auto it = std::find(bucket.begin(), bucket.end(), j);
-        it != bucket.end()) {
-      bucket.erase(it);
-      if (bucket.empty()) cells_.erase(bucket_it);
-      --device_count_;
-      return;
-    }
-  }
-  throw std::logic_error(
-      "FleetGrid::remove: device not indexed at its current position");
-}
-
-void FleetGrid::within_into(const StatePair& state, DeviceId j, double radius,
-                            std::span<const std::uint8_t> member_flag,
-                            std::vector<DeviceId>& out) const {
-  out.clear();
-  scan_cells(cells_, state.curr_pos(j), cell_, radius,
-             [&](const std::vector<DeviceId>& bucket) {
-               for (const DeviceId candidate : bucket) {
-                 // The cheap membership bit goes first: full-fleet buckets
-                 // are dense, the abnormal subset is sparse.
-                 if (!member_flag.empty() && member_flag[candidate] == 0) continue;
-                 if (state.joint_distance(j, candidate) <= radius) {
-                   out.push_back(candidate);
-                 }
-               }
-             });
-  std::sort(out.begin(), out.end());
-}
-
-ShardedFleetGrid::ShardedFleetGrid(double cell, unsigned shards)
-    : map_(cell, shards) {
-  if (cell <= 0.0) {
-    throw std::invalid_argument("ShardedFleetGrid: cell must be > 0");
-  }
-  shards_.resize(map_.shards());
-}
-
-void ShardedFleetGrid::rebuild(const StatePair& state, WorkerPool* pool,
-                               std::vector<double>* lane_ms) {
-  if (lane_ms != nullptr) lane_ms->clear();
-  for (Shard& shard : shards_) {
-    shard.cells.clear();
-    shard.staged.clear();
-  }
-  device_count_ = state.n();
-
-  // Serial routing pass (the rebuild-time analogue of stage()), then the
-  // expensive part — hash-map building — runs one shard per work item.
-  std::vector<std::vector<Op>> routed(shards_.size());
-  for (auto& ops : routed) ops.reserve(device_count_ / shards_.size() + 1);
-  for (DeviceId j = 0; j < device_count_; ++j) {
-    const Point& position = state.curr_pos(j);
-    routed[map_.shard_of(position)].push_back(
-        Op{key_of(position, map_.cell()), j, true});
-  }
-  const auto build_shard = [&](std::size_t s) {
-    Shard& shard = shards_[s];
-    shard.cells.reserve(routed[s].size() / 4 + 1);
-    for (const Op& op : routed[s]) shard.cells[op.key].push_back(op.id);
-  };
-  if (pool != nullptr) {
-    pool->for_each(shards_.size(), 2, build_shard, 0, lane_ms);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) build_shard(s);
-  }
-}
-
-void ShardedFleetGrid::stage(const StatePair& state,
-                             std::span<const DeviceId> moved) {
-  const double cell = map_.cell();
-  for (const DeviceId j : moved) {
-    const Point& old_position = state.prev_pos(j);
-    const Point& new_position = state.curr_pos(j);
-    const std::uint64_t old_key = key_of(old_position, cell);
-    const std::uint64_t new_key = key_of(new_position, cell);
-    if (old_key == new_key) continue;
-    shards_[map_.shard_of(old_position)].staged.push_back(Op{old_key, j, false});
-    shards_[map_.shard_of(new_position)].staged.push_back(Op{new_key, j, true});
-  }
-}
-
-void ShardedFleetGrid::apply_op(Shard& shard, const Op& op) {
-  if (op.is_insert) {
-    shard.cells[op.key].push_back(op.id);
-    return;
-  }
-  const auto bucket_it = shard.cells.find(op.key);
-  if (bucket_it != shard.cells.end()) {
-    std::vector<DeviceId>& bucket = bucket_it->second;
-    if (const auto it = std::find(bucket.begin(), bucket.end(), op.id);
-        it != bucket.end()) {
-      bucket.erase(it);
-      if (bucket.empty()) shard.cells.erase(bucket_it);
-    }
-  }
-}
-
-void ShardedFleetGrid::apply_staged(const StatePair&, WorkerPool* pool,
-                                    std::vector<double>* lane_ms) {
-  if (lane_ms != nullptr) lane_ms->clear();
-  const auto drain_shard = [&](std::size_t s) {
-    Shard& shard = shards_[s];
-    for (const Op& op : shard.staged) apply_op(shard, op);
-    shard.staged.clear();
-  };
-  if (pool != nullptr) {
-    pool->for_each(shards_.size(), 2, drain_shard, 0, lane_ms);
-  } else {
-    for (std::size_t s = 0; s < shards_.size(); ++s) drain_shard(s);
-  }
-}
-
-void ShardedFleetGrid::insert(const StatePair& state, DeviceId j) {
-  const Point& position = state.curr_pos(j);
-  shards_[map_.shard_of(position)]
-      .cells[key_of(position, map_.cell())]
-      .push_back(j);
-  ++device_count_;
-}
-
-void ShardedFleetGrid::remove(const StatePair& state, DeviceId j) {
-  const Point& position = state.curr_pos(j);
-  Shard& shard = shards_[map_.shard_of(position)];
-  const std::uint64_t key = key_of(position, map_.cell());
-  const auto bucket_it = shard.cells.find(key);
-  if (bucket_it != shard.cells.end()) {
-    std::vector<DeviceId>& bucket = bucket_it->second;
-    if (const auto it = std::find(bucket.begin(), bucket.end(), j);
-        it != bucket.end()) {
-      bucket.erase(it);
-      if (bucket.empty()) shard.cells.erase(bucket_it);
-      --device_count_;
-      return;
-    }
-  }
-  throw std::logic_error(
-      "ShardedFleetGrid::remove: device not indexed at its current position");
-}
-
-void ShardedFleetGrid::within_into(const StatePair& state, DeviceId j,
-                                   double radius,
-                                   std::span<const std::uint8_t> member_flag,
-                                   std::vector<DeviceId>& out) const {
-  out.clear();
-  scan_cells_with(
-      // The halo read: each scanned cell resolves to its owner shard by the
-      // same stripe arithmetic stage() routes with, and the neighbour
-      // shard's (immutable-between-intervals) map is read directly.
-      [this](std::int64_t cell0, std::uint64_t key) -> const std::vector<DeviceId>* {
-        const auto& cells = shards_[map_.shard_of_cell(cell0)].cells;
-        const auto it = cells.find(key);
-        return it != cells.end() ? &it->second : nullptr;
-      },
-      state.curr_pos(j), map_.cell(), radius,
-      [&](const std::vector<DeviceId>& bucket) {
-        for (const DeviceId candidate : bucket) {
-          if (!member_flag.empty() && member_flag[candidate] == 0) continue;
-          if (state.joint_distance(j, candidate) <= radius) {
-            out.push_back(candidate);
-          }
-        }
-      });
-  std::sort(out.begin(), out.end());
-}
-
-std::size_t ShardedFleetGrid::staged_op_count() const noexcept {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.staged.size();
-  return total;
 }
 
 }  // namespace acn

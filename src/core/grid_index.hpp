@@ -9,6 +9,13 @@
 // from per-dimension indices (no per-visit coordinate vector), and the
 // batch-query overload reuses a caller-owned output buffer so the motion
 // plane's per-device neighbourhood pass allocates nothing per visit.
+//
+// This is the project's one spatial index. Every verdict reads only the
+// 4r-closure of A_k (§V, Corollary 8), so each interval indexes exactly A_k:
+// the streaming engine builds one per interval and hands it to the
+// MotionPlane, whose from-scratch constructor builds the same one itself.
+// Queries are const and touch no shared mutable state, so the plane's
+// worker lanes read one index concurrently.
 #pragma once
 
 #include <cstdint>
@@ -18,16 +25,14 @@
 #include <vector>
 
 #include "common/device_set.hpp"
-#include "core/shard_map.hpp"
 #include "core/state.hpp"
 
 namespace acn {
 
-class WorkerPool;
-
 /// Floor for grid cell sides so the index degenerates gracefully when the
 /// consistency window 2r approaches 0. Shared by every 2r grid build
-/// (MotionPlane, PartitionEnumerator) so they agree on the same geometry.
+/// (FrameEngine, MotionPlane, PartitionEnumerator) so they agree on the same
+/// geometry.
 inline constexpr double kMinGridCell = 1e-9;
 
 /// Connected components over the sorted `ids`, where `neighbours_of(rank)`
@@ -65,141 +70,6 @@ class GridIndex {
   double cell_;
   std::size_t member_count_;
   std::unordered_map<std::uint64_t, std::vector<DeviceId>> cells_;
-};
-
-/// Incremental uniform grid over the CURRENT positions of the WHOLE fleet,
-/// owned by the streaming engine and carried across intervals: after each
-/// StatePair::advance only the devices whose position changed are
-/// re-bucketed (O(|moved|) per interval), never the n-device rebuild the
-/// per-snapshot GridIndex pays. Queries filter candidates by a caller-owned
-/// membership flag (the abnormal mask) and then by exact joint distance, so
-/// a FleetGrid query restricted to A_k returns bit-for-bit the same sorted
-/// id list as a GridIndex built over A_k — the incremental-vs-scratch
-/// equivalence the engine's tests pin down.
-class FleetGrid {
- public:
-  /// Requires cell > 0 (use max(2r, kMinGridCell) to match GridIndex).
-  explicit FleetGrid(double cell);
-
-  /// Indexes every device of `state` at its current position.
-  void rebuild(const StatePair& state);
-
-  /// Re-buckets `moved` devices after one StatePair::advance. Contract: the
-  /// ids come from that advance's `moved` output, so each device's previous
-  /// position (its old bucket) is state.prev_pos — apply exactly once per
-  /// roll, before any query against the new interval. Devices removed from
-  /// the grid (churn) must not appear in `moved`; re-insert them instead.
-  void apply(const StatePair& state, std::span<const DeviceId> moved);
-
-  /// Churn path: buckets device j at its CURRENT position (a device joining
-  /// the fleet, or re-entering after retirement). j must not already be
-  /// indexed — inserting a present device would double-count it in every
-  /// query crossing its bucket.
-  void insert(const StatePair& state, DeviceId j);
-
-  /// Churn path: unbuckets device j, looked up at its CURRENT position (it
-  /// must not have moved since the last rebuild/apply/insert). Throws
-  /// std::logic_error if j is not found there — a silent no-op would mask a
-  /// stale-position bug upstream.
-  void remove(const StatePair& state, DeviceId j);
-
-  /// Devices with member_flag[id] != 0 within joint Chebyshev distance
-  /// `radius` of j, sorted by id, into a caller-owned buffer (cleared
-  /// first). Pass an empty span to query the whole fleet.
-  void within_into(const StatePair& state, DeviceId j, double radius,
-                   std::span<const std::uint8_t> member_flag,
-                   std::vector<DeviceId>& out) const;
-
-  [[nodiscard]] std::size_t device_count() const noexcept { return device_count_; }
-  [[nodiscard]] double cell() const noexcept { return cell_; }
-
- private:
-  double cell_;
-  std::size_t device_count_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<DeviceId>> cells_;
-};
-
-/// FleetGrid partitioned across spatial shards (ShardMap stripes over the
-/// first-dimension cell index). Each shard owns a private cell map, so the
-/// per-interval re-bucketing splits into two phases the engine can time and
-/// parallelize separately:
-///
-///   stage(state, moved)        — the HALO-EXCHANGE step: one serial
-///     O(|moved|) routing pass that turns each move into a remove op for the
-///     old position's owner shard and an insert op for the new one's (cells
-///     unchanged are dropped, exactly like FleetGrid::apply). Crossing a
-///     stripe boundary is just two ops landing on different shards.
-///   apply_staged(state, pool)  — each shard applies its own op queue; the
-///     writes are disjoint by construction (a shard only ever touches its
-///     private map), so the fan-out takes no locks. Ops apply in routing
-///     order, which is the serial `moved` order — bucket contents come out
-///     byte-identical to an unsharded FleetGrid fed the same rolls.
-///
-/// Queries resolve each scanned cell to its owner shard by pure ShardMap
-/// arithmetic and read the neighbour shard's map directly — between
-/// apply_staged and the next stage all shard maps are immutable, so these
-/// cross-shard reads are the "read-only neighbour snapshot" side of the halo
-/// exchange and need no synchronization. Results are sorted by id and
-/// byte-identical to FleetGrid::within_into for every shard count.
-class ShardedFleetGrid {
- public:
-  /// Requires cell > 0; shards == 0 collapses to 1 (still valid, still
-  /// byte-identical — sharding never changes results, only layout).
-  ShardedFleetGrid(double cell, unsigned shards);
-
-  /// Indexes every device of `state` at its current position: one serial
-  /// routing pass, then per-shard map builds fanned out on `pool`.
-  void rebuild(const StatePair& state, WorkerPool* pool = nullptr,
-               std::vector<double>* lane_ms = nullptr);
-
-  /// Routes the moves of one StatePair::advance into per-shard op queues
-  /// (see class comment). Same contract as FleetGrid::apply: call exactly
-  /// once per roll with that roll's `moved` output, before apply_staged.
-  void stage(const StatePair& state, std::span<const DeviceId> moved);
-
-  /// Applies every staged op queue, one shard per work item. Queues are
-  /// left empty. Queries are only valid between apply_staged and the next
-  /// stage.
-  void apply_staged(const StatePair& state, WorkerPool* pool = nullptr,
-                    std::vector<double>* lane_ms = nullptr);
-
-  /// Churn paths, same contracts as FleetGrid::insert/remove; the op is
-  /// routed to the owner shard and applied immediately (churn happens at
-  /// interval boundaries, outside the staged window).
-  void insert(const StatePair& state, DeviceId j);
-  void remove(const StatePair& state, DeviceId j);
-
-  /// Same query contract as FleetGrid::within_into: members within joint
-  /// Chebyshev `radius` of j, sorted by id, into a caller-owned buffer.
-  void within_into(const StatePair& state, DeviceId j, double radius,
-                   std::span<const std::uint8_t> member_flag,
-                   std::vector<DeviceId>& out) const;
-
-  [[nodiscard]] std::size_t device_count() const noexcept { return device_count_; }
-  [[nodiscard]] double cell() const noexcept { return map_.cell(); }
-  [[nodiscard]] const ShardMap& shard_map() const noexcept { return map_; }
-  [[nodiscard]] unsigned shards() const noexcept { return map_.shards(); }
-  /// Ops routed by the last stage() still awaiting apply_staged().
-  [[nodiscard]] std::size_t staged_op_count() const noexcept;
-
- private:
-  /// One routed bucket edit: insert (or remove) `id` at cell `key` of the
-  /// owning shard.
-  struct Op {
-    std::uint64_t key;
-    DeviceId id;
-    bool is_insert;
-  };
-  struct Shard {
-    std::unordered_map<std::uint64_t, std::vector<DeviceId>> cells;
-    std::vector<Op> staged;
-  };
-
-  void apply_op(Shard& shard, const Op& op);
-
-  ShardMap map_;
-  std::size_t device_count_ = 0;
-  std::vector<Shard> shards_;
 };
 
 }  // namespace acn

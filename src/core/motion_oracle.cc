@@ -95,10 +95,6 @@ std::vector<DeviceSet> MotionOracle::maximal_motions_excluding(
 
 bool MotionOracle::has_dense_motion_avoiding(DeviceId j, const DeviceSet& removed) {
   if (removed.contains(j)) return false;  // no motion containing j survives
-  const AvoidKey key{j, removed.hash()};
-  if (const auto it = avoid_memo_.find(key); it != avoid_memo_.end()) {
-    return it->second;
-  }
   // Counting identity over the precomputed family: a dense motion containing
   // j within A_k \ removed exists iff some maximal dense motion M of j keeps
   // more than tau members outside `removed` (that remainder contains j and
@@ -106,7 +102,6 @@ bool MotionOracle::has_dense_motion_avoiding(DeviceId j, const DeviceSet& remove
   // extends to a maximal motion of the full pool, whose remainder is at
   // least as large). Replaces the anchored window slide the seed ran per
   // query — the innermost operation of the Theorem-7 search.
-  bool found = false;
   const MotionPlane& plane = ensure_plane();
   if (plane.covers(j)) {
     for (const MotionPlane::MotionId mid : plane.dense(j)) {
@@ -114,21 +109,16 @@ bool MotionOracle::has_dense_motion_avoiding(DeviceId j, const DeviceSet& remove
       for (const DeviceId member : plane.members(mid)) {
         if (!removed.contains(member)) ++survivors;
       }
-      if (survivors > params_.tau) {
-        found = true;
-        break;
-      }
+      if (survivors > params_.tau) return true;
     }
-  } else {
-    // Non-abnormal query device: no precomputed family; slide on demand.
-    std::vector<DeviceId> pool;
-    for (const DeviceId candidate : neighbourhood(j)) {
-      if (!removed.contains(candidate)) pool.push_back(candidate);
-    }
-    found = exists_dense_cover(pool, j);
+    return false;
   }
-  avoid_memo_.emplace(key, found);
-  return found;
+  // Non-abnormal query device: no precomputed family; slide on demand.
+  std::vector<DeviceId> pool;
+  for (const DeviceId candidate : neighbourhood(j)) {
+    if (!removed.contains(candidate)) pool.push_back(candidate);
+  }
+  return exists_dense_cover(pool, j);
 }
 
 bool MotionOracle::exists_dense_cover(std::span<const DeviceId> pool, DeviceId anchor) {

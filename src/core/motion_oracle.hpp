@@ -16,9 +16,10 @@
 // the locality the paper proves sufficient.
 //
 // The oracle is cheap to construct from an existing plane: it owns only
-// memo tables (materialized families, the per-(j, removed) avoid memo), so
-// every worker thread of the parallel characterization path gets a private
-// oracle over one shared read-only plane.
+// memo tables keyed by device id (materialized families, neighbourhoods of
+// non-abnormal devices), so every worker thread of the parallel
+// characterization path gets a private oracle over one shared read-only
+// plane.
 #pragma once
 
 #include <cstdint>
@@ -83,10 +84,10 @@ class MotionOracle {
       DeviceId j, const DeviceSet& removed);
 
   /// True iff a tau-dense motion containing j exists within A_k \ removed —
-  /// relation (4) of Theorem 7 (its negation, precisely). Memoized per
-  /// (j, removed) pair. Short-circuits at the first dense window cover: it
-  /// never materializes the maximal family (this query dominates the
-  /// Theorem-7 search cost).
+  /// relation (4) of Theorem 7 (its negation, precisely). For an abnormal j
+  /// a scan of j's dense family; otherwise a window slide that
+  /// short-circuits at the first dense cover. Not memoized: a memo keyed on
+  /// a hash of `removed` could return another set's answer on a collision.
   [[nodiscard]] bool has_dense_motion_avoiding(DeviceId j, const DeviceSet& removed);
 
   /// All maximal motions within an arbitrary pool of abnormal devices, no
@@ -108,22 +109,6 @@ class MotionOracle {
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
  private:
-  /// Memo key for has_dense_motion_avoiding: the device and the removed-set
-  /// hash are stored side by side (not mixed into one word), so two distinct
-  /// (j, removed) pairs can only alias if the removed sets themselves
-  /// collide on their 64-bit FNV hash.
-  struct AvoidKey {
-    DeviceId device;
-    std::uint64_t removed_hash;
-    friend bool operator==(const AvoidKey&, const AvoidKey&) = default;
-  };
-  struct AvoidKeyHash {
-    std::size_t operator()(const AvoidKey& key) const noexcept {
-      return static_cast<std::size_t>(
-          key.removed_hash ^ (0x9E3779B97F4A7C15ULL * (key.device + 1)));
-    }
-  };
-
   /// Early-exit variant: true iff some window covering `anchor` within
   /// `pool` holds more than tau devices at every dimension.
   [[nodiscard]] bool exists_dense_cover(std::span<const DeviceId> pool, DeviceId anchor);
@@ -143,7 +128,6 @@ class MotionOracle {
   std::unordered_map<DeviceId, std::vector<DeviceSet>> dense_memo_;
   // Neighbourhoods of non-abnormal query devices (not covered by the plane).
   std::unordered_map<DeviceId, std::vector<DeviceId>> extra_neighbourhood_memo_;
-  std::unordered_map<AvoidKey, bool, AvoidKeyHash> avoid_memo_;
 };
 
 }  // namespace acn

@@ -12,19 +12,6 @@
 namespace acn {
 namespace {
 
-/// NeighbourSource view over an owned A_k GridIndex (the scratch ctor).
-class GridSource final : public NeighbourSource {
- public:
-  explicit GridSource(const GridIndex& grid) : grid_(grid) {}
-  void within_into(DeviceId j, double radius,
-                   std::vector<DeviceId>& out) const override {
-    grid_.within_into(j, radius, out);
-  }
-
- private:
-  const GridIndex& grid_;
-};
-
 bool run_is_strict_subset(std::span<const DeviceId> small,
                           std::span<const DeviceId> big) noexcept {
   if (small.size() >= big.size()) return false;
@@ -344,25 +331,21 @@ std::vector<DeviceSet> enumerate_maximal_windows(const StatePair& state,
 }
 
 MotionPlane::MotionPlane(const StatePair& state, Params params)
-    : state_(state), params_(params) {
-  params_.validate();
-  grid_.emplace(state, state.abnormal(), std::max(params_.window(), kMinGridCell));
-  const GridSource source(*grid_);
-  build(source, nullptr, 0, nullptr);
-}
+    : MotionPlane(state, params,
+                  GridIndex(state, state.abnormal(),
+                            std::max(params.window(), kMinGridCell))) {}
 
-MotionPlane::MotionPlane(const StatePair& state, Params params,
-                         const NeighbourSource& source, WorkerPool* pool,
-                         std::size_t component_fanout, PlaneBuildLanes* lanes,
-                         std::uint64_t arena_budget_bytes)
-    : state_(state), params_(params), source_(&source) {
+MotionPlane::MotionPlane(const StatePair& state, Params params, GridIndex grid,
+                         WorkerPool* pool, std::size_t component_fanout,
+                         PlaneBuildLanes* lanes, std::uint64_t arena_budget_bytes)
+    : state_(state), params_(params), grid_(std::move(grid)) {
   params_.validate();
   budget_.limit = arena_budget_bytes;
-  build(source, pool, component_fanout, lanes);
+  build(pool, component_fanout, lanes);
 }
 
-void MotionPlane::build(const NeighbourSource& source, WorkerPool* pool,
-                        std::size_t component_fanout, PlaneBuildLanes* lanes) {
+void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
+                        PlaneBuildLanes* lanes) {
   const DeviceSet& abnormal = state_.abnormal();
   ids_.assign(abnormal.begin(), abnormal.end());
   const std::size_t m = ids_.size();
@@ -374,7 +357,7 @@ void MotionPlane::build(const NeighbourSource& source, WorkerPool* pool,
   }
 
   // Pass 1: neighbourhoods, one grid query per device into the flat arena.
-  // With a pool, contiguous rank chunks query concurrently (the sources are
+  // With a pool, contiguous rank chunks query concurrently (the index is
   // immutable during the build, so concurrent const queries are safe) into
   // per-chunk arenas concatenated in rank order — the arena and offsets come
   // out byte-identical to the serial pass.
@@ -393,7 +376,7 @@ void MotionPlane::build(const NeighbourSource& source, WorkerPool* pool,
           const std::size_t end = std::min(m, begin + kQueryChunk);
           std::vector<DeviceId>& arena = chunk_arena[c];
           for (std::size_t rank = begin; rank < end; ++rank) {
-            source.within_into(ids_[rank], params_.window(), nbr_scratch);
+            grid_.within_into(ids_[rank], params_.window(), nbr_scratch);
             arena.push_back(static_cast<DeviceId>(nbr_scratch.size()));
             arena.insert(arena.end(), nbr_scratch.begin(), nbr_scratch.end());
           }
@@ -412,7 +395,7 @@ void MotionPlane::build(const NeighbourSource& source, WorkerPool* pool,
   } else {
     std::vector<DeviceId> nbr_scratch;
     for (const DeviceId j : ids_) {
-      source.within_into(j, params_.window(), nbr_scratch);
+      grid_.within_into(j, params_.window(), nbr_scratch);
       budget_.charge(nbr_scratch.size() * sizeof(DeviceId));
       nbr_arena_.insert(nbr_arena_.end(), nbr_scratch.begin(), nbr_scratch.end());
       nbr_offsets_.push_back(static_cast<std::uint32_t>(nbr_arena_.size()));
@@ -676,16 +659,6 @@ void MotionPlane::build(const NeighbourSource& source, WorkerPool* pool,
     }
     inter_bits_offsets_.push_back(static_cast<std::uint32_t>(inter_bits_.size()));
   }
-}
-
-std::vector<DeviceId> MotionPlane::within(DeviceId j, double radius) const {
-  std::vector<DeviceId> out;
-  if (grid_.has_value()) {
-    grid_->within_into(j, radius, out);
-  } else {
-    source_->within_into(j, radius, out);
-  }
-  return out;
 }
 
 bool MotionPlane::covers(DeviceId j) const noexcept {

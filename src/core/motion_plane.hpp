@@ -82,17 +82,6 @@ struct ArenaBudget {
   }
 };
 
-/// Abnormal-neighbourhood provider for the engine-driven plane build: must
-/// answer exactly what a GridIndex over A_k answers — abnormal devices
-/// within joint distance `radius` of j, sorted, into a cleared buffer. The
-/// streaming engine implements it over its incremental FleetGrid.
-class NeighbourSource {
- public:
-  virtual ~NeighbourSource() = default;
-  virtual void within_into(DeviceId j, double radius,
-                           std::vector<DeviceId>& out) const = 0;
-};
-
 /// Work counters; the evaluation (Table III) reports operation counts.
 /// Filled by the plane build and advanced further by MotionOracle queries.
 struct OracleCounters {
@@ -106,7 +95,7 @@ struct OracleCounters {
 };
 
 /// Per-lane busy times of the plane build's two fan-outs (the engine's
-/// shard-skew instrumentation; see WorkerPool::for_each on lane_ms). Empty
+/// lane-skew instrumentation; see WorkerPool::for_each on lane_ms). Empty
 /// vectors when the corresponding pass ran serially.
 struct PlaneBuildLanes {
   std::vector<double> query_lane_ms;      ///< pass 1: neighbourhood queries
@@ -144,27 +133,27 @@ class MotionPlane {
   /// Index of an interned motion within the plane's store.
   using MotionId = std::uint32_t;
 
-  /// Builds the whole plane for state.abnormal() eagerly over a private
-  /// GridIndex of A_k. `state` must outlive the plane. This is the
-  /// from-scratch reference path the engine's incremental build is tested
-  /// against.
+  /// Builds the whole plane for state.abnormal() eagerly, serially, over a
+  /// GridIndex of A_k it builds itself. `state` must outlive the plane. This
+  /// is the from-scratch reference path; it delegates to the ctor below.
   MotionPlane(const StatePair& state, Params params);
 
-  /// Engine-driven build: neighbourhoods come from `source` (the engine's
-  /// incrementally maintained fleet grid restricted to A_k) and both passes
-  /// fan out over `pool` when given — pass 1 over contiguous rank chunks,
-  /// pass 2 over per-component enumeration tasks sized by an estimated
-  /// enumeration cost (member count x per-dimension window span), with
-  /// oversized non-tight components split across tasks by top-level window
-  /// edge ranges. Tasks merge in component-discovery/task order and the
-  /// cover dedup is content-based, so families, interned ids, and counters
-  /// are byte-identical for any pool size and any split, and identical to
-  /// the from-scratch ctor. `state` and `source` must outlive the plane;
-  /// `lanes`, when given, receives per-lane busy times of both fan-outs.
-  /// `arena_budget_bytes` caps the total bytes the build may park in its
-  /// arenas (0 = unlimited); exceeding it throws ArenaBudgetExceeded with
-  /// the plane half-built but the engine state untouched.
-  MotionPlane(const StatePair& state, Params params, const NeighbourSource& source,
+  /// Builds the plane over `grid`, which must index exactly state.abnormal()
+  /// of `state` with cell max(2r, kMinGridCell) — the streaming engine
+  /// builds that index per interval (timing it apart) and moves it in. Both
+  /// passes fan out over `pool` when given: pass 1 over contiguous rank
+  /// chunks, pass 2 over per-component enumeration tasks sized by an
+  /// estimated enumeration cost (member count x per-dimension window span),
+  /// with oversized non-tight components split across tasks by top-level
+  /// window edge ranges. Tasks merge in component-discovery/task order and
+  /// the cover dedup is content-based, so families, interned ids, and
+  /// counters are byte-identical for any pool size and any split. `state`
+  /// must outlive the plane; `lanes`, when given, receives per-lane busy
+  /// times of both fan-outs. `arena_budget_bytes` caps the total bytes the
+  /// build may park in its arenas (0 = unlimited); exceeding it throws
+  /// ArenaBudgetExceeded with the plane half-built but the engine state
+  /// untouched.
+  MotionPlane(const StatePair& state, Params params, GridIndex grid,
               WorkerPool* pool = nullptr, std::size_t component_fanout = 2,
               PlaneBuildLanes* lanes = nullptr, std::uint64_t arena_budget_bytes = 0);
 
@@ -172,10 +161,11 @@ class MotionPlane {
   [[nodiscard]] const Params& params() const noexcept { return params_; }
 
   /// Abnormal devices within joint distance `radius` of j (j included when
-  /// abnormal), sorted — answered by the owned A_k grid or the external
-  /// source, whichever this plane was built over. Serves the oracle's
-  /// queries for non-abnormal devices.
-  [[nodiscard]] std::vector<DeviceId> within(DeviceId j, double radius) const;
+  /// abnormal), sorted — answered by the plane's A_k index. Serves the
+  /// oracle's queries for non-abnormal devices.
+  [[nodiscard]] std::vector<DeviceId> within(DeviceId j, double radius) const {
+    return grid_.within(j, radius);
+  }
 
   /// |A_k|: number of devices the plane covers.
   [[nodiscard]] std::size_t device_count() const noexcept { return ids_.size(); }
@@ -258,9 +248,8 @@ class MotionPlane {
   }
 
  private:
-  /// Shared body of both constructors.
-  void build(const NeighbourSource& source, WorkerPool* pool,
-             std::size_t component_fanout, PlaneBuildLanes* lanes);
+  /// The build proper (both passes, the merge, the bitsets).
+  void build(WorkerPool* pool, std::size_t component_fanout, PlaneBuildLanes* lanes);
   /// Rank of j within the sorted A_k ids; throws if not abnormal.
   [[nodiscard]] std::size_t rank_of(DeviceId j) const;
   /// Appends one sorted member run to the arena store (runs are distinct by
@@ -269,8 +258,7 @@ class MotionPlane {
 
   const StatePair& state_;
   Params params_;
-  std::optional<GridIndex> grid_;          ///< owned A_k index (scratch ctor)
-  const NeighbourSource* source_ = nullptr;  ///< engine source (engine ctor)
+  GridIndex grid_;             ///< A_k index (neighbourhood queries)
   std::vector<DeviceId> ids_;  ///< A_k, sorted
 
   // Per-device slices (all offset arrays have device_count() + 1 entries).

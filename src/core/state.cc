@@ -52,9 +52,8 @@ StatePair::StatePair(Snapshot prev, Snapshot curr, DeviceSet abnormal)
   }
 }
 
-void StatePair::advance(Snapshot next, DeviceSet abnormal,
-                        std::vector<DeviceId>* moved, WorkerPool* pool,
-                        std::vector<double>* lane_ms) {
+std::size_t StatePair::advance(Snapshot next, DeviceSet abnormal, WorkerPool* pool,
+                               std::vector<double>* lane_ms) {
   if (next.size() != n()) {
     throw std::invalid_argument(
         "StatePair::advance: fleet size changed (the device universe is "
@@ -73,7 +72,6 @@ void StatePair::advance(Snapshot next, DeviceSet abnormal,
   prev_ = std::move(curr_);
   curr_ = std::move(next);
   abnormal_ = std::move(abnormal);
-  if (moved != nullptr) moved->clear();
   // Cleared up front so a serial roll reports "no lanes ran" instead of
   // leaving a previous phase's numbers in a caller-reused buffer.
   if (lane_ms != nullptr) lane_ms->clear();
@@ -82,8 +80,8 @@ void StatePair::advance(Snapshot next, DeviceSet abnormal,
   // curr half, already stored at offsets [d, 2d) — shift it down only where
   // it differs (the device moved in the PREVIOUS interval); refresh the
   // curr half only where the new snapshot differs (it moved in THIS one).
-  const auto roll_range = [&](DeviceId begin, DeviceId end,
-                              std::vector<DeviceId>* range_moved) {
+  const auto roll_range = [&](DeviceId begin, DeviceId end) {
+    std::size_t moved = 0;
     for (DeviceId j = begin; j < end; ++j) {
       Point& joint = joint_[j];
       for (std::size_t t = 0; t < d; ++t) {
@@ -105,37 +103,30 @@ void StatePair::advance(Snapshot next, DeviceSet abnormal,
           changed = true;
         }
       }
-      if (changed && range_moved != nullptr) range_moved->push_back(j);
+      if (changed) ++moved;
     }
+    return moved;
   };
 
   // The fan-out pays off only when the id scan dwarfs the section setup;
   // below the grain (or without a pool) the roll stays a plain loop.
   constexpr std::size_t kChunk = 16384;
   if (pool == nullptr || count < 2 * kChunk) {
-    roll_range(0, static_cast<DeviceId>(count), moved);
-    return;
+    return roll_range(0, static_cast<DeviceId>(count));
   }
   const std::size_t chunks = (count + kChunk - 1) / kChunk;
-  std::vector<std::vector<DeviceId>> chunk_moved(moved != nullptr ? chunks : 0);
+  std::vector<std::size_t> chunk_moved(chunks, 0);
   pool->for_each(
       chunks, 2,
       [&](std::size_t c) {
         const auto begin = static_cast<DeviceId>(c * kChunk);
         const auto end = static_cast<DeviceId>(std::min(count, (c + 1) * kChunk));
-        roll_range(begin, end, moved != nullptr ? &chunk_moved[c] : nullptr);
+        chunk_moved[c] = roll_range(begin, end);
       },
       0, lane_ms);
-  if (moved != nullptr) {
-    // Contiguous ascending ranges concatenated in range order: ascending
-    // overall, identical to the serial roll.
-    std::size_t total = 0;
-    for (const auto& part : chunk_moved) total += part.size();
-    moved->reserve(total);
-    for (const auto& part : chunk_moved) {
-      moved->insert(moved->end(), part.begin(), part.end());
-    }
-  }
+  std::size_t moved = 0;
+  for (const std::size_t part : chunk_moved) moved += part;
+  return moved;
 }
 
 }  // namespace acn

@@ -48,11 +48,10 @@ class StatePair {
   /// `abnormal`. The joint coordinates and the SoA columns are rewritten
   /// only where a trajectory actually changed — the new prev half equals
   /// the old curr half by construction, so a device untouched by both
-  /// intervals costs one comparison per dimension and zero writes. Appends
-  /// to *moved (cleared first, ascending) every device whose CURRENT
-  /// position changed in this roll — exactly the devices whose grid cell
-  /// may change. Throws std::invalid_argument (state unchanged) if `next`
-  /// disagrees in size or dimension or `abnormal` is out of range.
+  /// intervals costs one comparison per dimension and zero writes. Returns
+  /// the number of devices whose CURRENT position changed in this roll.
+  /// Throws std::invalid_argument (state unchanged) if `next` disagrees in
+  /// size or dimension or `abnormal` is out of range.
   ///
   /// PRECONDITION (stable device universe): slot j of `next` describes the
   /// same device as slot j of the current snapshot. The roll has no notion
@@ -64,15 +63,12 @@ class StatePair {
   ///
   /// With a `pool`, the roll fans out over contiguous device-id chunks:
   /// each lane rewrites the joint/SoA entries of its own id range (disjoint
-  /// writes) and collects its chunk's moved list; the chunk lists are
-  /// concatenated in range order, so `moved` comes out ascending and
-  /// byte-identical to the serial roll for every pool size and chunking.
+  /// writes) and counts its chunk's moves, so the state and the count are
+  /// identical to the serial roll for every pool size and chunking.
   /// `lane_ms`, when given, receives per-lane busy milliseconds (the
-  /// engine's shard-skew instrumentation).
-  void advance(Snapshot next, DeviceSet abnormal,
-               std::vector<DeviceId>* moved = nullptr,
-               WorkerPool* pool = nullptr,
-               std::vector<double>* lane_ms = nullptr);
+  /// engine's lane-skew instrumentation).
+  std::size_t advance(Snapshot next, DeviceSet abnormal, WorkerPool* pool = nullptr,
+                      std::vector<double>* lane_ms = nullptr);
 
   [[nodiscard]] std::size_t n() const noexcept { return prev_.size(); }
   [[nodiscard]] std::size_t dim() const noexcept { return prev_.dim(); }

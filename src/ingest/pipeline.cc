@@ -50,7 +50,7 @@ void IngestPipeline::prime(
     monitor_.admit(key, position);
     liveness_.admitted(key, 0);
   }
-  // Seal interval 0: primes the engine's ring with the roster snapshot and
+  // Seal interval 0: primes the engine's state with the roster snapshot and
   // clears the just-admitted markers, so interval 1 trajectories exist.
   (void)monitor_.close_interval({});
   primed_ = true;

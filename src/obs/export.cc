@@ -148,7 +148,7 @@ std::string to_json(const TelemetryHub& hub, std::size_t window) {
   const TelemetryStore& store = hub.store();
   std::string out;
   out.reserve(4096);
-  out += "{\"schema\":\"acn.telemetry.v1\",";
+  out += "{\"schema\":\"acn.telemetry.v2\",";
   append_kv(out, "window", static_cast<std::uint64_t>(window));
 
   out += "\"intervals\":{";
@@ -224,7 +224,6 @@ std::string to_json(const TelemetryHub& hub, std::size_t window) {
     append_kv(out, "moved", last.moved);
     append_kv(out, "components", last.components);
     append_kv(out, "motions", last.motions);
-    append_kv(out, "shards", std::uint64_t{last.shards});
     out += "\"spans\":[";
     for (std::size_t s = 0; s < last.spans.size(); ++s) {
       const TraceSpan& span = last.spans[s];

@@ -4,7 +4,7 @@
 // Both render the same two sources — the registry's cumulative metrics and
 // the store's trailing-window queries — into strings a scraper or an
 // operator tool can consume. The JSON document is versioned
-// ("acn.telemetry.v1") and its shape is pinned by the golden tests in
+// ("acn.telemetry.v2") and its shape is pinned by the golden tests in
 // tests/obs/export_test.cc: adding fields is a schema bump, silently
 // renaming or dropping them is a test failure. Doubles are rendered with
 // %.6g, integers verbatim, so identical inputs serialize identically on

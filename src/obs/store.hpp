@@ -22,9 +22,8 @@
 namespace acn::obs {
 
 /// One timed phase of an interval, with the lane-skew of its fan-out (lanes
-/// == 0 when the phase ran serially). Names are static literals — the five
-/// engine phases are "advance", "halo", "apply_staged", "plane",
-/// "characterize".
+/// == 0 when the phase ran serially). Names are static literals — the four
+/// engine phases are "advance", "grid", "plane", "characterize".
 struct TraceSpan {
   const char* name = "";
   double ms = 0.0;
@@ -70,7 +69,6 @@ struct IntervalTelemetry {
   std::uint64_t moved = 0;
   std::uint64_t components = 0;
   std::uint64_t motions = 0;
-  unsigned shards = 0;
 
   // Verdict mix.
   std::uint32_t devices = 0;  ///< fleet size (roster capacity in roster mode)

@@ -9,13 +9,9 @@ std::vector<TraceSpan> spans_of(const FrameStats& stats) {
                        const LaneBreakdown& lanes) {
     return TraceSpan{name, ms, lanes.max_ms, lanes.mean_ms, lanes.lanes};
   };
-  // grid_ms = serial halo routing + parallel staged apply; split so the
-  // serial slice (the shard-scaling bottleneck) is its own span.
   return {
       span("advance", stats.state_ms, stats.state_lanes),
-      span("halo", stats.halo_ms, LaneBreakdown{}),
-      span("apply_staged", std::max(0.0, stats.grid_ms - stats.halo_ms),
-           stats.grid_lanes),
+      span("grid", stats.grid_ms, LaneBreakdown{}),
       span("plane", stats.plane_ms, stats.plane_enum_lanes),
       span("characterize", stats.characterize_ms, stats.characterize_lanes),
   };
@@ -31,7 +27,6 @@ IntervalTelemetry frame_record(std::uint64_t interval, double total_ms,
   record.moved = stats.moved;
   record.components = stats.components;
   record.motions = stats.motions;
-  record.shards = stats.shards;
   return record;
 }
 

@@ -5,13 +5,12 @@
 // MetricsRegistry (cumulative counters/gauges/histograms, scrape-shaped)
 // and the rolling TelemetryStore (per-interval records, query-shaped) —
 // plus the region partition every per-region query is asked against
-// (uniform dim-0 stripes of the QoS space [0,1]^d, the same axis the
-// engine's ShardMap stripes). Producers build one IntervalTelemetry per
-// interval and call record(); the ingestion layer annotates the already
-// recorded interval with its IngestSample after the seal. Everything here
-// reads pipeline OUTPUTS (FrameStats, verdict sets, episode tallies) —
-// by construction telemetry cannot change a Decision byte, and
-// tests/obs/telemetry_conformance_test.cc pins that end to end.
+// (uniform dim-0 stripes of the QoS space [0,1]^d). Producers build one
+// IntervalTelemetry per interval and call record(); the ingestion layer
+// annotates the already recorded interval with its IngestSample after the
+// seal. Everything here reads pipeline OUTPUTS (FrameStats, verdict sets,
+// episode tallies) — by construction telemetry cannot change a Decision
+// byte, and tests/obs/telemetry_conformance_test.cc pins that end to end.
 #pragma once
 
 #include <cstdint>
@@ -35,10 +34,10 @@ struct TelemetryConfig {
   unsigned lanes = 1;
 };
 
-/// The five engine phases of one observe() call as trace spans:
-/// advance (ring roll), halo (serial halo-exchange routing), apply_staged
-/// (per-shard staged-op drain), plane (4r-closure build), characterize
-/// (Theorems 5-7 fan-out) — ms and lane skew lifted from FrameStats.
+/// The four engine phases of one observe() call as trace spans: advance
+/// (state roll), grid (A_k index build), plane (4r-closure build),
+/// characterize (Theorems 5-7 fan-out) — ms and lane skew lifted from
+/// FrameStats, the same timers perfbench prints as core.engine.*.
 [[nodiscard]] std::vector<TraceSpan> spans_of(const FrameStats& stats);
 
 /// The engine-side half of a record: spans, kernel counters, and the

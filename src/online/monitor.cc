@@ -10,8 +10,7 @@ OnlineMonitor::OnlineMonitor(Config config)
     : config_(config),
       engine_(FrameEngine::Config{.model = config.model,
                                   .characterize = config.characterize,
-                                  .threads = config.characterize_threads,
-                                  .shards = config.shards}),
+                                  .threads = config.characterize_threads}),
       episodes_(config.episode_quiet_intervals) {
   if (config_.adaptive.has_value()) sampler_.emplace(*config_.adaptive);
   if (config_.roster_capacity > 0) {
@@ -91,9 +90,9 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
   report.abnormal = abnormal;
   report.degraded = degraded;
 
-  // The engine rolls its ring in place (the snapshot is moved, never
-  // copied), re-buckets only the devices that moved, and characterizes A_k
-  // over the shared motion plane — serially or across its worker pool.
+  // The engine rolls its state in place (the snapshot is moved, never
+  // copied), indexes A_k, and characterizes it over the shared motion
+  // plane — serially or across its worker pool.
   const std::optional<FrameEngine::Result> result = engine_.observe(
       SealedFrame{.interval = interval_,
                   .positions = std::move(positions),

@@ -5,9 +5,9 @@
 // abnormal device against the previous snapshot, maintains episodes across
 // intervals, and drives the adaptive snapshot scheduler. This is the object
 // a deployment embeds; everything below it (the FrameEngine's rolling
-// state, incremental fleet grid, motion plane, characterizer) is mechanism.
+// state, A_k index, motion plane, characterizer) is mechanism.
 //
-// Snapshots are MOVED into the engine's ring — the monitor retains no
+// Snapshots are MOVED into the engine's state — the monitor retains no
 // per-interval copy of the fleet positions of its own.
 #pragma once
 
@@ -56,11 +56,6 @@ class OnlineMonitor {
     /// fan-outs (FrameEngine::Config::threads): 1 = serial (default), 0 =
     /// hardware concurrency. Verdicts are identical either way.
     unsigned characterize_threads = 1;
-    /// Spatial shards of the engine's fleet grid
-    /// (FrameEngine::Config::shards): 0 sizes to the worker count. Roster
-    /// admits/retires route through the sharded grid's owner shards;
-    /// verdicts are byte-identical for every value.
-    unsigned shards = 0;
     std::uint64_t episode_quiet_intervals = 1;
     std::optional<AdaptiveSampler::Config> adaptive;  ///< nullopt = fixed rate
     /// Churned-fleet mode: a fixed slot capacity > 0 embeds a FleetRoster
@@ -81,7 +76,7 @@ class OnlineMonitor {
 
   explicit OnlineMonitor(Config config);
 
-  /// Feeds the snapshot of interval k (moved into the engine's ring);
+  /// Feeds the snapshot of interval k (moved into the engine's state);
   /// returns verdicts (empty report for the very first snapshot — no
   /// motion to characterize yet). `degraded` marks an interval the
   /// ingestion layer sealed under shed/defer/forced-close policy; it is

@@ -1,6 +1,6 @@
 // FleetRoster: the explicit device add/remove path for churned fleets.
 //
-// The whole pipeline below the monitor — StatePair::advance, FleetGrid,
+// The whole pipeline below the monitor — StatePair::advance, the A_k index,
 // MotionPlane arenas — is built on a FIXED dense id universe: slot j of
 // snapshot k must describe the same device as slot j of snapshot k-1
 // (StatePair::advance precondition). A production fleet is not like that:
@@ -19,9 +19,10 @@
 //     is what makes slot recycling *safe*, not merely convenient.
 //
 // Verdict soundness under this parking scheme: motion families are computed
-// over A_k only (neighbourhoods are A_k-masked), so a parked slot — present
-// in the snapshot but never abnormal — cannot join any motion and cannot
-// influence any verdict. The conformance harness exercises exactly this.
+// over A_k only (the engine's one spatial index holds A_k and nothing
+// else), so a parked slot — present in the snapshot but never abnormal —
+// is never indexed, cannot join any motion, and cannot influence any
+// verdict. The conformance harness exercises exactly this.
 #pragma once
 
 #include <cstdint>

@@ -26,7 +26,7 @@
 //   drift     — a share of the fleet wanders at a fixed per-device velocity
 //               each interval. Violates "QoS is stationary between errors";
 //               drifters are never abnormal, so verdicts are untouched, but
-//               the incremental grid's locality assumption (few movers per
+//               the state roll's locality assumption (few movers per
 //               interval) is maximally stressed.
 //   regional  — topology-correlated events from net/topology: an *outage*
 //               converges an aggregation's gateways onto one degraded point

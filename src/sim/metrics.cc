@@ -83,7 +83,7 @@ StepMetrics evaluate_step(const ScenarioStep& step, Params model,
 StepMetrics evaluate_step(FrameEngine& engine, const ScenarioStep& step) {
   // The generator's stream is contiguous (step k's previous snapshot is
   // step k-1's current one), so the engine's rolling state stays aligned
-  // with the scenario; the first step primes the ring. A misaligned feed
+  // with the scenario; the first step primes the engine. A misaligned feed
   // (engine reused across generators, skipped steps) would silently score
   // decisions against the wrong truth, so the contract is enforced — this
   // path already pays an O(n) snapshot copy per step, the comparison is

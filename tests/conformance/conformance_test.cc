@@ -82,13 +82,12 @@ void run_family(const HostileSpec& spec, std::uint64_t seed, int intervals) {
                                                 .characterize = options,
                                                 .threads = 1,
                                                 .component_fanout = 1});
-  // 3 shards over a 4-lane pool: stripes and lanes deliberately misaligned,
-  // so halo routing and cross-shard reads run on every hostile family.
+  // A 4-lane pool: every lane of the plane's first pass reads the one A_k
+  // index concurrently on every hostile family.
   FrameEngine engine_parallel(FrameEngine::Config{.model = model,
                                                   .characterize = options,
                                                   .threads = 4,
-                                                  .component_fanout = 1,
-                                                  .shards = 3});
+                                                  .component_fanout = 1});
   (void)engine_serial.observe(stream.snapshots[0], DeviceSet{});
   (void)engine_parallel.observe(stream.snapshots[0], DeviceSet{});
 

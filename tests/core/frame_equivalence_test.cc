@@ -1,9 +1,10 @@
 // The incremental engine's contract: a FrameEngine fed one snapshot per
-// interval — rolling StatePair, incrementally re-bucketed FleetGrid,
-// 4r-closure plane, pooled fan-outs — produces verdicts byte-identical to a
-// from-scratch rebuild (fresh StatePair + GridIndex + MotionPlane +
-// Characterizer) of every interval. Swept over randomized multi-interval
-// scenarios, a device-teleport stream, and an all-abnormal stream.
+// interval — rolling StatePair, per-interval A_k index, 4r-closure plane,
+// pooled fan-outs — produces verdicts byte-identical to a from-scratch
+// rebuild (fresh StatePair + GridIndex + MotionPlane + Characterizer) of
+// every interval, at every thread count. Swept over randomized
+// multi-interval scenarios, a device-teleport stream, an all-abnormal
+// stream, a grid-cell boundary straddle, and a churning roster.
 #include <optional>
 #include <vector>
 
@@ -39,28 +40,18 @@ void expect_identical_decisions(const std::vector<Decision>& incremental,
 }
 
 /// Feeds `snapshots[k]` with abnormal sets `abnormal[k]` (k >= 1; snapshot 0
-/// primes) through engines at several (pool size, shard count) pairs and
-/// checks each interval against the from-scratch rebuild. Shard count 7 is
-/// deliberately coprime to the 4-lane pool and larger than it, so stripes
-/// outnumber lanes and halo routing crosses every stripe boundary.
+/// primes) through engines at several pool sizes and checks each interval
+/// against the from-scratch rebuild. 7 lanes is deliberately odd and more
+/// than a small machine's cores, so work items land on lanes unevenly.
 void sweep_stream(const std::vector<Snapshot>& snapshots,
                   const std::vector<DeviceSet>& abnormal, Params model) {
-  struct EngineShape {
-    unsigned threads;
-    unsigned shards;
-  };
-  constexpr EngineShape shapes[] = {
-      {1, 1}, {1, 7}, {4, 1}, {4, 2}, {4, 4}, {4, 7},
-  };
-  for (const EngineShape shape : shapes) {
-    SCOPED_TRACE(::testing::Message()
-                 << "threads=" << shape.threads << " shards=" << shape.shards);
+  for (const unsigned threads : {1u, 2u, 4u, 7u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     FrameEngine engine(
         FrameEngine::Config{.model = model,
                             .characterize = {.parallel_grain = 1},
-                            .threads = shape.threads,
-                            .component_fanout = 1,
-                            .shards = shape.shards});
+                            .threads = threads,
+                            .component_fanout = 1});
     (void)engine.observe(snapshots[0], DeviceSet{});
     for (std::size_t k = 1; k < snapshots.size(); ++k) {
       const std::optional<FrameEngine::Result> result =
@@ -110,8 +101,8 @@ TEST(FrameEquivalence, RandomizedScenarioSweep) {
 
 TEST(FrameEquivalence, DeviceTeleportAcrossTheSpace) {
   // Device 0 teleports corner to corner every interval (the largest
-  // possible grid re-bucket) while a small cluster drifts coherently; every
-  // affected device is abnormal each round.
+  // possible jump across grid cells) while a small cluster drifts
+  // coherently; every affected device is abnormal each round.
   const Params model{.r = 0.05, .tau = 2};
   std::vector<Snapshot> snapshots;
   std::vector<DeviceSet> abnormal;
@@ -139,7 +130,7 @@ TEST(FrameEquivalence, DeviceTeleportAcrossTheSpace) {
 
 TEST(FrameEquivalence, AllAbnormalEveryInterval) {
   // Every device abnormal every interval: the plane covers the whole fleet
-  // and the mask filter of the fleet grid passes everything.
+  // and the A_k index holds every device.
   const Params model{.r = 0.03, .tau = 3};
   Rng rng(7);
   const std::size_t n = 60;
@@ -168,15 +159,15 @@ TEST(FrameEquivalence, AllAbnormalEveryInterval) {
   sweep_stream(snapshots, abnormal, model);
 }
 
-TEST(FrameEquivalence, ShardBoundaryStraddle) {
-  // With r=0.05 the grid cell is 0.1, so stripe boundaries fall on dim-0
+TEST(FrameEquivalence, GridCellBoundaryStraddle) {
+  // With r=0.05 the grid cell is 0.1, so cell boundaries fall on dim-0
   // multiples of 0.1. Two clusters sit astride x=0.3 and x=0.7 with members
   // on both sides at distances within the 2r joint window, and every
   // interval each cluster's members hop across their boundary (swap sides)
-  // while a courier walks the full axis one stripe per interval. Any halo
-  // mistake — a neighbour snapshot missing a just-moved device, a double
-  // insert at the new owner, a stale bucket at the old — changes a dense
-  // ball population and with it a verdict.
+  // while a courier walks the full axis one cell per interval. Any scan
+  // mistake — a neighbour cell skipped, a device bucketed by its previous
+  // position, a collided bucket scanned twice — changes a dense ball
+  // population and with it a verdict.
   const Params model{.r = 0.05, .tau = 2};
   const auto build = [](bool flipped, double courier_x) {
     std::vector<Point> positions;
@@ -204,23 +195,21 @@ TEST(FrameEquivalence, ShardBoundaryStraddle) {
   sweep_stream(snapshots, abnormal, model);
 }
 
-TEST(FrameEquivalence, RosterChurnShardedMatchesUnsharded) {
-  // Churn under sharding: gateways join and leave mid-stream while others
-  // report fresh positions, so admits/retires land as grid inserts/removes
-  // routed to owner shards and parked slots must stay invisible to halo
-  // queries. A sharded pooled monitor must produce byte-identical interval
-  // reports to the unsharded serial one.
-  const auto make_monitor = [](unsigned threads, unsigned shards) {
+TEST(FrameEquivalence, RosterChurnPooledMatchesSerial) {
+  // Churn under a pooled engine: gateways join and leave mid-stream while
+  // others report fresh positions, so slots are recycled and parked slots
+  // sit in the snapshot without ever entering the A_k index. A 4-lane
+  // monitor must produce byte-identical interval reports to the serial one.
+  const auto make_monitor = [](unsigned threads) {
     return OnlineMonitor(OnlineMonitor::Config{
         .model = Params{.r = 0.05, .tau = 2},
         .characterize = {.parallel_grain = 1},
         .characterize_threads = threads,
-        .shards = shards,
         .roster_capacity = 32,
         .roster_dim = 2});
   };
-  OnlineMonitor reference = make_monitor(1, 1);
-  OnlineMonitor sharded = make_monitor(4, 3);
+  OnlineMonitor reference = make_monitor(1);
+  OnlineMonitor pooled = make_monitor(4);
 
   Rng rng(29);
   std::vector<GatewayKey> active;
@@ -232,7 +221,7 @@ TEST(FrameEquivalence, RosterChurnShardedMatchesUnsharded) {
   for (int i = 0; i < 12; ++i) {
     const Point p = random_point();
     (void)reference.admit(next_key, p);
-    (void)sharded.admit(next_key, p);
+    (void)pooled.admit(next_key, p);
     active.push_back(next_key++);
   }
   for (int k = 0; k < 8; ++k) {
@@ -241,21 +230,21 @@ TEST(FrameEquivalence, RosterChurnShardedMatchesUnsharded) {
       const std::size_t pick = static_cast<std::size_t>(
           rng.uniform(0.0, static_cast<double>(active.size()) - 0.001));
       reference.retire(active[pick]);
-      sharded.retire(active[pick]);
+      pooled.retire(active[pick]);
       active.erase(active.begin() + static_cast<std::ptrdiff_t>(pick));
     }
     for (int a = 0; a < 3; ++a) {
       const Point p = random_point();
       (void)reference.admit(next_key, p);
-      (void)sharded.admit(next_key, p);
+      (void)pooled.admit(next_key, p);
       active.push_back(next_key++);
     }
-    // Half the survivors move, some far enough to change owner shard.
+    // Half the survivors move, some far enough to change grid cell.
     for (const GatewayKey key : active) {
       if (rng.uniform(0.0, 1.0) < 0.5) {
         const Point p = random_point();
         reference.report(key, p);
-        sharded.report(key, p);
+        pooled.report(key, p);
       }
     }
     // A random third of the active gateways are flagged abnormal.
@@ -264,7 +253,7 @@ TEST(FrameEquivalence, RosterChurnShardedMatchesUnsharded) {
       if (rng.uniform(0.0, 1.0) < 0.33) flagged.push_back(key);
     }
     const IntervalReport want = reference.close_interval(flagged);
-    const IntervalReport got = sharded.close_interval(flagged);
+    const IntervalReport got = pooled.close_interval(flagged);
     EXPECT_EQ(got.abnormal, want.abnormal) << "interval " << k;
     EXPECT_EQ(got.isolated, want.isolated) << "interval " << k;
     EXPECT_EQ(got.massive, want.massive) << "interval " << k;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
-#include "common/worker_pool.hpp"
 #include "support/test_util.hpp"
 
 namespace acn {
@@ -80,82 +79,6 @@ TEST_P(GridRandomSweep, MatchesLinearScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GridRandomSweep,
                          ::testing::Range(std::uint64_t{0}, std::uint64_t{12}));
-
-class ShardedGridSweep : public ::testing::TestWithParam<unsigned> {};
-
-TEST_P(ShardedGridSweep, MatchesUnshardedAcrossRollsAndChurn) {
-  // The sharded grid's whole contract: for any shard count, after any
-  // sequence of rolls (stage + apply_staged) and churn (insert/remove),
-  // every query returns byte-identical results to an unsharded FleetGrid
-  // fed the same operations.
-  const unsigned shard_count = GetParam();
-  Rng rng(40 + shard_count);
-  const std::size_t n = 60;
-  std::vector<Point> positions;
-  positions.reserve(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    positions.push_back(Point{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)});
-  }
-  StatePair state{Snapshot(positions), Snapshot(positions), DeviceSet{}};
-
-  const double cell = 0.1;
-  FleetGrid reference(cell);
-  ShardedFleetGrid sharded(cell, shard_count);
-  WorkerPool pool(4);
-  reference.rebuild(state);
-  sharded.rebuild(state, &pool);
-
-  std::vector<std::uint8_t> all(n, 1);
-  std::vector<DeviceId> got;
-  std::vector<DeviceId> want;
-  const auto expect_same_queries = [&](const char* where, int round) {
-    for (DeviceId j = 0; j < n; j += 5) {
-      for (const double radius : {cell * 0.5, cell, cell * 2.0}) {
-        reference.within_into(state, j, radius, all, want);
-        sharded.within_into(state, j, radius, all, got);
-        EXPECT_EQ(got, want) << where << " round=" << round << " j=" << j
-                             << " radius=" << radius << " shards=" << shard_count;
-      }
-    }
-  };
-  expect_same_queries("rebuild", -1);
-
-  std::vector<DeviceId> moved;
-  for (int round = 0; round < 5; ++round) {
-    // A third of the fleet jumps uniformly (stripe-crossing moves included),
-    // the rest stays put — so staged queues mix inserts, removes, and
-    // same-cell drops.
-    for (std::size_t j = 0; j < n; ++j) {
-      if (rng.uniform(0.0, 1.0) < 0.33) {
-        positions[j] = Point{rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)};
-      }
-    }
-    state.advance(Snapshot(positions), DeviceSet{}, &moved);
-    reference.apply(state, moved);
-    sharded.stage(state, moved);
-    sharded.apply_staged(state, &pool);
-    EXPECT_EQ(sharded.staged_op_count(), 0u);
-    EXPECT_EQ(sharded.device_count(), reference.device_count());
-    expect_same_queries("roll", round);
-
-    // Churn: retire two devices, verify both grids drop them, re-admit.
-    const DeviceId parked[] = {static_cast<DeviceId>((7 * round) % n),
-                               static_cast<DeviceId>((11 * round + 3) % n)};
-    for (const DeviceId j : parked) {
-      reference.remove(state, j);
-      sharded.remove(state, j);
-    }
-    expect_same_queries("churn-out", round);
-    for (const DeviceId j : parked) {
-      reference.insert(state, j);
-      sharded.insert(state, j);
-    }
-    expect_same_queries("churn-in", round);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedGridSweep,
-                         ::testing::Values(1u, 2u, 4u, 7u));
 
 }  // namespace
 }  // namespace acn

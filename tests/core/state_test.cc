@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "common/worker_pool.hpp"
 #include "support/test_util.hpp"
 
 namespace acn {
@@ -62,6 +66,43 @@ TEST(StatePairTest, MultiDimensionalJointDistance) {
                                            {{0.5, 0.5}, {0.55, 0.52}});
   // prev distance = max(.05, .4) = .4; curr distance = max(.05, .02) = .05.
   EXPECT_NEAR(state.joint_distance(0, 1), 0.4, 1e-12);
+}
+
+TEST(StatePairTest, AdvanceCountsMovesAndMatchesFreshState) {
+  // Large enough for the pooled roll to split the id range into chunks. A
+  // serial and a pooled pair roll through the same snapshots; each must
+  // return the number of devices whose current position changed and hold
+  // the same columns as a StatePair built fresh from the two snapshots.
+  const std::size_t n = 40000;
+  Rng rng(11);
+  std::vector<Point> positions(n, Point{0.5, 0.5});
+  const Snapshot first(positions);
+  StatePair serial(first, first, DeviceSet{});
+  StatePair pooled(first, first, DeviceSet{});
+  WorkerPool pool(4);
+  for (int k = 0; k < 3; ++k) {
+    const Snapshot prev(positions);
+    std::size_t moved = 0;
+    for (std::size_t j = 0; j < n; j += 1 + k) {
+      if (rng.bernoulli(0.1)) {
+        positions[j] = Point{rng.uniform(), rng.uniform()};
+        ++moved;
+      }
+    }
+    const Snapshot next(positions);
+    EXPECT_EQ(serial.advance(next, DeviceSet{}), moved) << "roll " << k;
+    EXPECT_EQ(pooled.advance(next, DeviceSet{}, &pool), moved) << "roll " << k;
+    const StatePair fresh(prev, next, DeviceSet{});
+    for (std::size_t t = 0; t < fresh.joint_dim(); ++t) {
+      for (const StatePair* rolled : {&serial, &pooled}) {
+        ASSERT_TRUE(std::equal(fresh.joint_col(t), fresh.joint_col(t) + n,
+                               rolled->joint_col(t)))
+            << "roll " << k << " dim " << t;
+        ASSERT_TRUE(std::equal(fresh.qcol(t), fresh.qcol(t) + n, rolled->qcol(t)))
+            << "roll " << k << " dim " << t;
+      }
+    }
+  }
 }
 
 }  // namespace

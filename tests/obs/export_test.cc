@@ -1,5 +1,5 @@
 // Export schema goldens: the Prometheus exposition text and the versioned
-// "acn.telemetry.v1" JSON document for a fixed two-interval hub must match
+// "acn.telemetry.v2" JSON document for a fixed two-interval hub must match
 // byte-for-byte. Any intentional schema change must update these strings
 // (and bump the JSON schema version if the shape changes).
 #include "obs/export.hpp"
@@ -22,7 +22,6 @@ TelemetryHub make_hub() {
   one.moved = 10;
   one.components = 3;
   one.motions = 4;
-  one.shards = 2;
   one.devices = 100;
   one.abnormal = 4;
   one.isolated = 2;
@@ -44,7 +43,6 @@ TelemetryHub make_hub() {
   two.moved = 12;
   two.components = 2;
   two.motions = 3;
-  two.shards = 2;
   two.devices = 100;
   two.abnormal = 2;
   two.isolated = 1;
@@ -174,7 +172,7 @@ acn_step_ms_quantile{q="1",window="2"} 4
 )GOLD";
 
 constexpr const char* kGoldenJson =
-    R"GOLD({"schema":"acn.telemetry.v1","window":2,"intervals":{"retained":2,"capacity":4,"first":1,"last":2},"rates":{"anomaly":0.03,"degraded":0.5,"budget_exhausted":0.166667},"verdict_mix":{"intervals":2,"abnormal":6,"isolated":3,"massive":2,"unresolved":1,"budget_exhausted":1},"step_ms":{"p50":3.25,"p90":3.85,"p99":3.985,"max":4},"regions":[{"region":0,"devices":120,"abnormal":4,"isolated":3,"massive":1,"unresolved":0,"anomaly_rate":0.0333333},{"region":1,"devices":80,"abnormal":2,"isolated":0,"massive":1,"unresolved":1,"anomaly_rate":0.025}],"last_interval":{"interval":2,"ms":4,"degraded":true,"devices":100,"abnormal":2,"isolated":1,"massive":1,"unresolved":0,"budget_exhausted":0,"moved":12,"components":2,"motions":3,"shards":2,"spans":[{"name":"advance","ms":1.75,"lane_max_ms":0,"lane_mean_ms":0,"lanes":0},{"name":"characterize","ms":2.25,"lane_max_ms":1.25,"lane_mean_ms":1,"lanes":2}],"episodes":{"opened":0,"closed":1,"open":1},"ingest":{"seal_lag":2,"forced":true,"reported":98,"replayed":2,"deferred":1,"retired":0,"late_sealed":3,"duplicates":5,"shed_claims":7,"open_intervals":2}},"metrics":[{"name":"acn_intervals_total","kind":"counter","value":2},{"name":"acn_degraded_intervals_total","kind":"counter","value":1},{"name":"acn_abnormal_devices_total","kind":"counter","value":6},{"name":"acn_verdict_isolated_total","kind":"counter","value":3},{"name":"acn_verdict_massive_total","kind":"counter","value":2},{"name":"acn_verdict_unresolved_total","kind":"counter","value":1},{"name":"acn_budget_exhausted_total","kind":"counter","value":1},{"name":"acn_episodes_opened_total","kind":"counter","value":2},{"name":"acn_episodes_closed_total","kind":"counter","value":1},{"name":"acn_step_ms","kind":"histogram","count":2,"sum":6.5,"buckets":[{"le":0.5,"count":0},{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":2},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":"inf","count":0}]},{"name":"acn_fleet_devices","kind":"gauge","value":100},{"name":"acn_open_episodes","kind":"gauge","value":1},{"name":"acn_last_abnormal","kind":"gauge","value":2},{"name":"acn_ingest_late_sealed_total","kind":"counter","value":3},{"name":"acn_ingest_duplicates_total","kind":"counter","value":5},{"name":"acn_ingest_shed_claims_total","kind":"counter","value":7},{"name":"acn_ingest_replayed_claims_total","kind":"counter","value":2},{"name":"acn_ingest_forced_closes_total","kind":"counter","value":1},{"name":"acn_ingest_open_intervals","kind":"gauge","value":2}]})GOLD";
+    R"GOLD({"schema":"acn.telemetry.v2","window":2,"intervals":{"retained":2,"capacity":4,"first":1,"last":2},"rates":{"anomaly":0.03,"degraded":0.5,"budget_exhausted":0.166667},"verdict_mix":{"intervals":2,"abnormal":6,"isolated":3,"massive":2,"unresolved":1,"budget_exhausted":1},"step_ms":{"p50":3.25,"p90":3.85,"p99":3.985,"max":4},"regions":[{"region":0,"devices":120,"abnormal":4,"isolated":3,"massive":1,"unresolved":0,"anomaly_rate":0.0333333},{"region":1,"devices":80,"abnormal":2,"isolated":0,"massive":1,"unresolved":1,"anomaly_rate":0.025}],"last_interval":{"interval":2,"ms":4,"degraded":true,"devices":100,"abnormal":2,"isolated":1,"massive":1,"unresolved":0,"budget_exhausted":0,"moved":12,"components":2,"motions":3,"spans":[{"name":"advance","ms":1.75,"lane_max_ms":0,"lane_mean_ms":0,"lanes":0},{"name":"characterize","ms":2.25,"lane_max_ms":1.25,"lane_mean_ms":1,"lanes":2}],"episodes":{"opened":0,"closed":1,"open":1},"ingest":{"seal_lag":2,"forced":true,"reported":98,"replayed":2,"deferred":1,"retired":0,"late_sealed":3,"duplicates":5,"shed_claims":7,"open_intervals":2}},"metrics":[{"name":"acn_intervals_total","kind":"counter","value":2},{"name":"acn_degraded_intervals_total","kind":"counter","value":1},{"name":"acn_abnormal_devices_total","kind":"counter","value":6},{"name":"acn_verdict_isolated_total","kind":"counter","value":3},{"name":"acn_verdict_massive_total","kind":"counter","value":2},{"name":"acn_verdict_unresolved_total","kind":"counter","value":1},{"name":"acn_budget_exhausted_total","kind":"counter","value":1},{"name":"acn_episodes_opened_total","kind":"counter","value":2},{"name":"acn_episodes_closed_total","kind":"counter","value":1},{"name":"acn_step_ms","kind":"histogram","count":2,"sum":6.5,"buckets":[{"le":0.5,"count":0},{"le":1,"count":0},{"le":2,"count":0},{"le":5,"count":2},{"le":10,"count":0},{"le":20,"count":0},{"le":50,"count":0},{"le":100,"count":0},{"le":200,"count":0},{"le":500,"count":0},{"le":1000,"count":0},{"le":"inf","count":0}]},{"name":"acn_fleet_devices","kind":"gauge","value":100},{"name":"acn_open_episodes","kind":"gauge","value":1},{"name":"acn_last_abnormal","kind":"gauge","value":2},{"name":"acn_ingest_late_sealed_total","kind":"counter","value":3},{"name":"acn_ingest_duplicates_total","kind":"counter","value":5},{"name":"acn_ingest_shed_claims_total","kind":"counter","value":7},{"name":"acn_ingest_replayed_claims_total","kind":"counter","value":2},{"name":"acn_ingest_forced_closes_total","kind":"counter","value":1},{"name":"acn_ingest_open_intervals","kind":"gauge","value":2}]})GOLD";
 
 TEST(TelemetryExport, PrometheusGolden) {
   const TelemetryHub hub = make_hub();
@@ -218,7 +216,7 @@ TEST(TelemetryExport, JsonStructurallyBalanced) {
 TEST(TelemetryExport, EmptyHubExports) {
   const TelemetryHub hub(TelemetryConfig{.history = 2, .regions = 1, .lanes = 1});
   const std::string json = to_json(hub, 0);
-  EXPECT_NE(json.find("\"schema\":\"acn.telemetry.v1\""), std::string::npos);
+  EXPECT_NE(json.find("\"schema\":\"acn.telemetry.v2\""), std::string::npos);
   EXPECT_NE(json.find("\"last_interval\":null"), std::string::npos);
   const std::string prom = to_prometheus(hub, 0);
   EXPECT_NE(prom.find("acn_intervals_total 0"), std::string::npos);
