@@ -18,7 +18,7 @@ FrameEngine::FrameEngine(Config config) : config_(config), pool_(config.threads)
   config_.model.validate();
 }
 
-std::optional<FrameEngine::Result> FrameEngine::observe(Snapshot positions,
+std::optional<FrameEngine::Result> FrameEngine::observe(const Snapshot& positions,
                                                         DeviceSet abnormal) {
   stats_ = {};
   const kernels::Counters kernel_before = kernels::counters_snapshot();
@@ -28,8 +28,7 @@ std::optional<FrameEngine::Result> FrameEngine::observe(Snapshot positions,
     // state, nothing to characterize (any abnormal ids are moot — there is
     // no interval they fired in).
     const auto t0 = Clock::now();
-    Snapshot prev = positions;  // the one unavoidable copy: both slots of S_0
-    state_.emplace(std::move(prev), std::move(positions), DeviceSet{});
+    state_.emplace(positions, positions, DeviceSet{});
     stats_.state_ms = ms_since(t0);
     ++intervals_;
     return std::nullopt;
@@ -37,8 +36,7 @@ std::optional<FrameEngine::Result> FrameEngine::observe(Snapshot positions,
 
   // Roll the state in place (validates shape; strong guarantee).
   auto t0 = Clock::now();
-  stats_.moved =
-      state_->advance(std::move(positions), std::move(abnormal), &pool_, &lane_scratch);
+  stats_.moved = state_->advance(positions, std::move(abnormal), &pool_, &lane_scratch);
   const StatePair& state = *state_;
   stats_.state_ms = ms_since(t0);
   stats_.state_lanes = LaneBreakdown::of(lane_scratch);

@@ -4,10 +4,11 @@
 // trajectories within 4r of the deciding device) bounds every interval's
 // work to the 4r-closure of A_k. The engine runs four phases per interval:
 //
-//   1. state roll — the rolling StatePair takes the new snapshot by MOVE
-//      (the old current snapshot becomes the previous one, also by move),
-//      and the joint/SoA columns are rewritten in place only where a
-//      trajectory changed (StatePair::advance);
+//   1. state roll — the new snapshot's columns are compared into the
+//      current half of the rolling StatePair's joint columns, after the old
+//      current half shifts into the previous half; entries (and their
+//      quantized mirrors) are rewritten only where a trajectory changed
+//      (StatePair::advance);
 //   2. A_k index — one GridIndex over the abnormal devices, cell
 //      max(2r, kMinGridCell): the only spatial index, sized by |A_k|, not n;
 //   3. plane — the MotionPlane built over that index, through the same path
@@ -139,20 +140,20 @@ class FrameEngine {
 
   explicit FrameEngine(Config config);
 
-  /// Feeds the snapshot of the next interval (moved in, never copied) and
+  /// Feeds the snapshot of the next interval (its columns are compared
+  /// into the rolling state; the snapshot itself is not kept) and
   /// characterizes every device of `abnormal` against the previous one.
   /// Returns std::nullopt for the first (priming) snapshot. Throws
   /// std::invalid_argument if the fleet size or dimension changes — the
   /// engine's device universe is fixed (StatePair::advance precondition);
   /// deployments with churn feed it through FleetRoster, which recycles
   /// slots inside a fixed capacity instead of resizing the snapshot.
-  std::optional<Result> observe(Snapshot positions, DeviceSet abnormal);
+  std::optional<Result> observe(const Snapshot& positions, DeviceSet abnormal);
 
-  /// Sealed-frame handoff from the ingestion layer: same contract, the
-  /// frame's snapshot and abnormal set are moved in. The degraded marker
-  /// does not influence the computation (see SealedFrame).
+  /// Sealed-frame handoff from the ingestion layer: same contract. The
+  /// degraded marker does not influence the computation (see SealedFrame).
   std::optional<Result> observe(SealedFrame frame) {
-    return observe(std::move(frame.positions), std::move(frame.abnormal));
+    return observe(frame.positions, std::move(frame.abnormal));
   }
 
   /// The rolling state (requires at least one observe()).

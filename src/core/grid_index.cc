@@ -68,14 +68,15 @@ GridIndex::GridIndex(const StatePair& state, const DeviceSet& members, double ce
   if (cell <= 0.0) throw std::invalid_argument("GridIndex: cell must be > 0");
   cells_.reserve(members.size());
   for (const DeviceId j : members) {
-    cells_[cell_key(state_.curr_pos(j))].push_back(j);
+    cells_[cell_key(j)].push_back(j);
   }
 }
 
-std::uint64_t GridIndex::cell_key(const Point& curr_position) const noexcept {
+std::uint64_t GridIndex::cell_key(DeviceId j) const noexcept {
+  const std::size_t d = state_.dim();
   std::uint64_t key = kKeyBasis;
-  for (std::size_t i = 0; i < curr_position.dim(); ++i) {
-    key = mix(key, static_cast<std::int64_t>(std::floor(curr_position[i] / cell_)));
+  for (std::size_t i = 0; i < d; ++i) {
+    key = mix(key, static_cast<std::int64_t>(std::floor(state_.joint_col(d + i)[j] / cell_)));
   }
   return key;
 }
@@ -92,13 +93,12 @@ void GridIndex::within_into(DeviceId j, double radius,
   // Odometer over every cell within `radius` of j's cell. Two colliding
   // cell keys share a bucket, which must then be scanned once — the
   // visited guard.
-  const Point& centre = state_.curr_pos(j);
-  const std::size_t d = centre.dim();
+  const std::size_t d = state_.dim();
   const auto reach = static_cast<std::int64_t>(std::ceil(radius / cell_));
   std::array<std::int64_t, Point::kMaxDim> base{};
   std::array<std::int64_t, Point::kMaxDim> offset{};
   for (std::size_t i = 0; i < d; ++i) {
-    base[i] = static_cast<std::int64_t>(std::floor(centre[i] / cell_));
+    base[i] = static_cast<std::int64_t>(std::floor(state_.joint_col(d + i)[j] / cell_));
     offset[i] = -reach;
   }
   std::vector<const std::vector<DeviceId>*> visited;

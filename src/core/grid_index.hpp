@@ -64,7 +64,9 @@ class GridIndex {
   [[nodiscard]] std::size_t member_count() const noexcept { return member_count_; }
 
  private:
-  [[nodiscard]] std::uint64_t cell_key(const Point& curr_position) const noexcept;
+  /// Key of the cell holding device j's current position (the S_k half of
+  /// the state's joint columns).
+  [[nodiscard]] std::uint64_t cell_key(DeviceId j) const noexcept;
 
   const StatePair& state_;
   double cell_;

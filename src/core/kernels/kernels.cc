@@ -428,8 +428,10 @@ RadiusFilter counted_filter_in_radius(const std::uint32_t* qcols, const double* 
     std::sort(t_check_out.begin(), t_check_out.begin() + static_cast<std::ptrdiff_t>(ref.in_count));
     assert(ref.in_count == t_check_maybe.size() &&
            "filter_in_radius: SIMD/scalar member-count mismatch");
-    assert(std::memcmp(t_check_out.data(), t_check_maybe.data(),
-                       ref.in_count * sizeof(std::uint32_t)) == 0 &&
+    // An empty set may have null data(), which memcmp must never see.
+    assert((ref.in_count == 0 ||
+            std::memcmp(t_check_out.data(), t_check_maybe.data(),
+                        ref.in_count * sizeof(std::uint32_t)) == 0) &&
            "filter_in_radius: SIMD/scalar member-set mismatch");
   }
 #endif

@@ -168,8 +168,9 @@ const double* prepare_pool(const StatePair& state, const Params& params,
         pool.push_back(candidate);
       }
     }
-    const Point& a = state.joint(*anchor);
-    for (std::size_t t = 0; t < state.joint_dim(); ++t) anchor_coords[t] = a[t];
+    for (std::size_t t = 0; t < state.joint_dim(); ++t) {
+      anchor_coords[t] = state.joint_col(t)[*anchor];
+    }
     anchor_joint = anchor_coords.data();
   } else {
     pool.assign(pool_in.begin(), pool_in.end());
@@ -466,6 +467,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     bool final_family = false;  ///< runs are the finished family (1-task path)
   };
   constexpr std::uint64_t kSplitGrain = 4096;
+  constexpr double kMaxSpanWeight = 1 << 20;
   constexpr std::uint32_t kMaxTasksPerComponent = 32;
   std::vector<EnumTask> tasks;
   tasks.reserve(comp_count);
@@ -479,10 +481,17 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
       double lo;
       double hi;
       ops.minmax_ids(state_.joint_col(t), comp.data(), comp.size(), &lo, &hi);
+      // Span in windows, at least 1. Within the window it is 1 without
+      // dividing: at r = 0 the quotient is NaN or inf, which must never
+      // reach the integer cast; the cap bounds it for any tiny r > 0.
       const double span = hi - lo;
-      if (span > window) tight = false;
-      span_weight +=
-          std::max<std::uint64_t>(1, static_cast<std::uint64_t>(std::ceil(span / window)));
+      if (span > window) {
+        tight = false;
+        span_weight += static_cast<std::uint64_t>(
+            std::min(std::ceil(span / window), kMaxSpanWeight));
+      } else {
+        span_weight += 1;
+      }
     }
     const std::uint64_t cost = comp.size() * span_weight;
     std::uint32_t task_count = 1;

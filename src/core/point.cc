@@ -29,20 +29,9 @@ Point Point::zero(std::size_t dim) {
 
 bool Point::in_unit_box() const noexcept {
   for (std::size_t i = 0; i < dim_; ++i) {
-    if (coords_[i] < 0.0 || coords_[i] > 1.0) return false;
+    if (!in_unit_interval(coords_[i])) return false;
   }
   return true;
-}
-
-Point Point::concat(const Point& a, const Point& b) {
-  if (a.dim() + b.dim() > kMaxDim) {
-    throw std::invalid_argument("Point::concat: joint dimension too large");
-  }
-  Point p;
-  p.dim_ = a.dim() + b.dim();
-  for (std::size_t i = 0; i < a.dim(); ++i) p.coords_[i] = a[i];
-  for (std::size_t i = 0; i < b.dim(); ++i) p.coords_[a.dim() + i] = b[i];
-  return p;
 }
 
 double chebyshev(const Point& a, const Point& b) noexcept {

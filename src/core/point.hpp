@@ -15,6 +15,13 @@
 
 namespace acn {
 
+/// The per-coordinate QoS-space test shared by Point::in_unit_box and the
+/// column Snapshot: written so that NaN fails (every comparison with NaN is
+/// false), where `x < 0.0 || x > 1.0` would let it through.
+[[nodiscard]] constexpr bool in_unit_interval(double x) noexcept {
+  return x >= 0.0 && x <= 1.0;
+}
+
 class Point {
  public:
   static constexpr std::size_t kMaxDim = 16;
@@ -31,22 +38,9 @@ class Point {
   [[nodiscard]] double operator[](std::size_t i) const noexcept { return coords_[i]; }
   [[nodiscard]] double& operator[](std::size_t i) noexcept { return coords_[i]; }
 
-  /// Copy assignment touching only the meaningful coordinates. The default
-  /// assignment memcpys the whole fixed-capacity array (136 bytes); for the
-  /// common low-dimension case this writes dim() doubles instead, which
-  /// matters on per-report hot paths (ingest staging, roster updates).
-  /// Coordinates past dim() are left stale — every observer (equality,
-  /// chebyshev, in_unit_box, to_string, concat) reads only the first dim().
-  void assign_compact(const Point& other) noexcept {
-    dim_ = other.dim_;
-    for (std::size_t i = 0; i < other.dim_; ++i) coords_[i] = other.coords_[i];
-  }
-
-  /// True if every coordinate lies in [0, 1] (the QoS space proper).
+  /// True if every coordinate lies in [0, 1] (the QoS space proper). NaN
+  /// lies nowhere, so a NaN coordinate fails (see in_unit_interval).
   [[nodiscard]] bool in_unit_box() const noexcept;
-
-  /// Concatenates two points (used to form joint positions).
-  [[nodiscard]] static Point concat(const Point& a, const Point& b);
 
   /// Chebyshev (L-infinity) distance; requires equal dimensions.
   friend double chebyshev(const Point& a, const Point& b) noexcept;

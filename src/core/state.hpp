@@ -5,6 +5,8 @@
 // algorithm in the paper.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/device_set.hpp"
@@ -15,43 +17,60 @@ namespace acn {
 
 class WorkerPool;
 
-/// Positions of all devices at one discrete time. Immutable once built.
+/// Positions of all devices at one discrete time, stored as dim-strided
+/// columns: col(t)[j] is coordinate t of device j, one contiguous double
+/// row per dimension ([dim][n]). Immutable once built. Point values exist
+/// only at the edges (the vector constructor, operator[], positions()); the
+/// per-interval readers (the state roll, the telemetry tally) read columns.
 class Snapshot {
  public:
   /// Builds from per-device positions; all points must share the same
   /// dimension and lie in [0,1]^d. Throws std::invalid_argument otherwise.
-  explicit Snapshot(std::vector<Point> positions);
+  explicit Snapshot(const std::vector<Point>& positions);
 
-  [[nodiscard]] std::size_t size() const noexcept { return positions_.size(); }
+  /// Builds from `cols`, `dim` columns of n = cols.size() / dim coordinates
+  /// each ([dim][n]). Throws std::invalid_argument unless dim is in
+  /// [1, Point::kMaxDim], cols holds a whole n >= 1 columns, and every
+  /// coordinate lies in [0, 1] (NaN included: see in_unit_interval).
+  Snapshot(std::size_t dim, std::vector<double> cols);
+
+  [[nodiscard]] std::size_t size() const noexcept { return n_; }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
-  [[nodiscard]] const Point& operator[](DeviceId j) const noexcept {
-    return positions_[j];
+  /// Coordinate column t: col(t)[j] == (*this)[j][t], size() entries.
+  [[nodiscard]] const double* col(std::size_t t) const noexcept {
+    return cols_.data() + t * n_;
   }
-  [[nodiscard]] const std::vector<Point>& positions() const noexcept {
-    return positions_;
-  }
+  /// Position of device j, gathered from the columns.
+  [[nodiscard]] Point operator[](DeviceId j) const;
+  /// Every position, gathered from the columns.
+  [[nodiscard]] std::vector<Point> positions() const;
 
  private:
-  std::vector<Point> positions_;
+  std::vector<double> cols_;  ///< [dim][device], row stride n_
+  std::size_t n_ = 0;
   std::size_t dim_ = 0;
 };
 
-/// Two successive system states plus the abnormal set A_k.
+/// Two successive system states plus the abnormal set A_k, held as the
+/// joint-space columns alone: joint_col(t) for t < dim() is S_{k-1}, for
+/// t >= dim() it is S_k, with a quantized mirror of each. Positions,
+/// joints and snapshots are gathered from those columns on request.
 class StatePair {
  public:
   /// Throws std::invalid_argument if the snapshots disagree in size or
-  /// dimension, or if abnormal contains an out-of-range device id.
-  StatePair(Snapshot prev, Snapshot curr, DeviceSet abnormal);
+  /// dimension, if the joint dimension 2d exceeds Point::kMaxDim, or if
+  /// abnormal contains an out-of-range device id.
+  StatePair(const Snapshot& prev, const Snapshot& curr, DeviceSet abnormal);
 
-  /// In-place interval roll for the streaming engine: S_{k-1} takes the old
-  /// S_k (moved, not copied), S_k takes `next` (moved in), A_k becomes
-  /// `abnormal`. The joint coordinates and the SoA columns are rewritten
-  /// only where a trajectory actually changed — the new prev half equals
-  /// the old curr half by construction, so a device untouched by both
-  /// intervals costs one comparison per dimension and zero writes. Returns
-  /// the number of devices whose CURRENT position changed in this roll.
-  /// Throws std::invalid_argument (state unchanged) if `next` disagrees in
-  /// size or dimension or `abnormal` is out of range.
+  /// In-place interval roll for the streaming engine: the S_{k-1} half
+  /// takes the old S_k half, the S_k half takes `next`, A_k becomes
+  /// `abnormal`. Columns are compared and rewritten only where a trajectory
+  /// actually changed — the new prev half equals the old curr half by
+  /// construction, so a device untouched by both intervals costs two
+  /// comparisons per dimension and zero writes. Returns the number of
+  /// devices whose CURRENT position changed in this roll. Throws
+  /// std::invalid_argument (state unchanged) if `next` disagrees in size or
+  /// dimension or `abnormal` is out of range.
   ///
   /// PRECONDITION (stable device universe): slot j of `next` describes the
   /// same device as slot j of the current snapshot. The roll has no notion
@@ -62,50 +81,45 @@ class StatePair {
   /// swap can never fabricate a characterizable trajectory.
   ///
   /// With a `pool`, the roll fans out over contiguous device-id chunks:
-  /// each lane rewrites the joint/SoA entries of its own id range (disjoint
+  /// each lane rewrites the column entries of its own id range (disjoint
   /// writes) and counts its chunk's moves, so the state and the count are
   /// identical to the serial roll for every pool size and chunking.
   /// `lane_ms`, when given, receives per-lane busy milliseconds (the
   /// engine's lane-skew instrumentation).
-  std::size_t advance(Snapshot next, DeviceSet abnormal, WorkerPool* pool = nullptr,
+  std::size_t advance(const Snapshot& next, DeviceSet abnormal,
+                      WorkerPool* pool = nullptr,
                       std::vector<double>* lane_ms = nullptr);
 
-  [[nodiscard]] std::size_t n() const noexcept { return prev_.size(); }
-  [[nodiscard]] std::size_t dim() const noexcept { return prev_.dim(); }
+  [[nodiscard]] std::size_t n() const noexcept { return n_; }
+  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   /// Dimension of the joint space E x E.
-  [[nodiscard]] std::size_t joint_dim() const noexcept { return 2 * dim(); }
+  [[nodiscard]] std::size_t joint_dim() const noexcept { return 2 * dim_; }
 
-  [[nodiscard]] const Snapshot& prev() const noexcept { return prev_; }
-  [[nodiscard]] const Snapshot& curr() const noexcept { return curr_; }
-  [[nodiscard]] const Point& prev_pos(DeviceId j) const noexcept { return prev_[j]; }
-  [[nodiscard]] const Point& curr_pos(DeviceId j) const noexcept { return curr_[j]; }
+  /// S_{k-1} and S_k as snapshots (copies of the column halves).
+  [[nodiscard]] Snapshot prev() const;
+  [[nodiscard]] Snapshot curr() const;
+  [[nodiscard]] Point prev_pos(DeviceId j) const { return gather(0, dim_, j); }
+  [[nodiscard]] Point curr_pos(DeviceId j) const { return gather(dim_, dim_, j); }
 
-  /// Joint position (coords at k-1 concatenated with coords at k); cached.
-  [[nodiscard]] const Point& joint(DeviceId j) const noexcept { return joint_[j]; }
+  /// Joint position (coords at k-1 concatenated with coords at k).
+  [[nodiscard]] Point joint(DeviceId j) const { return gather(0, joint_dim(), j); }
 
   /// Structure-of-arrays view of one joint dimension: joint_col(t)[j] ==
   /// joint(j)[t], one contiguous double row per dimension. The canonical
   /// window slides scan one dimension across many devices; the columnar
-  /// layout turns those inner loops into flat-array scans instead of strided
-  /// Point reads.
+  /// layout turns those inner loops into flat-array scans.
   [[nodiscard]] const double* joint_col(std::size_t dim) const noexcept {
-    return joint_cols_.data() + dim * n();
+    return joint_cols_.data() + dim * n_;
   }
 
   /// Fixed-point mirror of joint_col: qcol(t)[j] == kernels::quantize of
   /// joint_col(t)[j], maintained incrementally by advance() (only entries
-  /// whose double changed are requantized — O(|moved|) per roll). The SIMD
-  /// window/radius kernels compare these 8 lanes at a time and fall back to
-  /// the doubles only on quantization-boundary ties (see
+  /// whose double changed are rewritten — O(|moved|) per roll). The SIMD
+  /// window kernels compare these 8 lanes at a time and fall back to the
+  /// doubles only on quantization-boundary ties (see
   /// core/kernels/quantize.hpp for the byte-identity argument).
   [[nodiscard]] const std::uint32_t* qcol(std::size_t dim) const noexcept {
-    return qcols_.data() + dim * n();
-  }
-  /// All quantized columns, [dim][device] with row stride n() — the layout
-  /// kernels::Ops::filter_in_radius consumes.
-  [[nodiscard]] const std::uint32_t* qcols() const noexcept { return qcols_.data(); }
-  [[nodiscard]] const double* joint_cols() const noexcept {
-    return joint_cols_.data();
+    return qcols_.data() + dim * n_;
   }
 
   /// A_k: devices with an abnormal trajectory in [k-1, k].
@@ -116,18 +130,29 @@ class StatePair {
 
   /// Joint Chebyshev distance between devices a and b: the max of their
   /// distances at k-1 and at k. The pair {a, b} can share an r-consistent
-  /// motion iff this is <= 2r.
+  /// motion iff this is <= 2r. Same per-dimension order and comparisons as
+  /// chebyshev(joint(a), joint(b)), read straight off the columns.
   [[nodiscard]] double joint_distance(DeviceId a, DeviceId b) const noexcept {
-    return chebyshev(joint_[a], joint_[b]);
+    double best = 0.0;
+    const double* col = joint_cols_.data();
+    for (std::size_t t = 0; t < joint_dim(); ++t, col += n_) {
+      const double delta = std::fabs(col[a] - col[b]);
+      if (delta > best) best = delta;
+    }
+    return best;
   }
 
  private:
-  Snapshot prev_;
-  Snapshot curr_;
+  /// Point of joint columns [first, first + count) at device j.
+  [[nodiscard]] Point gather(std::size_t first, std::size_t count, DeviceId j) const;
+  /// Snapshot of joint columns [first, first + dim()).
+  [[nodiscard]] Snapshot half(std::size_t first) const;
+
+  std::size_t n_ = 0;
+  std::size_t dim_ = 0;
   DeviceSet abnormal_;
-  std::vector<Point> joint_;
-  std::vector<double> joint_cols_;       ///< column-major copy: [dim][device]
-  std::vector<std::uint32_t> qcols_;     ///< quantized mirror of joint_cols_
+  std::vector<double> joint_cols_;    ///< [joint dim][device], row stride n_
+  std::vector<std::uint32_t> qcols_;  ///< quantized mirror of joint_cols_
 };
 
 }  // namespace acn

@@ -47,7 +47,7 @@ std::optional<SnapshotOutcome> MonitoringSwarm::tick(QosNetwork& network,
   if (tick_ % config_.snapshot_interval != 0) return std::nullopt;
 
   // Interval boundary: freeze S_k, build A_k, characterize.
-  Snapshot current = snapshot_positions(network, faults);
+  const Snapshot current = snapshot_positions(network, faults);
   SnapshotOutcome outcome;
   outcome.tick = tick_;
   outcome.truth_impacted = faults.impacted_gateways(topology_, tick_ - 1);
@@ -59,10 +59,10 @@ std::optional<SnapshotOutcome> MonitoringSwarm::tick(QosNetwork& network,
   outcome.abnormal = DeviceSet(std::move(abnormal));
   fired_this_interval_.assign(topology_.gateway_count(), false);
 
-  // The frozen snapshot is moved into the engine's rolling ring; the engine
-  // rolls its state in place and characterizes A_k over the shared plane.
+  // The engine rolls the frozen snapshot's columns into its state in place
+  // and characterizes A_k over the shared plane.
   const std::optional<FrameEngine::Result> result =
-      engine_.observe(std::move(current), outcome.abnormal);
+      engine_.observe(current, outcome.abnormal);
   if (!result.has_value() || outcome.abnormal.empty()) return outcome;
 
   for (std::size_t i = 0; i < result->decisions.size(); ++i) {

@@ -78,8 +78,8 @@ class MonitoringSwarm {
   SwarmConfig config_;
   std::vector<DetectorBank> banks_;
   std::vector<bool> fired_this_interval_;
-  /// Rolling snapshot state: frozen snapshots are moved into the engine's
-  /// ring; the swarm retains no fleet-position copy of its own.
+  /// Rolling snapshot state: each frozen snapshot's columns are rolled into
+  /// the engine's state; the swarm retains no fleet-position copy of its own.
   FrameEngine engine_;
   std::uint64_t tick_ = 0;
 };

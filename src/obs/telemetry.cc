@@ -83,24 +83,20 @@ TelemetryHub::TelemetryHub(TelemetryConfig config)
       "acn_ingest_open_intervals", "Staging frames currently open");
 }
 
-std::uint32_t TelemetryHub::region_of(const Point& p) const noexcept {
-  const double scaled = p[0] * static_cast<double>(config_.regions);
+std::uint32_t TelemetryHub::region_of(double x0) const noexcept {
+  const double scaled = x0 * static_cast<double>(config_.regions);
   const auto region = static_cast<std::uint32_t>(scaled < 0.0 ? 0.0 : scaled);
   return std::min(region, config_.regions - 1);
 }
 
 std::vector<RegionStats> TelemetryHub::tally_regions(
-    const Snapshot& positions, const DeviceSet& abnormal,
+    std::span<const double> x0, const DeviceSet& abnormal,
     const DeviceSet& isolated, const DeviceSet& massive,
     const DeviceSet& unresolved) const {
   std::vector<RegionStats> regions(config_.regions);
-  for (DeviceId j = 0; j < positions.size(); ++j) {
-    ++regions[region_of(positions[j])].devices;
-  }
+  for (const double x : x0) ++regions[region_of(x)].devices;
   const auto tally = [&](const DeviceSet& set, std::uint32_t RegionStats::*member) {
-    for (const DeviceId j : set.ids()) {
-      regions[region_of(positions[j])].*member += 1;
-    }
+    for (const DeviceId j : set.ids()) regions[region_of(x0[j])].*member += 1;
   };
   tally(abnormal, &RegionStats::abnormal);
   tally(isolated, &RegionStats::isolated);

@@ -14,11 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "common/device_set.hpp"
 #include "core/frame.hpp"
-#include "core/point.hpp"
-#include "core/state.hpp"
 #include "obs/metrics.hpp"
 #include "obs/store.hpp"
 
@@ -61,13 +61,14 @@ class TelemetryHub {
   [[nodiscard]] std::uint32_t regions() const noexcept {
     return config_.regions;
   }
-  /// Region of a QoS position: its dim-0 stripe.
-  [[nodiscard]] std::uint32_t region_of(const Point& p) const noexcept;
+  /// Region of a QoS position with dim-0 coordinate x0: its stripe.
+  [[nodiscard]] std::uint32_t region_of(double x0) const noexcept;
 
   /// Tallies one interval's fleet and verdict sets into per-region stats
-  /// (sized to regions()).
+  /// (sized to regions()). `x0` is the fleet's dim-0 coordinate column,
+  /// x0[j] for device j — StatePair::joint_col(dim()) for S_k.
   [[nodiscard]] std::vector<RegionStats> tally_regions(
-      const Snapshot& positions, const DeviceSet& abnormal,
+      std::span<const double> x0, const DeviceSet& abnormal,
       const DeviceSet& isolated, const DeviceSet& massive,
       const DeviceSet& unresolved) const;
 

@@ -90,9 +90,10 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
   report.abnormal = abnormal;
   report.degraded = degraded;
 
-  // The engine rolls its state in place (the snapshot is moved, never
-  // copied), indexes A_k, and characterizes it over the shared motion
-  // plane — serially or across its worker pool.
+  // The engine rolls its state in place (the snapshot's columns are
+  // compared into the current half, then dropped), indexes A_k, and
+  // characterizes it over the shared motion plane — serially or across its
+  // worker pool.
   const std::optional<FrameEngine::Result> result = engine_.observe(
       SealedFrame{.interval = interval_,
                   .positions = std::move(positions),
@@ -127,8 +128,8 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
         std::chrono::duration<double, std::milli>(Clock::now() - start).count();
     obs::IntervalTelemetry record =
         obs::frame_record(interval_, ms, engine_.last_stats());
-    const Snapshot& fleet = engine_.state().curr();
-    record.devices = static_cast<std::uint32_t>(fleet.size());
+    const StatePair& state = engine_.state();
+    record.devices = static_cast<std::uint32_t>(state.n());
     record.abnormal = static_cast<std::uint32_t>(report.abnormal.size());
     record.isolated = static_cast<std::uint32_t>(report.isolated.size());
     record.massive = static_cast<std::uint32_t>(report.massive.size());
@@ -145,9 +146,10 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
         episodes_.closed().size() + episodes_.open_count() -
         episodes_started_before);
     record.episodes_open = episodes_.open_count();
-    record.regions = hub_->tally_regions(fleet, report.abnormal,
-                                         report.isolated, report.massive,
-                                         report.unresolved);
+    // Regions are dim-0 stripes of S_k: the curr half's first column.
+    record.regions = hub_->tally_regions(
+        {state.joint_col(state.dim()), state.n()}, report.abnormal,
+        report.isolated, report.massive, report.unresolved);
     hub_->record(std::move(record));
   }
 

@@ -7,8 +7,9 @@
 // a deployment embeds; everything below it (the FrameEngine's rolling
 // state, A_k index, motion plane, characterizer) is mechanism.
 //
-// Snapshots are MOVED into the engine's state — the monitor retains no
-// per-interval copy of the fleet positions of its own.
+// Each snapshot's columns are compared into the current half of the
+// engine's state, then dropped — the monitor retains no per-interval copy
+// of the fleet positions of its own.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +77,7 @@ class OnlineMonitor {
 
   explicit OnlineMonitor(Config config);
 
-  /// Feeds the snapshot of interval k (moved into the engine's state);
+  /// Feeds the snapshot of interval k (rolled into the engine's state);
   /// returns verdicts (empty report for the very first snapshot — no
   /// motion to characterize yet). `degraded` marks an interval the
   /// ingestion layer sealed under shed/defer/forced-close policy; it is

@@ -4,14 +4,15 @@
 
 namespace acn {
 
-FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim) : dim_(dim) {
+FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim)
+    : capacity_(capacity), dim_(dim) {
   if (capacity == 0) {
     throw std::invalid_argument("FleetRoster: capacity must be >= 1");
   }
   if (dim == 0 || dim > Point::kMaxDim / 2) {
     throw std::invalid_argument("FleetRoster: dimension out of range");
   }
-  positions_.assign(capacity, Point::zero(dim));
+  cols_.assign(dim * capacity, 0.0);
   just_assigned_.assign(capacity, 0);
   slot_lane_.assign(capacity, kNoSlot);
   key_of_.assign(capacity, 0);
@@ -46,11 +47,11 @@ DeviceId FleetRoster::admit(GatewayKey key, const Point& position) {
   }
   if (free_.empty()) {
     throw std::invalid_argument("FleetRoster::admit: no free slot (capacity " +
-                                std::to_string(positions_.size()) + ")");
+                                std::to_string(capacity_) + ")");
   }
   const DeviceId slot = free_.front();
   free_.pop_front();
-  positions_[slot] = position;
+  store(slot, position);
   just_assigned_[slot] = 1;
   key_of_[slot] = key;
   occupied_[slot] = 1;
@@ -80,7 +81,7 @@ bool FleetRoster::try_report(GatewayKey key, const Point& position) {
   if (position.dim() != dim_ || !position.in_unit_box()) {
     throw std::invalid_argument("FleetRoster::report: bad position");
   }
-  positions_[slot].assign_compact(position);
+  store(slot, position);
   return true;
 }
 

@@ -74,12 +74,14 @@ class FleetRoster {
   }
   [[nodiscard]] std::optional<DeviceId> slot_of(GatewayKey key) const noexcept;
   [[nodiscard]] std::size_t active_count() const noexcept { return active_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return positions_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
 
   /// The dense fixed-size snapshot the engine ingests: active slots at
-  /// their reported position, parked slots frozen at their last one.
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot(positions_); }
+  /// their reported position, parked slots frozen at their last one. The
+  /// roster's columns are the snapshot's layout, so this is one copy of
+  /// dim() x capacity() doubles.
+  [[nodiscard]] Snapshot snapshot() const { return Snapshot(dim_, cols_); }
 
   /// Maps abnormal gateway keys to slots, dropping keys that are not active
   /// and slots (re)assigned since the last end_interval() — a device with
@@ -108,8 +110,14 @@ class FleetRoster {
   void slot_insert(GatewayKey key, DeviceId slot);
   void slot_erase(GatewayKey key);
 
+  /// Writes a validated `position` into the slot's column entries.
+  void store(DeviceId slot, const Point& position) noexcept {
+    for (std::size_t t = 0; t < dim_; ++t) cols_[t * capacity_ + slot] = position[t];
+  }
+
+  std::size_t capacity_;
   std::size_t dim_;
-  std::vector<Point> positions_;            ///< per slot, active or parked
+  std::vector<double> cols_;                ///< [dim][slot], active or parked
   std::vector<std::uint8_t> just_assigned_; ///< per slot, reset by end_interval
   std::vector<DeviceId> slot_lane_;         ///< key < capacity; kNoSlot = absent
   std::unordered_map<GatewayKey, DeviceId> slot_spill_;  ///< key >= capacity

@@ -1,5 +1,6 @@
 #include "sim/metrics.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -85,12 +86,15 @@ StepMetrics evaluate_step(FrameEngine& engine, const ScenarioStep& step) {
   // step k-1's current one), so the engine's rolling state stays aligned
   // with the scenario; the first step primes the engine. A misaligned feed
   // (engine reused across generators, skipped steps) would silently score
-  // decisions against the wrong truth, so the contract is enforced — this
-  // path already pays an O(n) snapshot copy per step, the comparison is
-  // noise against it.
+  // decisions against the wrong truth, so the contract is enforced: the
+  // engine's S_k half must equal the step's S_{k-1} half, one O(n·d)
+  // column comparison per step.
   if (!engine.primed()) {
     (void)engine.observe(step.state.prev(), DeviceSet{});
-  } else if (engine.state().curr().positions() != step.state.prev().positions()) {
+  } else if (const StatePair& rolled = engine.state();
+             rolled.n() != step.state.n() || rolled.dim() != step.state.dim() ||
+             !std::equal(step.state.joint_col(0), step.state.joint_col(rolled.dim()),
+                         rolled.joint_col(rolled.dim()))) {
     throw std::invalid_argument(
         "evaluate_step: engine state is not aligned with the step's previous "
         "snapshot (one engine per contiguous scenario stream)");

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 namespace acn {
@@ -33,15 +34,14 @@ TEST(PointTest, InUnitBox) {
   EXPECT_FALSE((Point{0.5, 1.01}).in_unit_box());
 }
 
-TEST(PointTest, Concat) {
-  const Point a{0.1, 0.2};
-  const Point b{0.3, 0.4};
-  const Point joint = Point::concat(a, b);
-  ASSERT_EQ(joint.dim(), 4u);
-  EXPECT_EQ(joint[0], 0.1);
-  EXPECT_EQ(joint[1], 0.2);
-  EXPECT_EQ(joint[2], 0.3);
-  EXPECT_EQ(joint[3], 0.4);
+TEST(PointTest, NaNIsOutsideTheUnitBox) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(in_unit_interval(nan));
+  EXPECT_FALSE((Point{nan, 0.5}).in_unit_box());
+  EXPECT_FALSE((Point{0.5, nan}).in_unit_box());
+  EXPECT_FALSE((Point{0.5, -nan}).in_unit_box());
+  EXPECT_TRUE(in_unit_interval(0.0));
+  EXPECT_TRUE(in_unit_interval(1.0));
 }
 
 TEST(PointTest, ChebyshevDistance) {

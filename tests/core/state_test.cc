@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -13,10 +14,42 @@
 namespace acn {
 namespace {
 
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
 TEST(SnapshotTest, ValidatesUnitBox) {
   EXPECT_THROW(Snapshot({Point{1.2}}), std::invalid_argument);
   EXPECT_THROW(Snapshot({Point{-0.1, 0.5}}), std::invalid_argument);
+  EXPECT_THROW(Snapshot({Point{0.5, 0.5}, Point{kNaN, 0.5}}), std::invalid_argument);
+  EXPECT_THROW(Snapshot({Point{0.5, kNaN}}), std::invalid_argument);
   EXPECT_NO_THROW(Snapshot({Point{0.0}, Point{1.0}}));
+}
+
+TEST(SnapshotTest, ColumnsRoundTripPositions) {
+  // [dim][n]: column 0 holds every device's first coordinate.
+  const Snapshot s(2, {0.1, 0.2, 0.3, 0.7, 0.8, 0.9});
+  ASSERT_EQ(s.size(), 3u);
+  ASSERT_EQ(s.dim(), 2u);
+  EXPECT_EQ(s[1], (Point{0.2, 0.8}));
+  EXPECT_EQ(s.col(1)[2], 0.9);
+  const std::vector<Point> expected{Point{0.1, 0.7}, Point{0.2, 0.8}, Point{0.3, 0.9}};
+  EXPECT_EQ(s.positions(), expected);
+  const Snapshot from_points(expected);
+  for (std::size_t t = 0; t < 2; ++t) {
+    EXPECT_TRUE(std::equal(s.col(t), s.col(t) + 3, from_points.col(t))) << t;
+  }
+}
+
+TEST(SnapshotTest, ColumnConstructorValidates) {
+  EXPECT_THROW(Snapshot(2, {0.1, 0.2, kNaN, 0.4}), std::invalid_argument);
+  EXPECT_THROW(Snapshot(2, {0.1, 0.2, 1.5, 0.4}), std::invalid_argument);
+  EXPECT_THROW(Snapshot(2, {-0.1, 0.2, 0.3, 0.4}), std::invalid_argument);
+  EXPECT_THROW(Snapshot(2, {0.1, 0.2, 0.3}), std::invalid_argument);  // ragged
+  EXPECT_THROW(Snapshot(2, {}), std::invalid_argument);
+  EXPECT_THROW(Snapshot(0, {0.1}), std::invalid_argument);
+  EXPECT_THROW(Snapshot(Point::kMaxDim + 1,
+                        std::vector<double>(Point::kMaxDim + 1, 0.5)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(Snapshot(1, {0.0, 1.0}));
 }
 
 TEST(SnapshotTest, ValidatesConsistentDimensions) {
@@ -31,6 +64,15 @@ TEST(StatePairTest, ValidatesMatchingShapes) {
   Snapshot one({Point{0.1}});
   Snapshot two({Point{0.1}, Point{0.2}});
   EXPECT_THROW(StatePair(one, two, DeviceSet{}), std::invalid_argument);
+}
+
+TEST(StatePairTest, ValidatesJointDimension) {
+  // Joint positions are Points of dimension 2d, so d is capped at kMaxDim / 2.
+  const Snapshot wide(Point::kMaxDim / 2 + 1,
+                      std::vector<double>(Point::kMaxDim / 2 + 1, 0.5));
+  EXPECT_THROW(StatePair(wide, wide, DeviceSet{}), std::invalid_argument);
+  const Snapshot widest(Point::kMaxDim / 2, std::vector<double>(Point::kMaxDim / 2, 0.5));
+  EXPECT_EQ(StatePair(widest, widest, DeviceSet{}).joint(0).dim(), Point::kMaxDim);
 }
 
 TEST(StatePairTest, ValidatesAbnormalRange) {
@@ -93,14 +135,33 @@ TEST(StatePairTest, AdvanceCountsMovesAndMatchesFreshState) {
     EXPECT_EQ(serial.advance(next, DeviceSet{}), moved) << "roll " << k;
     EXPECT_EQ(pooled.advance(next, DeviceSet{}, &pool), moved) << "roll " << k;
     const StatePair fresh(prev, next, DeviceSet{});
-    for (std::size_t t = 0; t < fresh.joint_dim(); ++t) {
-      for (const StatePair* rolled : {&serial, &pooled}) {
+    const std::vector<Point> prev_points = prev.positions();
+    const std::vector<Point> next_points = next.positions();
+    for (const StatePair* rolled : {&serial, &pooled}) {
+      for (std::size_t t = 0; t < fresh.joint_dim(); ++t) {
         ASSERT_TRUE(std::equal(fresh.joint_col(t), fresh.joint_col(t) + n,
                                rolled->joint_col(t)))
             << "roll " << k << " dim " << t;
         ASSERT_TRUE(std::equal(fresh.qcol(t), fresh.qcol(t) + n, rolled->qcol(t)))
             << "roll " << k << " dim " << t;
       }
+      // The Point-valued accessors gather from the columns; they must agree
+      // with the snapshots that were fed in. Samples straddle the pooled
+      // roll's chunk boundary (16384) and both ends of the id range.
+      for (const DeviceId j : {0u, 1u, 16383u, 16384u, 32768u, 39999u, 12345u}) {
+        SCOPED_TRACE(testing::Message() << "roll " << k << " device " << j);
+        ASSERT_EQ(rolled->prev_pos(j), prev_points[j]);
+        ASSERT_EQ(rolled->curr_pos(j), next_points[j]);
+        const Point& p = prev_points[j];
+        const Point& c = next_points[j];
+        ASSERT_EQ(rolled->joint(j), (Point{p[0], p[1], c[0], c[1]}));
+        const DeviceId other = (j + 7919) % n;
+        ASSERT_EQ(rolled->joint_distance(j, other),
+                  std::max(chebyshev(p, prev_points[other]),
+                           chebyshev(c, next_points[other])));
+      }
+      ASSERT_EQ(rolled->prev().positions(), prev_points) << "roll " << k;
+      ASSERT_EQ(rolled->curr().positions(), next_points) << "roll " << k;
     }
   }
 }

@@ -2,6 +2,8 @@
 // handling, stall timeout, interval-flood marking, overload sheds, the
 // liveness retire path, and alignment with the monitor it feeds.
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -63,6 +65,27 @@ TEST(IngestPipeline, ConfigAndPrimeGuards) {
                std::logic_error);
   pipeline.prime(Snapshot(fleet_positions()));
   EXPECT_THROW(pipeline.prime(Snapshot(fleet_positions())), std::logic_error);
+}
+
+TEST(IngestPipeline, NaNClaimIsRefusedLikeAnOutOfBoxClaim) {
+  // A claim outside [0,1]^d throws when its interval seals and never reaches
+  // the roster or the engine. A NaN coordinate lies outside too, through
+  // both roster paths: the report of an active device and the admission of
+  // a first-seen key.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const GatewayKey key : {GatewayKey{3}, GatewayKey{100}}) {
+    for (const Point& bad : {Point{1.5, 0.5}, Point{nan, 0.5}, Point{0.5, nan}}) {
+      SCOPED_TRACE(testing::Message() << "key " << key << " claim " << bad.to_string());
+      IngestPipeline pipeline(base_config(9));
+      pipeline.prime(Snapshot(fleet_positions()));
+      push_interval(pipeline, 1);
+      pipeline.push(make_report(key, 1, bad, /*abnormal=*/true, /*seq=*/2));
+      EXPECT_THROW(pipeline.finish(), std::invalid_argument);  // seals interval 1
+      EXPECT_EQ(pipeline.monitor().intervals_seen(), 1u);  // only the prime
+      EXPECT_FALSE(pipeline.monitor().roster().active(100));
+      EXPECT_EQ(pipeline.monitor().roster().snapshot()[3], fleet_positions()[3]);
+    }
+  }
 }
 
 TEST(IngestPipeline, WatermarkSealsAtAllowedLag) {

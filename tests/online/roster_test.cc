@@ -1,6 +1,7 @@
 // FleetRoster: sparse gateway keys over a fixed dense slot universe —
 // FIFO slot recycling, parked positions, and the just-assigned abnormality
 // guard that keeps slot splices away from the characterizer.
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,9 @@ TEST(FleetRoster, AdmitAssignsFifoSlotsAndValidates) {
   EXPECT_THROW((void)roster.admit(101, Point{0.5, 0.5}), std::invalid_argument);
   EXPECT_THROW((void)roster.admit(104, Point{0.5, 0.5}), std::invalid_argument);
   EXPECT_THROW((void)roster.admit(105, Point{1.5, 0.5}), std::invalid_argument);
+  // A NaN coordinate is out of range too (101 is active: only the claim is bad).
+  EXPECT_THROW(roster.report(101, Point{std::numeric_limits<double>::quiet_NaN(), 0.5}),
+               std::invalid_argument);
   EXPECT_THROW((void)roster.admit(106, Point{0.5}), std::invalid_argument);
 }
 

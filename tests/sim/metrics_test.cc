@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace acn {
 namespace {
 
@@ -60,6 +62,27 @@ TEST(EvaluateStepTest, RatiosAreBounded) {
     EXPECT_GE(m.missed_detection_rate(), 0.0);
     EXPECT_LE(m.missed_detection_rate(), 1.0);
   }
+}
+
+TEST(EvaluateStepTest, EngineOverloadMatchesScratchAndRejectsMisalignedFeed) {
+  const auto params = small_params(5);
+  ScenarioGenerator generator(params);
+  FrameEngine::Config config;
+  config.model = params.model;
+  FrameEngine engine(config);
+  for (int k = 0; k < 4; ++k) {
+    const ScenarioStep step = generator.advance();
+    const StepMetrics scratch = evaluate_step(step, params.model);
+    const StepMetrics rolled = evaluate_step(engine, step);
+    EXPECT_EQ(rolled.abnormal, scratch.abnormal) << "step " << k;
+    EXPECT_EQ(rolled.isolated_thm5, scratch.isolated_thm5) << "step " << k;
+    EXPECT_EQ(rolled.massive_thm6, scratch.massive_thm6) << "step " << k;
+    EXPECT_EQ(rolled.massive_thm7, scratch.massive_thm7) << "step " << k;
+    EXPECT_EQ(rolled.unresolved_cor8, scratch.unresolved_cor8) << "step " << k;
+  }
+  // A skipped step leaves the engine's S_k behind the next step's S_{k-1}.
+  (void)generator.advance();
+  EXPECT_THROW((void)evaluate_step(engine, generator.advance()), std::invalid_argument);
 }
 
 TEST(RunMetricsTest, AggregatesShares) {
