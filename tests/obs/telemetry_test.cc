@@ -1,5 +1,6 @@
 // TelemetryHub region tally: per-stripe device and verdict counts from the
-// fleet's dim-0 column, against a hand count.
+// fleet's dim-0 column, against a hand count, and the monitor's wiring of
+// that column (S_k, not S_{k-1}).
 #include "obs/telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "core/state.hpp"
+#include "online/monitor.hpp"
 
 namespace acn::obs {
 namespace {
@@ -53,6 +55,23 @@ TEST(TelemetryHub, TallyRegionsCountsTheDimZeroColumn) {
     EXPECT_EQ(regions[r].massive, expected[r].massive);
     EXPECT_EQ(regions[r].unresolved, expected[r].unresolved);
   }
+}
+
+TEST(TelemetryHub, MonitorTalliesTheCurrentSnapshot) {
+  // Every device crosses from stripe 0 to stripe 1 in interval 1; the
+  // interval's record must count them where they are now, at S_k.
+  OnlineMonitor::Config config;
+  config.telemetry = TelemetryConfig{.regions = 2};
+  OnlineMonitor monitor(config);
+  (void)monitor.observe(Snapshot(1, {0.1, 0.2, 0.3}), DeviceSet{});
+  (void)monitor.observe(Snapshot(1, {0.6, 0.7, 0.8}), DeviceSet({0}));
+  const IntervalTelemetry& record = monitor.telemetry()->store().latest();
+  ASSERT_EQ(record.interval, 1u);
+  ASSERT_EQ(record.regions.size(), 2u);
+  EXPECT_EQ(record.regions[0].devices, 0u);
+  EXPECT_EQ(record.regions[1].devices, 3u);
+  EXPECT_EQ(record.regions[1].abnormal, 1u);
+  EXPECT_EQ(record.devices, 3u);
 }
 
 }  // namespace
