@@ -101,7 +101,7 @@ FamilyResult run_family(const acn::HostileSpec& spec, int intervals,
                                acn::Snapshot(step.observed.positions()),
                                step.abnormal};
     acn::Characterizer characterizer(state, model, options);
-    const std::vector<acn::Decision> decisions = characterizer.decide_all();
+    const std::vector<acn::Decision> decisions = characterizer.decide();
     result.total_ms += std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - start)
                            .count();

@@ -133,7 +133,7 @@ void run_variant(const char* variant, const Workload& w, bool smoke,
     std::printf("note: %s kernels unavailable; skipping\n", variant);
     return;
   }
-  const Ops& ops = acn::kernels::dispatch_raw();
+  const Ops& ops = acn::kernels::dispatch();
   const int reps = smoke ? 1 : 200;
 
   std::vector<std::uint32_t> filter_out(w.n);
@@ -208,7 +208,7 @@ bool smoke_check(const Workload& w) {
   }
   bool ok = true;
   acn::kernels::force("scalar");
-  const Ops& s = acn::kernels::dispatch_raw();
+  const Ops& s = acn::kernels::dispatch();
   std::vector<std::uint32_t> s_out(w.n);
   const std::size_t s_n = s.filter_in_window(w.qcol.data(), w.col.data(),
                                              w.ids.data(), w.n, w.wb, s_out.data());
@@ -219,7 +219,7 @@ bool smoke_check(const Workload& w) {
       w.far.data(), w.l.data(), w.tau, s_acc.data(), s_rows.data());
 
   acn::kernels::force("avx2");
-  const Ops& v = acn::kernels::dispatch_raw();
+  const Ops& v = acn::kernels::dispatch();
   std::vector<std::uint32_t> v_out(w.n);
   const std::size_t v_n = v.filter_in_window(w.qcol.data(), w.col.data(),
                                              w.ids.data(), w.n, w.wb, v_out.data());

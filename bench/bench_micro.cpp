@@ -4,9 +4,13 @@
 // baselines, across system sizes and densities.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "baseline/central_kmeans.hpp"
 #include "baseline/tessellation.hpp"
 #include "core/characterizer.hpp"
+#include "core/grid_index.hpp"
+#include "core/motion_plane.hpp"
 #include "core/partition.hpp"
 #include "sim/scenario.hpp"
 
@@ -28,10 +32,11 @@ acn::ScenarioStep make_step(std::size_t n, std::uint32_t errors, double g,
 void BM_NeighbourhoodQuery(benchmark::State& state) {
   const auto step = make_step(static_cast<std::size_t>(state.range(0)), 20, 0.3, 1);
   const acn::Params model{.r = 0.03, .tau = 3};
+  const acn::GridIndex grid(step.state, step.state.abnormal(),
+                            std::max(model.window(), acn::kMinGridCell));
   for (auto _ : state) {
-    acn::MotionOracle oracle(step.state, model);
     for (const acn::DeviceId j : step.state.abnormal()) {
-      benchmark::DoNotOptimize(oracle.neighbourhood(j));
+      benchmark::DoNotOptimize(grid.within(j, model.window()));
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -43,10 +48,8 @@ void BM_MaximalMotionEnumeration(benchmark::State& state) {
   const auto step = make_step(1000, static_cast<std::uint32_t>(state.range(0)), 0.2, 2);
   const acn::Params model{.r = 0.03, .tau = 3};
   for (auto _ : state) {
-    acn::MotionOracle oracle(step.state, model);
-    for (const acn::DeviceId j : step.state.abnormal()) {
-      benchmark::DoNotOptimize(oracle.maximal_motions(j));
-    }
+    const acn::MotionPlane plane(step.state, model);
+    benchmark::DoNotOptimize(plane.motion_count());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(step.state.abnormal().size()));
@@ -70,8 +73,7 @@ void BM_GreedyPartition(benchmark::State& state) {
   const acn::Params model{.r = 0.03, .tau = 3};
   acn::Rng rng(99);
   for (auto _ : state) {
-    acn::MotionOracle oracle(step.state, model);
-    benchmark::DoNotOptimize(acn::build_anomaly_partition(oracle, rng));
+    benchmark::DoNotOptimize(acn::build_anomaly_partition(step.state, model, rng));
   }
 }
 BENCHMARK(BM_GreedyPartition)->Unit(benchmark::kMillisecond);

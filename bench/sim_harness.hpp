@@ -35,8 +35,8 @@ inline HarnessResult run_scenario(const ScenarioParams& params, std::uint64_t st
     result.dropped_errors += step.truth.dropped_errors;
     if (hub != nullptr) {
       // Engine-side telemetry for the bench runs: the per-step spans and
-      // kernel counters (verdict mix lives in result.metrics here — the
-      // full record is the OnlineMonitor's job).
+      // interval shape (verdict mix lives in result.metrics here — the full
+      // record is the OnlineMonitor's job).
       const FrameStats& stats = engine.last_stats();
       obs::IntervalTelemetry record =
           obs::frame_record(k, stats.total_ms(), stats);

@@ -25,10 +25,12 @@ void report(const char* title, const acn::StatePair& state, acn::Params params) 
   std::printf("=== %s (r=%.3f, tau=%u) ===\n", title, params.r, params.tau);
 
   acn::Characterizer characterizer(state, params);
+  const acn::MotionPlane& plane = characterizer.plane();
   for (const acn::DeviceId j : state.abnormal()) {
-    const auto& motions = characterizer.oracle().maximal_motions(j);
     std::printf("  device %u maximal motions:", j);
-    for (const auto& motion : motions) std::printf(" %s", motion.to_string().c_str());
+    for (const acn::MotionPlane::MotionId mid : plane.maximal(j)) {
+      std::printf(" %s", acn::DeviceSet(plane.members(mid)).to_string().c_str());
+    }
     std::printf("\n");
   }
 

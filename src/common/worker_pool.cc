@@ -72,13 +72,11 @@ void WorkerPool::worker_loop() {
 
 void WorkerPool::for_each(std::size_t count, std::size_t min_fanout,
                           const std::function<void(std::size_t)>& fn,
-                          unsigned max_lanes, std::vector<double>* lane_ms) {
+                          std::vector<double>* lane_ms) {
   if (lane_ms != nullptr) lane_ms->clear();
   if (count == 0) return;
-  unsigned lanes = parallelism();
-  if (max_lanes != 0) lanes = std::min(lanes, max_lanes);
-  lanes = static_cast<unsigned>(
-      std::min<std::size_t>(lanes, count));  // never more lanes than items
+  const auto lanes = static_cast<unsigned>(
+      std::min<std::size_t>(parallelism(), count));  // never more lanes than items
   if (lanes <= 1 || count < min_fanout) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t index = 0; index < count; ++index) fn(index);
@@ -115,11 +113,6 @@ void WorkerPool::for_each(std::size_t count, std::size_t min_fanout,
   error_ = nullptr;
   lock.unlock();
   if (error) std::rethrow_exception(error);
-}
-
-WorkerPool& WorkerPool::shared() {
-  static WorkerPool pool(0);
-  return pool;
 }
 
 }  // namespace acn

@@ -2,7 +2,7 @@
 // per-interval fan-outs (plane build per interaction component,
 // characterization per abnormal device).
 //
-// The seed spawned fresh std::threads inside every characterize_all_parallel
+// The seed spawned fresh std::threads inside every parallel characterization
 // call — tens of microseconds of spawn/join latency per interval, paid even
 // when the work item count made parallelism pointless (the recorded bench
 // showed parallel >= serial on every n=1000/5000 row). The pool spawns its
@@ -45,12 +45,11 @@ class WorkerPool {
 
   /// Runs fn(index) for every index in [0, count), the calling thread
   /// participating. Runs inline (no wakeups, no locking) when count <
-  /// min_fanout or the pool has no workers. `max_lanes` further caps the
-  /// lanes used for this section (0 = all; 1 = inline). The first exception
-  /// from any index is rethrown here once the section quiesces. Safe to
-  /// call from several application threads at once (the seed's
-  /// spawn-per-call paths were): sections on one pool serialize behind
-  /// section_mutex_, they never interleave.
+  /// min_fanout or the pool has no workers. The first exception from any
+  /// index is rethrown here once the section quiesces. Safe to call from
+  /// several application threads at once (the seed's spawn-per-call paths
+  /// were): sections on one pool serialize behind section_mutex_, they
+  /// never interleave.
   ///
   /// When `lane_ms` is given it is resized to the number of lanes that ran
   /// and filled with each lane's busy wall-clock milliseconds (first claim
@@ -60,11 +59,7 @@ class WorkerPool {
   /// scheduling-dependent; consumers aggregate (max/mean), never index.
   void for_each(std::size_t count, std::size_t min_fanout,
                 const std::function<void(std::size_t)>& fn,
-                unsigned max_lanes = 0, std::vector<double>* lane_ms = nullptr);
-
-  /// Process-wide pool at hardware concurrency, built on first use. The
-  /// legacy *_parallel(threads) entry points cap it per call via max_lanes.
-  [[nodiscard]] static WorkerPool& shared();
+                std::vector<double>* lane_ms = nullptr);
 
  private:
   void worker_loop();

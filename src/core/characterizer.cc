@@ -15,11 +15,10 @@ Characterizer::Characterizer(const StatePair& state, Params params,
                              CharacterizeOptions options)
     : owned_plane_(std::in_place, state, params),
       plane_(&*owned_plane_),
-      options_(options),
-      oracle_(*plane_) {}
+      options_(options) {}
 
 Characterizer::Characterizer(const MotionPlane& plane, CharacterizeOptions options)
-    : plane_(&plane), options_(options), oracle_(plane) {}
+    : plane_(&plane), options_(options) {}
 
 Characterizer::Split Characterizer::split_neighbourhood(DeviceId j) const {
   const MotionPlane& plane = *plane_;
@@ -72,7 +71,7 @@ Characterizer::Split Characterizer::split_neighbourhood(DeviceId j) const {
   return split;
 }
 
-Decision Characterizer::characterize_device(DeviceId j) const {
+Decision Characterizer::characterize(DeviceId j) const {
   const MotionPlane& plane = *plane_;
   if (!plane.covers(j)) {
     throw std::invalid_argument("characterize: device " + std::to_string(j) +
@@ -143,10 +142,6 @@ Decision Characterizer::characterize_device(DeviceId j) const {
   return decision;
 }
 
-Decision Characterizer::characterize(DeviceId j) {
-  return characterize_device(j);
-}
-
 namespace {
 
 /// Word-parallel id set over the compact search universe (the members of the
@@ -187,13 +182,7 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
   const auto comp = plane.component_members(ci);
   const std::size_t words = plane.component_words(ci);
   const std::uint32_t jcr = plane.comp_rank_of(j);
-  // The search makes hundreds of thousands of kernel calls on a hot device;
-  // the raw table skips the per-call counting wrappers (two relaxed atomic
-  // adds plus an indirect call each) and the counters are charged in bulk on
-  // exit. Debug builds still cross-check every call against the scalar path.
-  const kernels::Ops& ops = kernels::dispatch_raw();
-  std::uint64_t kernel_calls = 0;
-  std::uint64_t kernel_words = 0;
+  const kernels::Ops& ops = kernels::dispatch();
 
   // N(j) as a bitset (for the "base intersects N(j)" prune below).
   SearchBits nbr_bits(comp.size());
@@ -278,10 +267,12 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
 
   // Re-rank the plane bitsets into the compact space. Bases avoid j, so
   // nothing to clear there; targets (j's maximal dense motions, the only
-  // sets relation (4) consults — a dense motion containing j within
-  // A_k \ U exists iff some target keeps at least tau members outside U,
-  // the counting identity has_dense_motion_avoiding also uses) drop j's
-  // bit via the support mask above.
+  // sets relation (4) consults) drop j's bit via the support mask above.
+  // The counting identity: a dense motion containing j within A_k \ U
+  // exists iff some target keeps at least tau members besides j outside U
+  // (those members plus j form a motion, a subset of the target; conversely
+  // a surviving dense motion extends to a maximal dense motion of j, whose
+  // remainder outside U is at least as large).
   const auto compact_into = [&](MotionPlane::MotionId mid, std::uint64_t* out) {
     const auto bits = plane.motion_bits(mid);
     for (std::size_t k = 0; k < words; ++k) {
@@ -307,8 +298,6 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
     compact_into(plane.dense(j)[i], target_words.data() + i * cwords);
   }
   const auto rel4_broken = [&](const std::uint64_t* used) {
-    ++kernel_calls;
-    kernel_words += dense_count * cwords;
     return ops.targets_all_below(target_words.data(), dense_count, cwords, used,
                                  tau);
   };
@@ -368,8 +357,6 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
     std::vector<std::uint32_t>& surv = cand_rows[index + 1];
     surv.resize(rows.size());
     std::copy(used, used + cwords, achievable_row.data());
-    ++kernel_calls;
-    kernel_words += rows.size() * cwords;
     const std::size_t surv_n = ops.nsc_scan_rows(
         base_words.data(), rows.data(), rows.size(), cwords, used,
         far_bits.words.data(), l_bits.words.data(), tau, achievable_row.data(),
@@ -464,24 +451,11 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
 
   const std::vector<std::uint64_t> root(cwords, 0);
   outcome.violating_found = dfs(dfs, 0, root.data(), cand_rows[0]);
-  kernels::counters_charge_popcnt(kernel_calls, kernel_words);
   return outcome;
 }
 
-std::vector<Decision> Characterizer::decide_all() {
-  const DeviceSet& abnormal = plane_->state().abnormal();
-  std::vector<Decision> decisions;
-  decisions.reserve(abnormal.size());
-  for (const DeviceId j : abnormal) {
-    decisions.push_back(characterize_device(j));
-  }
-  return decisions;
-}
-
-std::vector<Decision> Characterizer::decide_all_on(WorkerPool& pool,
-                                                   std::size_t min_fanout,
-                                                   unsigned max_lanes,
-                                                   std::vector<double>* lane_ms) {
+std::vector<Decision> Characterizer::decide(WorkerPool* pool,
+                                            std::vector<double>* lane_ms) const {
   const DeviceSet& abnormal = plane_->state().abnormal();
   const std::size_t m = abnormal.size();
   std::vector<Decision> decisions(m);
@@ -491,9 +465,10 @@ std::vector<Decision> Characterizer::decide_all_on(WorkerPool& pool,
   // drawn late serializes the whole tail behind a single lane. Sorting an
   // index indirection by that cost proxy is classic LPT against skew. Each
   // decision is a pure read of the shared plane into its own slot, so the
-  // bytes stay identical to decide_all() under any schedule or ordering.
+  // bytes stay identical to the serial loop under any schedule or ordering.
   std::vector<std::uint32_t> order;
-  const bool reorder = m >= min_fanout && max_lanes != 1 && pool.parallelism() > 1;
+  const bool reorder =
+      pool != nullptr && m >= options_.parallel_grain && pool->parallelism() > 1;
   if (reorder) {
     std::vector<std::uint64_t> cost(m);
     for (std::size_t i = 0; i < m; ++i) {
@@ -508,37 +483,32 @@ std::vector<Decision> Characterizer::decide_all_on(WorkerPool& pool,
                        return cost[a] > cost[b];
                      });
   }
-  pool.for_each(
-      m, min_fanout,
-      [&](std::size_t i) {
-        const std::size_t slot = reorder ? order[i] : i;
-        decisions[slot] = characterize_device(abnormal[slot]);
-      },
-      max_lanes, lane_ms);
+  const auto decide_slot = [&](std::size_t i) {
+    const std::size_t slot = reorder ? order[i] : i;
+    decisions[slot] = characterize(abnormal[slot]);
+  };
+  if (pool != nullptr) {
+    pool->for_each(m, options_.parallel_grain, decide_slot, lane_ms);
+  } else {
+    for (std::size_t i = 0; i < m; ++i) decide_slot(i);
+  }
   return decisions;
 }
 
-std::vector<Decision> Characterizer::decide_all_parallel(unsigned threads) {
-  return decide_all_on(WorkerPool::shared(), options_.parallel_grain, threads);
+CharacterizationSets Characterizer::characterize_all() const {
+  return bucket(plane_->state().abnormal(), decide());
 }
 
-CharacterizationSets Characterizer::bucket(
-    const std::vector<Decision>& decisions) const {
-  const DeviceSet& abnormal = plane_->state().abnormal();
+CharacterizationSets bucket(const DeviceSet& abnormal,
+                            std::span<const Decision> decisions) {
   std::vector<DeviceId> isolated;
   std::vector<DeviceId> massive;
   std::vector<DeviceId> unresolved;
   for (std::size_t i = 0; i < decisions.size(); ++i) {
     switch (decisions[i].cls) {
-      case AnomalyClass::kIsolated:
-        isolated.push_back(abnormal[i]);
-        break;
-      case AnomalyClass::kMassive:
-        massive.push_back(abnormal[i]);
-        break;
-      case AnomalyClass::kUnresolved:
-        unresolved.push_back(abnormal[i]);
-        break;
+      case AnomalyClass::kIsolated: isolated.push_back(abnormal[i]); break;
+      case AnomalyClass::kMassive: massive.push_back(abnormal[i]); break;
+      case AnomalyClass::kUnresolved: unresolved.push_back(abnormal[i]); break;
     }
   }
   CharacterizationSets sets;
@@ -546,12 +516,6 @@ CharacterizationSets Characterizer::bucket(
   sets.massive = DeviceSet::from_sorted(std::move(massive));
   sets.unresolved = DeviceSet::from_sorted(std::move(unresolved));
   return sets;
-}
-
-CharacterizationSets Characterizer::characterize_all() { return bucket(decide_all()); }
-
-CharacterizationSets Characterizer::characterize_all_parallel(unsigned threads) {
-  return bucket(decide_all_parallel(threads));
 }
 
 DeviceSet Characterizer::neighbourhood_d(DeviceId j) {

@@ -16,8 +16,8 @@
 // All motion families are read from a snapshot-level MotionPlane built once
 // per (state, params): the Theorem 5/6 split walks interned motion runs
 // without materializing sets, and because each per-device decision is a
-// pure read of the plane, the batch paths fan A_k out over the persistent
-// WorkerPool (disjoint result slots, byte-identical to the serial walk).
+// pure read of the plane, decide() fans A_k out over a WorkerPool
+// (disjoint result slots, byte-identical to the serial walk).
 //
 // The Theorem 7 search: a violating collection only ever contains sets B
 // with (a) |B| > tau, (b) B a subset of some maximal dense motion M of an
@@ -43,10 +43,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/device_set.hpp"
-#include "core/motion_oracle.hpp"
 #include "core/motion_plane.hpp"
 #include "core/params.hpp"
 #include "core/partition_enumerator.hpp"
@@ -89,11 +89,10 @@ struct CharacterizeOptions {
   /// configuration observed across the paper-scale and n=20000 superposed
   /// workloads finishes within ~60k nodes; the budget leaves 4x headroom.
   std::uint64_t node_budget = 262'144;
-  /// |A_k| below which decide_all_parallel / characterize_all_parallel run
-  /// the inline serial loop instead of engaging the shared worker pool
-  /// (the recorded bench showed the thread machinery costing more than it
-  /// saved on every n=1000/5000 cell). Tests pin the pooled path by
-  /// setting this to 1.
+  /// |A_k| below which decide(pool) runs the inline serial loop instead of
+  /// engaging the pool (the recorded bench showed the thread machinery
+  /// costing more than it saved on every n=1000/5000 cell). Tests pin the
+  /// pooled path by setting this to 1.
   std::size_t parallel_grain = 256;
 };
 
@@ -121,42 +120,27 @@ class Characterizer {
   /// same snapshot.
   explicit Characterizer(const MotionPlane& plane, CharacterizeOptions options = {});
 
-  // Non-copyable/movable: plane_ and oracle_ may point into owned_plane_.
+  // Non-copyable/movable: plane_ may point into owned_plane_.
   Characterizer(const Characterizer&) = delete;
   Characterizer& operator=(const Characterizer&) = delete;
 
-  /// Characterizes one abnormal device (throws if j is not in A_k).
-  [[nodiscard]] Decision characterize(DeviceId j);
+  /// Characterizes one abnormal device (throws if j is not in A_k). A pure
+  /// read of the plane: any number of threads may call it concurrently.
+  [[nodiscard]] Decision characterize(DeviceId j) const;
 
-  /// Decisions for every device of A_k, in A_k (ascending id) order.
-  [[nodiscard]] std::vector<Decision> decide_all();
+  /// Decisions for every device of A_k, in A_k (ascending id) order — the
+  /// one batch entry point. Without a pool, a serial loop. With one, the
+  /// devices fan out over its lanes, costliest first (dense-family x
+  /// neighbourhood size proxy) so one expensive device drawn late cannot
+  /// serialize the tail; below options.parallel_grain devices the pool runs
+  /// the loop inline. Every decision writes its own slot, so the result is
+  /// byte-identical for any pool and schedule. `lane_ms`, when given with a
+  /// pool, receives per-lane busy times (see WorkerPool::for_each).
+  [[nodiscard]] std::vector<Decision> decide(WorkerPool* pool = nullptr,
+                                             std::vector<double>* lane_ms = nullptr) const;
 
-  /// Same decisions, fanned out over the process-wide persistent WorkerPool
-  /// with at most `threads` lanes (0 = every lane). Every per-device
-  /// decision is a read-only function of the shared plane and writes a
-  /// private slot, so the result is byte-identical to decide_all()
-  /// regardless of scheduling — and the fan-out silently degrades to the
-  /// inline serial loop when |A_k| is below the parallel grain (threading
-  /// overhead exceeds the work on small intervals).
-  [[nodiscard]] std::vector<Decision> decide_all_parallel(unsigned threads = 0);
-
-  /// decide_all over a caller-owned pool (the streaming engine passes its
-  /// own); `min_fanout` is the |A_k| below which the loop runs inline. When
-  /// the pool engages, devices are dispatched costliest-first (dense-family
-  /// x neighbourhood size proxy) so one expensive device drawn late cannot
-  /// serialize the tail; slots are written by device, so results never
-  /// depend on the ordering. `lane_ms`, when given, receives per-lane busy
-  /// times (see WorkerPool::for_each).
-  [[nodiscard]] std::vector<Decision> decide_all_on(
-      WorkerPool& pool, std::size_t min_fanout, unsigned max_lanes = 0,
-      std::vector<double>* lane_ms = nullptr);
-
-  /// Characterizes every device of A_k and buckets them.
-  [[nodiscard]] CharacterizationSets characterize_all();
-
-  /// Parallel variant of characterize_all (same contract as
-  /// decide_all_parallel).
-  [[nodiscard]] CharacterizationSets characterize_all_parallel(unsigned threads = 0);
+  /// bucket(A_k, decide()).
+  [[nodiscard]] CharacterizationSets characterize_all() const;
 
   /// D_k(j): union of the maximal dense motions containing j.
   [[nodiscard]] DeviceSet neighbourhood_d(DeviceId j);
@@ -166,7 +150,6 @@ class Characterizer {
   [[nodiscard]] DeviceSet neighbourhood_l(DeviceId j);
 
   [[nodiscard]] const MotionPlane& plane() const noexcept { return *plane_; }
-  [[nodiscard]] MotionOracle& oracle() noexcept { return oracle_; }
   [[nodiscard]] const Params& params() const noexcept { return plane_->params(); }
 
  private:
@@ -186,13 +169,15 @@ class Characterizer {
   /// state), so any number of pool lanes may run it concurrently.
   [[nodiscard]] NscOutcome search_violating_collection(DeviceId j,
                                                        const DeviceSet& l) const;
-  [[nodiscard]] Decision characterize_device(DeviceId j) const;
-  [[nodiscard]] CharacterizationSets bucket(const std::vector<Decision>& decisions) const;
 
   std::optional<MotionPlane> owned_plane_;  ///< engaged by the state ctor
   const MotionPlane* plane_;
   CharacterizeOptions options_;
-  MotionOracle oracle_;
 };
+
+/// Buckets `decisions` (one per device of `abnormal`, ascending id order,
+/// as decide() returns them) into M_k / I_k / U_k.
+[[nodiscard]] CharacterizationSets bucket(const DeviceSet& abnormal,
+                                          std::span<const Decision> decisions);
 
 }  // namespace acn

@@ -21,7 +21,6 @@ FrameEngine::FrameEngine(Config config) : config_(config), pool_(config.threads)
 std::optional<FrameEngine::Result> FrameEngine::observe(const Snapshot& positions,
                                                         DeviceSet abnormal) {
   stats_ = {};
-  const kernels::Counters kernel_before = kernels::counters_snapshot();
   std::vector<double> lane_scratch;
   if (!state_.has_value()) {
     // Priming snapshot: the state becomes (S_0, S_0, {}) — no previous
@@ -63,25 +62,10 @@ std::optional<FrameEngine::Result> FrameEngine::observe(const Snapshot& position
   t0 = Clock::now();
   Result result;
   Characterizer characterizer(*plane_, config_.characterize);
-  result.decisions = characterizer.decide_all_on(
-      pool_, config_.characterize.parallel_grain, 0, &lane_scratch);
+  result.decisions = characterizer.decide(&pool_, &lane_scratch);
   stats_.characterize_lanes = LaneBreakdown::of(lane_scratch);
-  std::vector<DeviceId> isolated;
-  std::vector<DeviceId> massive;
-  std::vector<DeviceId> unresolved;
-  for (std::size_t i = 0; i < result.decisions.size(); ++i) {
-    const DeviceId j = state.abnormal()[i];
-    switch (result.decisions[i].cls) {
-      case AnomalyClass::kIsolated: isolated.push_back(j); break;
-      case AnomalyClass::kMassive: massive.push_back(j); break;
-      case AnomalyClass::kUnresolved: unresolved.push_back(j); break;
-    }
-  }
-  result.sets.isolated = DeviceSet::from_sorted(std::move(isolated));
-  result.sets.massive = DeviceSet::from_sorted(std::move(massive));
-  result.sets.unresolved = DeviceSet::from_sorted(std::move(unresolved));
+  result.sets = bucket(state.abnormal(), result.decisions);
   stats_.characterize_ms = ms_since(t0);
-  stats_.kernel = kernels::counters_snapshot() - kernel_before;
 
   ++intervals_;
   return result;

@@ -34,7 +34,6 @@
 #include "common/worker_pool.hpp"
 #include "core/characterizer.hpp"
 #include "core/grid_index.hpp"
-#include "core/kernels/kernels.hpp"
 #include "core/motion_plane.hpp"
 #include "core/params.hpp"
 #include "core/state.hpp"
@@ -83,11 +82,6 @@ struct FrameStats {
   LaneBreakdown plane_enum_lanes;   ///< plane pass 2 (component enumeration)
   LaneBreakdown characterize_lanes; ///< per-device decision fan-out
 
-  /// SIMD-kernel invocation/volume deltas of this interval (all lanes
-  /// summed; see kernels::Counters — cycles stays 0 unless
-  /// ACN_KERNEL_CYCLES=1 was set at startup).
-  kernels::Counters kernel;
-
   /// Sum of the phase timers: the engine-side wall clock of one interval.
   [[nodiscard]] double total_ms() const noexcept {
     return state_ms + grid_ms + plane_ms + characterize_ms;
@@ -115,7 +109,7 @@ class FrameEngine {
     Params model;
     /// Options for every per-device decision; characterize.parallel_grain
     /// is the |A_k| below which the characterization fan-out runs inline
-    /// (the one threshold, shared with the standalone batch APIs).
+    /// (Characterizer::decide's threshold).
     CharacterizeOptions characterize;
     /// Lanes for every per-interval fan-out (state roll, plane build,
     /// per-device characterization): 1 = inline serial (default), 0 =

@@ -103,21 +103,10 @@ struct Ops {
                                    std::uint32_t* out, std::uint32_t* maybe);
 };
 
-/// The selected table (cached after the first call).
+/// The selected table (cached after the first call). Debug builds return a
+/// wrapper table that also runs every call on the scalar table and asserts
+/// identical results whenever a SIMD table is selected.
 [[nodiscard]] const Ops& dispatch() noexcept;
-
-/// The selected table WITHOUT the counting wrappers — for call-sites that
-/// make hundreds of thousands of kernel calls per frame (the Theorem-7
-/// search) where two relaxed atomic adds plus an indirect call per kernel
-/// call are measurable. Such callers charge the counters in bulk through
-/// counters_charge_popcnt(). Debug builds return the counted table anyway so
-/// every call still cross-checks SIMD against scalar (and charge_popcnt
-/// becomes a no-op to avoid double counting).
-[[nodiscard]] const Ops& dispatch_raw() noexcept;
-
-/// Bulk counter charge paired with dispatch_raw(): adds `calls` popcount-
-/// class kernel calls totalling `words` words to this thread's counters.
-void counters_charge_popcnt(std::uint64_t calls, std::uint64_t words) noexcept;
 
 /// Name of the selected table ("scalar" or "avx2").
 [[nodiscard]] const char* dispatch_name() noexcept;
@@ -129,39 +118,5 @@ bool force(const char* name) noexcept;
 
 /// True when the AVX2 table is compiled in AND the CPU supports it.
 [[nodiscard]] bool avx2_available() noexcept;
-
-/// Per-kernel invocation/volume counters, accumulated thread-locally and
-/// summed over every thread that ever ran a kernel (worker lanes included).
-/// `cycles` totals rdtsc ticks spent inside kernels when ACN_KERNEL_CYCLES=1
-/// was set at startup (zero otherwise — the default keeps the hot path free
-/// of timestamp reads).
-struct Counters {
-  std::uint64_t filter_calls = 0;
-  std::uint64_t filter_items = 0;
-  std::uint64_t minmax_calls = 0;
-  std::uint64_t minmax_items = 0;
-  std::uint64_t popcnt_calls = 0;
-  std::uint64_t popcnt_words = 0;
-  std::uint64_t radius_calls = 0;
-  std::uint64_t radius_items = 0;
-  std::uint64_t cycles = 0;
-
-  Counters operator-(const Counters& o) const noexcept {
-    Counters d;
-    d.filter_calls = filter_calls - o.filter_calls;
-    d.filter_items = filter_items - o.filter_items;
-    d.minmax_calls = minmax_calls - o.minmax_calls;
-    d.minmax_items = minmax_items - o.minmax_items;
-    d.popcnt_calls = popcnt_calls - o.popcnt_calls;
-    d.popcnt_words = popcnt_words - o.popcnt_words;
-    d.radius_calls = radius_calls - o.radius_calls;
-    d.radius_items = radius_items - o.radius_items;
-    d.cycles = cycles - o.cycles;
-    return d;
-  }
-};
-
-/// Snapshot of the process-wide kernel counters (sums all threads).
-[[nodiscard]] Counters counters_snapshot() noexcept;
 
 }  // namespace acn::kernels

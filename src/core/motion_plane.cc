@@ -331,6 +331,60 @@ std::vector<DeviceSet> enumerate_maximal_windows(const StatePair& state,
   return family;
 }
 
+bool exists_dense_window_cover(const StatePair& state, const Params& params,
+                               std::span<const DeviceId> pool) {
+  const double window = params.window();
+
+  // This slide visits dimensions in natural order; the shared tight-cluster
+  // cut takes the remaining suffix of this identity order.
+  static constexpr auto kIdentityDims = [] {
+    std::array<std::size_t, 2 * Point::kMaxDim> dims{};
+    for (std::size_t i = 0; i < dims.size(); ++i) dims[i] = i;
+    return dims;
+  }();
+
+  // Same canonical-window slide as `enumerate_maximal_windows`, but returns
+  // at the first window whose cover is dense — no maximal-family
+  // materialization. Inner loops scan the columnar joint layout.
+  const kernels::Ops& ops = kernels::dispatch();
+  const auto slide_any = [&](const auto& self, std::span<const DeviceId> active,
+                             std::size_t dim_index) -> bool {
+    if (active.size() <= params.tau) return false;  // can only shrink further
+    if (dim_index == state.joint_dim()) return true;
+
+    // Tight-cluster cut: if the active set spans at most 2r in every
+    // remaining dimension, one window covers it whole — and it is dense.
+    if (spans_fit_window(state, window, active,
+                         std::span<const std::size_t>{
+                             kIdentityDims.data() + dim_index,
+                             state.joint_dim() - dim_index})) {
+      return true;
+    }
+
+    const double* col = state.joint_col(dim_index);
+    std::vector<double> edges;
+    edges.reserve(active.size());
+    for (const DeviceId id : active) edges.push_back(col[id]);
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+    // Same kernel-dispatched filter as the enumeration slide.
+    const std::uint32_t* qcol = state.qcol(dim_index);
+    std::vector<DeviceId> next;
+    next.reserve(active.size());
+    for (const double lower : edges) {
+      const kernels::WindowBoundsQ bounds =
+          kernels::window_bounds(lower, lower + window);
+      next.resize(active.size());
+      next.resize(ops.filter_in_window(qcol, col, active.data(), active.size(),
+                                       bounds, next.data()));
+      if (self(self, next, dim_index + 1)) return true;
+    }
+    return false;
+  };
+  return slide_any(slide_any, pool, 0);
+}
+
 MotionPlane::MotionPlane(const StatePair& state, Params params)
     : MotionPlane(state, params,
                   GridIndex(state, state.abnormal(),
@@ -382,7 +436,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
             arena.insert(arena.end(), nbr_scratch.begin(), nbr_scratch.end());
           }
         },
-        0, lanes != nullptr ? &lanes->query_lane_ms : nullptr);
+        lanes != nullptr ? &lanes->query_lane_ms : nullptr);
     for (const std::vector<DeviceId>& arena : chunk_arena) {
       budget_.charge(arena.size() * sizeof(DeviceId));
       for (std::size_t i = 0; i < arena.size();) {
@@ -411,7 +465,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   // M(j) == { M in maxMotions(component of j) : j in M }. This is the
   // "compute each A_k's motion families once" inversion — a blob of size b
   // is slid once instead of once per member. Validated against brute-force
-  // subset enumeration by tests/core/motion_oracle_test.cc.
+  // subset enumeration by tests/core/motion_plane_test.cc.
   const std::vector<std::vector<DeviceId>> components =
       connected_components(ids_, [&](std::size_t rank) {
         return std::span<const DeviceId>{nbr_arena_.data() + nbr_offsets_[rank],
@@ -555,7 +609,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     }
   };
   if (pool != nullptr) {
-    pool->for_each(tasks.size(), component_fanout, run_task, 0,
+    pool->for_each(tasks.size(), component_fanout, run_task,
                    lanes != nullptr ? &lanes->enumerate_lane_ms : nullptr);
   } else {
     for (std::size_t slot = 0; slot < tasks.size(); ++slot) run_task(slot);

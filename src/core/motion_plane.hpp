@@ -10,7 +10,7 @@
 // every abnormal device of A_k, its 2r-neighbourhood, its maximal-motion
 // family (Algorithm 2) and its tau-dense family (W-bar_k), after which each
 // per-device decision is a read-only lookup — and the decisions can run in
-// parallel across A_k (Characterizer::characterize_all_parallel).
+// parallel across A_k (Characterizer::decide over a WorkerPool).
 //
 // Storage is flat throughout:
 //   * neighbourhoods live in one contiguous DeviceId arena, sliced by
@@ -23,9 +23,11 @@
 //     the runs distinct by construction, so no dedup pass is needed;
 //   * per-device families are (offset, length) slices of MotionId arrays.
 //
-// MotionOracle is a thin view over the plane (it keeps only query memos),
-// and the canonical-window enumeration shared by the plane build and the
-// oracle's pool queries lives here as a free function.
+// The plane is the one query surface over motion families. The two
+// queries over an arbitrary pool — the canonical-window enumeration the
+// plane build runs per component (also Algorithm 1's extraction step) and
+// its early-exit dense-cover variant (the partition checker's condition
+// C1) — live here as free functions.
 #pragma once
 
 #include <atomic>
@@ -83,12 +85,12 @@ struct ArenaBudget {
 };
 
 /// Work counters; the evaluation (Table III) reports operation counts.
-/// Filled by the plane build and advanced further by MotionOracle queries.
+/// Filled by the plane build (and by enumerate_maximal_windows when given).
 struct OracleCounters {
   std::uint64_t neighbourhood_queries = 0;  ///< grid lookups (message analogue)
   std::uint64_t windows_explored = 0;       ///< canonical windows visited
   std::uint64_t covers_generated = 0;       ///< window covers materialized
-  std::uint64_t enumeration_calls = 0;      ///< maxMotions invocations (pre-memo)
+  std::uint64_t enumeration_calls = 0;      ///< maxMotions invocations
   std::uint64_t motions_stored = 0;         ///< distinct motions in the arena
   std::uint64_t motions_shared = 0;  ///< family references beyond the first
                                      ///< to an interned motion (arena reuse)
@@ -105,10 +107,17 @@ struct PlaneBuildLanes {
 /// Canonical-window enumeration (the paper's Algorithm 2 core): all
 /// inclusion-maximal r-consistent motions within `pool`; when `anchor` is
 /// set, only motions containing the anchor. Deterministic (sorted) order.
-/// Shared by the MotionPlane build and MotionOracle's pool queries.
+/// Shared by the MotionPlane build and the Algorithm 1 builders.
 [[nodiscard]] std::vector<DeviceSet> enumerate_maximal_windows(
     const StatePair& state, const Params& params, std::vector<DeviceId> pool,
     std::optional<DeviceId> anchor, OracleCounters* counters = nullptr);
+
+/// True iff `pool` holds a tau-dense motion: the same canonical-window
+/// slide with early exit at the first full-dimensional window covering more
+/// than tau devices (never materializes maximal families). The partition
+/// validity checker's condition C1.
+[[nodiscard]] bool exists_dense_window_cover(const StatePair& state, const Params& params,
+                                             std::span<const DeviceId> pool);
 
 /// The tight-cluster cut predicate: true iff `active` spans at most
 /// `window` in every joint dimension listed in `dims` — i.e. one window per
@@ -117,13 +126,11 @@ struct PlaneBuildLanes {
 /// other window keeps a subset). Anchored-slide precondition: every pool
 /// member lies within `window` (joint Chebyshev) of the anchor — then the
 /// bounding interval of active ∪ {anchor} also has length <= window per
-/// dimension, so an anchored covering window exists. (The anchor itself
-/// need not be a pool member: the oracle queries non-abnormal anchors
-/// against abnormal-only pools.) Both callers establish the precondition
-/// by construction — anchored pools are filtered by joint_distance <=
-/// window. The ONE definition shared by the plane's enumeration slide and
-/// the oracle's early-exit dense-cover slide — the byte-identical
-/// family/query agreement depends on both using it.
+/// dimension, so an anchored covering window exists. The anchored
+/// enumeration establishes it by construction: it filters its pool by
+/// joint_distance <= window. The ONE definition shared by the enumeration
+/// slide and the early-exit dense-cover slide — their agreement on the same
+/// state depends on both using it.
 [[nodiscard]] bool spans_fit_window(const StatePair& state, double window,
                                     std::span<const DeviceId> active,
                                     std::span<const std::size_t> dims) noexcept;
@@ -159,13 +166,6 @@ class MotionPlane {
 
   [[nodiscard]] const StatePair& state() const noexcept { return state_; }
   [[nodiscard]] const Params& params() const noexcept { return params_; }
-
-  /// Abnormal devices within joint distance `radius` of j (j included when
-  /// abnormal), sorted — answered by the plane's A_k index. Serves the
-  /// oracle's queries for non-abnormal devices.
-  [[nodiscard]] std::vector<DeviceId> within(DeviceId j, double radius) const {
-    return grid_.within(j, radius);
-  }
 
   /// |A_k|: number of devices the plane covers.
   [[nodiscard]] std::size_t device_count() const noexcept { return ids_.size(); }

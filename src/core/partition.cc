@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "core/motion.hpp"
+#include "core/motion_plane.hpp"
 
 namespace acn {
 
@@ -131,8 +132,9 @@ namespace {
 /// One greedy pass; `dense_first` extracts a largest maximal motion of the
 /// remaining pool (paper's angelic choice), otherwise a uniformly random
 /// maximal motion containing a uniformly random device (faithful reading).
-AnomalyPartition greedy_pass(MotionOracle& oracle, Rng& rng, bool dense_first) {
-  const DeviceSet& abnormal = oracle.state().abnormal();
+AnomalyPartition greedy_pass(const StatePair& state, const Params& params, Rng& rng,
+                             bool dense_first) {
+  const DeviceSet& abnormal = state.abnormal();
   std::vector<DeviceId> pool(abnormal.begin(), abnormal.end());
   std::vector<DeviceSet> classes;
 
@@ -141,7 +143,8 @@ AnomalyPartition greedy_pass(MotionOracle& oracle, Rng& rng, bool dense_first) {
     if (dense_first) {
       // Extract a maximum-cardinality maximal motion of the remaining pool;
       // ties broken uniformly at random.
-      std::vector<DeviceSet> all = oracle.maximal_motions_of_pool(pool);
+      std::vector<DeviceSet> all =
+          enumerate_maximal_windows(state, params, pool, std::nullopt);
       std::size_t best = 0;
       for (const DeviceSet& motion : all) best = std::max(best, motion.size());
       std::vector<const DeviceSet*> best_sets;
@@ -151,7 +154,7 @@ AnomalyPartition greedy_pass(MotionOracle& oracle, Rng& rng, bool dense_first) {
       chosen = *best_sets[rng.uniform_int(best_sets.size())];
     } else {
       const DeviceId j = pool[rng.uniform_int(pool.size())];
-      std::vector<DeviceSet> motions = oracle.maximal_motions_in_pool(j, pool);
+      std::vector<DeviceSet> motions = enumerate_maximal_windows(state, params, pool, j);
       chosen = motions[rng.uniform_int(motions.size())];
     }
     classes.push_back(chosen);
@@ -162,19 +165,21 @@ AnomalyPartition greedy_pass(MotionOracle& oracle, Rng& rng, bool dense_first) {
 
 }  // namespace
 
-AnomalyPartition build_greedy_partition(MotionOracle& oracle, Rng& rng) {
-  return greedy_pass(oracle, rng, /*dense_first=*/false);
+AnomalyPartition build_greedy_partition(const StatePair& state, Params params, Rng& rng) {
+  params.validate();
+  return greedy_pass(state, params, rng, /*dense_first=*/false);
 }
 
-AnomalyPartition build_anomaly_partition(MotionOracle& oracle, Rng& rng,
+AnomalyPartition build_anomaly_partition(const StatePair& state, Params params, Rng& rng,
                                          int max_attempts) {
+  params.validate();
   std::string why;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     // Dense-first is the reliable strategy; interleave faithful-random passes
     // to keep the sampled partition distribution broad.
     const bool dense_first = attempt % 2 == 0;
-    AnomalyPartition partition = greedy_pass(oracle, rng, dense_first);
-    if (is_valid_anomaly_partition(oracle.state(), oracle.params(), partition, &why)) {
+    AnomalyPartition partition = greedy_pass(state, params, rng, dense_first);
+    if (is_valid_anomaly_partition(state, params, partition, &why)) {
       return partition;
     }
   }

@@ -35,7 +35,6 @@
 
 #include "common/device_set.hpp"
 #include "common/rng.hpp"
-#include "core/motion_oracle.hpp"
 #include "core/params.hpp"
 #include "core/state.hpp"
 
@@ -77,15 +76,17 @@ class AnomalyPartition {
                                               const AnomalyPartition& partition,
                                               std::string* why = nullptr);
 
-/// Faithful Algorithm 1: repeatedly pick a random remaining device and
-/// extract a random maximal motion (of the remaining pool) containing it.
-/// May yield an invalid partition in rare geometries; see header comment.
-[[nodiscard]] AnomalyPartition build_greedy_partition(MotionOracle& oracle, Rng& rng);
+/// Faithful Algorithm 1 over A_k of `state`: repeatedly pick a random
+/// remaining device and extract a random maximal motion (of the remaining
+/// pool) containing it. May yield an invalid partition in rare geometries;
+/// see header comment.
+[[nodiscard]] AnomalyPartition build_greedy_partition(const StatePair& state, Params params,
+                                                      Rng& rng);
 
 /// Robust construction: dense-first greedy, validated; retries with fresh
 /// randomness up to max_attempts, then throws std::runtime_error (never
 /// observed with paper-scale inputs; exercised in tests).
-[[nodiscard]] AnomalyPartition build_anomaly_partition(MotionOracle& oracle, Rng& rng,
-                                                       int max_attempts = 64);
+[[nodiscard]] AnomalyPartition build_anomaly_partition(const StatePair& state, Params params,
+                                                       Rng& rng, int max_attempts = 64);
 
 }  // namespace acn

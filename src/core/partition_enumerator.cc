@@ -6,7 +6,7 @@
 
 #include "core/grid_index.hpp"
 #include "core/motion.hpp"
-#include "core/motion_oracle.hpp"
+#include "core/motion_plane.hpp"
 
 namespace acn {
 
@@ -104,7 +104,7 @@ bool PartitionEnumerator::component_partition_valid(
   // early-exit window slide. (The maximal-motion formulation of
   // partition.hpp is equivalent but materializes whole families; this check
   // runs once per enumerated partition and must stay cheap.)
-  return !exists_dense_window_cover(state_, params_, sparse_union, std::nullopt);
+  return !exists_dense_window_cover(state_, params_, sparse_union);
 }
 
 PartitionEnumerator::ComponentScan PartitionEnumerator::scan_component(

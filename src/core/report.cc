@@ -40,22 +40,12 @@ std::string CharacterizationReport::to_csv() const {
 CharacterizationReport make_report(const StatePair& state, Params params,
                                    CharacterizeOptions options) {
   CharacterizationReport report;
-  Characterizer characterizer(state, params, options);
-  for (const DeviceId j : state.abnormal()) {
-    const Decision decision = characterizer.characterize(j);
-    report.decisions.emplace(j, decision);
-    switch (decision.cls) {
-      case AnomalyClass::kIsolated:
-        report.sets.isolated = report.sets.isolated.with(j);
-        break;
-      case AnomalyClass::kMassive:
-        report.sets.massive = report.sets.massive.with(j);
-        break;
-      case AnomalyClass::kUnresolved:
-        report.sets.unresolved = report.sets.unresolved.with(j);
-        break;
-    }
+  const std::vector<Decision> decisions =
+      Characterizer(state, params, options).decide();
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    report.decisions.emplace(state.abnormal()[i], decisions[i]);
   }
+  report.sets = bucket(state.abnormal(), decisions);
   return report;
 }
 

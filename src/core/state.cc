@@ -177,7 +177,7 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
         const auto end = static_cast<DeviceId>(std::min(count, (c + 1) * kChunk));
         chunk_moved[c] = roll_range(begin, end);
       },
-      0, lane_ms);
+      lane_ms);
   std::size_t moved = 0;
   for (const std::size_t part : chunk_moved) moved += part;
   return moved;

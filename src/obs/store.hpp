@@ -17,8 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/kernels/kernels.hpp"
-
 namespace acn::obs {
 
 /// One timed phase of an interval, with the lane-skew of its fan-out (lanes
@@ -63,7 +61,6 @@ struct IntervalTelemetry {
   std::uint64_t interval = 0;
   double total_ms = 0.0;  ///< wall clock of the whole observe() call
   std::vector<TraceSpan> spans;
-  kernels::Counters kernel;  ///< SIMD-kernel deltas of this interval
 
   // Engine shape.
   std::uint64_t moved = 0;

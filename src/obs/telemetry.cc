@@ -23,7 +23,6 @@ IntervalTelemetry frame_record(std::uint64_t interval, double total_ms,
   record.interval = interval;
   record.total_ms = total_ms;
   record.spans = spans_of(stats);
-  record.kernel = stats.kernel;
   record.moved = stats.moved;
   record.components = stats.components;
   record.motions = stats.motions;

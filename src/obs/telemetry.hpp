@@ -40,9 +40,9 @@ struct TelemetryConfig {
 /// FrameStats, the same timers perfbench prints as core.engine.*.
 [[nodiscard]] std::vector<TraceSpan> spans_of(const FrameStats& stats);
 
-/// The engine-side half of a record: spans, kernel counters, and the
-/// interval shape from one observe() call. The caller fills the verdict
-/// mix, episodes, and regions before handing it to TelemetryHub::record().
+/// The engine-side half of a record: spans and the interval shape from one
+/// observe() call. The caller fills the verdict mix, episodes, and regions
+/// before handing it to TelemetryHub::record().
 [[nodiscard]] IntervalTelemetry frame_record(std::uint64_t interval,
                                              double total_ms,
                                              const FrameStats& stats);

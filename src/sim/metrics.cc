@@ -70,15 +70,12 @@ StepMetrics tally_step(const std::vector<Decision>& decisions,
 }
 
 StepMetrics evaluate_step(const ScenarioStep& step, Params model,
-                          const CharacterizeOptions& options, unsigned threads) {
+                          const CharacterizeOptions& options) {
   if (step.state.abnormal().empty()) {
     return tally_step({}, step.state.abnormal(), step.truth);
   }
-  Characterizer characterizer(step.state, model, options);
-  const std::vector<Decision> decisions =
-      threads == 1 ? characterizer.decide_all()
-                   : characterizer.decide_all_parallel(threads);
-  return tally_step(decisions, step.state.abnormal(), step.truth);
+  return tally_step(Characterizer(step.state, model, options).decide(),
+                    step.state.abnormal(), step.truth);
 }
 
 StepMetrics evaluate_step(FrameEngine& engine, const ScenarioStep& step) {

@@ -72,11 +72,9 @@ struct StepMetrics {
 
 /// Characterizes all abnormal devices of `step` from scratch (under model
 /// parameters `model`, normally ScenarioParams::model) and tallies the
-/// metrics. `threads` selects the characterization fan-out (1 = serial, 0 =
-/// hardware concurrency); the tallied decisions are identical for any value.
+/// metrics.
 [[nodiscard]] StepMetrics evaluate_step(const ScenarioStep& step, Params model,
-                                        const CharacterizeOptions& options = {},
-                                        unsigned threads = 1);
+                                        const CharacterizeOptions& options = {});
 
 /// Streams `step` through the incremental engine (priming it with the
 /// step's previous snapshot on first use) and tallies the same metrics.

@@ -1,5 +1,5 @@
 // WorkerPool: persistent lanes, inline fallback below the fan-out
-// threshold, lane capping, back-to-back sections, exception propagation.
+// threshold, back-to-back sections, exception propagation.
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -50,21 +50,6 @@ TEST(WorkerPoolTest, BelowFanoutThresholdRunsInline) {
   EXPECT_EQ(lanes, std::set<std::thread::id>{caller});
 }
 
-TEST(WorkerPoolTest, MaxLanesOneRunsInline) {
-  WorkerPool pool(4);
-  const auto caller = std::this_thread::get_id();
-  std::set<std::thread::id> lanes;
-  std::mutex mutex;
-  pool.for_each(
-      256, 1,
-      [&](std::size_t) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        lanes.insert(std::this_thread::get_id());
-      },
-      /*max_lanes=*/1);
-  EXPECT_EQ(lanes, std::set<std::thread::id>{caller});
-}
-
 TEST(WorkerPoolTest, SingleLanePoolSpawnsNothingAndStillWorks) {
   WorkerPool pool(1);
   EXPECT_EQ(pool.parallelism(), 1u);
@@ -87,15 +72,6 @@ TEST(WorkerPoolTest, FirstExceptionPropagatesAndSectionQuiesces) {
     pool.for_each(32, 1, [&](std::size_t) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 32u);
   }
-}
-
-TEST(WorkerPoolTest, SharedPoolIsProcessWide) {
-  WorkerPool& a = WorkerPool::shared();
-  WorkerPool& b = WorkerPool::shared();
-  EXPECT_EQ(&a, &b);
-  std::atomic<std::size_t> count{0};
-  a.for_each(10, 1, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 10u);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/worker_pool.hpp"
 #include "core/characterizer.hpp"
 #include "core/frame.hpp"
 #include "core/motion_plane.hpp"
@@ -90,29 +91,27 @@ void run_family(const HostileSpec& spec, std::uint64_t seed, int intervals) {
                                                   .component_fanout = 1});
   (void)engine_serial.observe(stream.snapshots[0], DeviceSet{});
   (void)engine_parallel.observe(stream.snapshots[0], DeviceSet{});
+  // The from-scratch and plane paths' pooled flavour: 4 lanes.
+  WorkerPool pool(4);
 
   for (std::size_t k = 1; k < stream.snapshots.size(); ++k) {
     const StatePair state(stream.snapshots[k - 1], stream.snapshots[k],
                           stream.abnormal[k]);
 
     // Path 1 (reference): from-scratch characterizer, serial + pooled.
-    Characterizer reference(state, model, options);
-    const std::vector<Decision> expected = reference.decide_all();
-    {
-      Characterizer scratch(state, model, options);
-      expect_identical(scratch.decide_all_parallel(4), expected,
-                       "scratch-parallel", spec, seed, k, stream.abnormal[k]);
-    }
+    const std::vector<Decision> expected =
+        Characterizer(state, model, options).decide();
+    expect_identical(Characterizer(state, model, options).decide(&pool), expected,
+                     "scratch-parallel", spec, seed, k, stream.abnormal[k]);
 
     // Path 2: externally owned snapshot plane, serial + pooled readers.
     {
       const MotionPlane plane(state, model);
-      Characterizer serial(plane, options);
-      expect_identical(serial.decide_all(), expected, "plane-serial", spec,
+      const Characterizer reader(plane, options);
+      expect_identical(reader.decide(), expected, "plane-serial", spec, seed, k,
+                       stream.abnormal[k]);
+      expect_identical(reader.decide(&pool), expected, "plane-parallel", spec,
                        seed, k, stream.abnormal[k]);
-      Characterizer parallel(plane, options);
-      expect_identical(parallel.decide_all_parallel(4), expected,
-                       "plane-parallel", spec, seed, k, stream.abnormal[k]);
     }
 
     // Path 3: the incremental streaming engine, serial + pooled.

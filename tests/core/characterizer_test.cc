@@ -117,7 +117,8 @@ TEST_F(Figure4bTest, Device4StillMassiveByTheorem6) {
 
 TEST_F(Figure4bTest, Device5HasMotionsOnBothSides) {
   // Device 5 (index 4) belongs to C2={2,4,5} and C3={5,6,7}.
-  const auto dense = characterizer_.oracle().dense_motions(4);
+  const auto dense =
+      test::members_of(characterizer_.plane(), characterizer_.plane().dense(4));
   ASSERT_EQ(dense.size(), 2u);
   EXPECT_EQ(dense[0], DeviceSet({1, 3, 4}));
   EXPECT_EQ(dense[1], DeviceSet({4, 5, 6}));
@@ -195,7 +196,8 @@ class Figure5Test : public ::testing::Test {
 };
 
 TEST_F(Figure5Test, MaximalDenseMotionsOfDevice1MatchPaper) {
-  const auto dense = characterizer_.oracle().dense_motions(0);
+  const auto dense =
+      test::members_of(characterizer_.plane(), characterizer_.plane().dense(0));
   ASSERT_EQ(dense.size(), 2u);
   EXPECT_EQ(dense[0], DeviceSet({0, 1, 2, 3}));  // {1,2,3,4} in paper ids
   EXPECT_EQ(dense[1], DeviceSet({0, 1, 6, 7}));  // {1,2,7,8} in paper ids

@@ -59,8 +59,8 @@ void sweep_stream(const std::vector<Snapshot>& snapshots,
       ASSERT_TRUE(result.has_value());
 
       const StatePair scratch_state(snapshots[k - 1], snapshots[k], abnormal[k]);
-      Characterizer scratch(scratch_state, model);
-      const std::vector<Decision> expected = scratch.decide_all();
+      const std::vector<Decision> expected =
+          Characterizer(scratch_state, model).decide();
       expect_identical_decisions(result->decisions, expected, abnormal[k], k);
 
       // The bucketed sets follow the decisions deterministically.

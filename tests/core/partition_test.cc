@@ -117,20 +117,18 @@ TEST_F(Figure2Test, BothPaperPartitionsAreValid) {
 }
 
 TEST_F(Figure2Test, GreedyProducesValidPartitionHere) {
-  MotionOracle oracle(state_, params_);
   Rng rng(1234);
   for (int attempt = 0; attempt < 20; ++attempt) {
-    const AnomalyPartition p = build_greedy_partition(oracle, rng);
+    const AnomalyPartition p = build_greedy_partition(state_, params_, rng);
     std::string why;
     EXPECT_TRUE(is_valid_anomaly_partition(state_, params_, p, &why)) << why;
   }
 }
 
 TEST_F(Figure2Test, RobustBuilderAlwaysValid) {
-  MotionOracle oracle(state_, params_);
   Rng rng(99);
   for (int attempt = 0; attempt < 10; ++attempt) {
-    const AnomalyPartition p = build_anomaly_partition(oracle, rng);
+    const AnomalyPartition p = build_anomaly_partition(state_, params_, rng);
     std::string why;
     ASSERT_TRUE(is_valid_anomaly_partition(state_, params_, p, &why)) << why;
     // The dense cluster must always form one class.
@@ -146,12 +144,11 @@ TEST_F(Figure2Test, RobustBuilderAlwaysValid) {
 TEST(GreedyCounterexampleTest, FaithfulGreedyCanViolateC1) {
   const StatePair state = test::make_static_1d({0.0, 0.225, 0.3, 0.325});
   const Params params{.r = 0.125, .tau = 2};
-  MotionOracle oracle(state, params);
   bool saw_invalid = false;
   bool saw_valid = false;
   for (std::uint64_t seed = 0; seed < 64 && (!saw_invalid || !saw_valid); ++seed) {
     Rng rng(seed);
-    const AnomalyPartition p = build_greedy_partition(oracle, rng);
+    const AnomalyPartition p = build_greedy_partition(state, params, rng);
     if (is_valid_anomaly_partition(state, params, p, nullptr)) {
       saw_valid = true;
     } else {
@@ -167,9 +164,8 @@ TEST(GreedyCounterexampleTest, FaithfulGreedyCanViolateC1) {
 TEST(GreedyCounterexampleTest, RobustBuilderSucceeds) {
   const StatePair state = test::make_static_1d({0.0, 0.225, 0.3, 0.325});
   const Params params{.r = 0.125, .tau = 2};
-  MotionOracle oracle(state, params);
   Rng rng(7);
-  const AnomalyPartition p = build_anomaly_partition(oracle, rng);
+  const AnomalyPartition p = build_anomaly_partition(state, params, rng);
   std::string why;
   ASSERT_TRUE(is_valid_anomaly_partition(state, params, p, &why)) << why;
   EXPECT_EQ(p.class_of(1), DeviceSet({1, 2, 3}));
@@ -191,8 +187,7 @@ TEST_P(PartitionBuilderSweep, RobustBuilderAlwaysValidOnRandomInstances) {
   }
   const StatePair state = test::make_state_1d(pc);
   const Params params{.r = 0.02 + 0.08 * rng.uniform(), .tau = 2};
-  MotionOracle oracle(state, params);
-  const AnomalyPartition p = build_anomaly_partition(oracle, rng);
+  const AnomalyPartition p = build_anomaly_partition(state, params, rng);
   std::string why;
   EXPECT_TRUE(is_valid_anomaly_partition(state, params, p, &why)) << why;
   EXPECT_EQ(p.support(), state.abnormal());

@@ -1,13 +1,15 @@
-// MotionPlane / oracle equivalence: the snapshot-level plane must be an
-// invisible optimization. Across randomized §VII-A workloads and degenerate
-// geometries, the per-device characterize() path, the batch
-// characterize_all() path, and the thread-pool characterize_all_parallel()
-// path must produce byte-identical CharacterizationSets — same devices, same
-// buckets, independent of scheduling.
+// MotionPlane equivalence: the snapshot-level plane must be an invisible
+// optimization. Across randomized §VII-A workloads and degenerate
+// geometries, per-device characterize() calls, the serial characterize_all()
+// and decide() paths, and decide() fanned out over a 4-lane WorkerPool
+// reading one externally owned plane must produce byte-identical
+// CharacterizationSets and Decisions — same devices, same buckets,
+// independent of scheduling.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "common/worker_pool.hpp"
 #include "core/characterizer.hpp"
 #include "core/motion_plane.hpp"
 #include "sim/scenario.hpp"
@@ -17,7 +19,7 @@ namespace acn {
 namespace {
 
 /// Buckets per-device characterize() calls on a fresh characterizer — the
-/// seed's characterize_all loop, kept as the reference shape.
+/// seed's batch loop, kept as the reference shape.
 CharacterizationSets per_device_reference(const StatePair& state, Params params) {
   Characterizer characterizer(state, params);
   CharacterizationSets sets;
@@ -47,22 +49,20 @@ void expect_all_paths_agree(const StatePair& state, Params params,
   EXPECT_EQ(bulk.massive, reference.massive) << label;
   EXPECT_EQ(bulk.unresolved, reference.unresolved) << label;
 
-  // Shared plane, 4 pool lanes regardless of core count, and a parallel
-  // grain of 1 so the worker-pool fan-out genuinely runs even though these
-  // fleets sit far below the production fall-back-to-serial threshold.
-  const CharacterizeOptions pooled_options{.parallel_grain = 1};
+  // Shared plane, a 4-lane pool regardless of core count, and a parallel
+  // grain of 1 so the pool fan-out genuinely runs even though these fleets
+  // sit far below the production fall-back-to-serial threshold.
+  WorkerPool pool(4);
   const MotionPlane plane(state, params);
-  Characterizer parallel(plane, pooled_options);
-  const CharacterizationSets pooled = parallel.characterize_all_parallel(4);
+  const Characterizer parallel(plane, {.parallel_grain = 1});
+  const std::vector<Decision> parallel_decisions = parallel.decide(&pool);
+  const CharacterizationSets pooled = bucket(state.abnormal(), parallel_decisions);
   EXPECT_EQ(pooled.isolated, reference.isolated) << label;
   EXPECT_EQ(pooled.massive, reference.massive) << label;
   EXPECT_EQ(pooled.unresolved, reference.unresolved) << label;
 
   // Decisions (not just buckets) must match field for field.
-  Characterizer again(plane);
-  const std::vector<Decision> serial_decisions = again.decide_all();
-  Characterizer once_more(plane, pooled_options);
-  const std::vector<Decision> parallel_decisions = once_more.decide_all_parallel(4);
+  const std::vector<Decision> serial_decisions = Characterizer(plane).decide();
   ASSERT_EQ(serial_decisions.size(), parallel_decisions.size()) << label;
   for (std::size_t i = 0; i < serial_decisions.size(); ++i) {
     EXPECT_EQ(serial_decisions[i].cls, parallel_decisions[i].cls) << label;
@@ -138,10 +138,8 @@ TEST(PlaneEquivalenceDegenerateTest, EmptyAbnormalSet) {
   EXPECT_TRUE(serial.isolated.empty());
   EXPECT_TRUE(serial.massive.empty());
   EXPECT_TRUE(serial.unresolved.empty());
-  const CharacterizationSets parallel = characterizer.characterize_all_parallel(4);
-  EXPECT_TRUE(parallel.isolated.empty());
-  EXPECT_TRUE(parallel.massive.empty());
-  EXPECT_TRUE(parallel.unresolved.empty());
+  WorkerPool pool(4);
+  EXPECT_TRUE(characterizer.decide(&pool).empty());
 }
 
 TEST(PlaneEquivalenceDegenerateTest, AllIsolatedDevices) {

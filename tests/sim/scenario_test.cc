@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/motion.hpp"
-#include "core/motion_oracle.hpp"
+#include "core/motion_plane.hpp"
 
 namespace acn {
 namespace {
@@ -101,9 +101,9 @@ TEST(ScenarioGeneratorTest, R3KeepsIsolatedGroupsOutOfDenseMotions) {
   for (int k = 0; k < 10; ++k) {
     const ScenarioStep step = generator.advance();
     if (step.truth.abnormal.empty()) continue;
-    MotionOracle oracle(step.state, params.model);
+    const MotionPlane plane(step.state, params.model);
     for (const DeviceId j : step.truth.truly_isolated) {
-      EXPECT_TRUE(oracle.dense_motions(j).empty())
+      EXPECT_TRUE(plane.dense(j).empty())
           << "R3 violated for device " << j << " at step " << k;
     }
   }

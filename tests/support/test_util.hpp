@@ -1,13 +1,16 @@
 // Shared builders for tests: compact construction of StatePairs from
-// coordinate lists, and a brute-force motion enumerator used as ground truth
-// against the oracle's canonical-window enumeration.
+// coordinate lists, a brute-force motion enumerator used as ground truth
+// against the canonical-window enumeration, and a reader that turns a
+// MotionPlane family into sets.
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/device_set.hpp"
 #include "core/motion.hpp"
+#include "core/motion_plane.hpp"
 #include "core/state.hpp"
 
 namespace acn::test {
@@ -83,6 +86,16 @@ inline std::vector<DeviceSet> brute_force_maximal_motions(
     if (has_consistent_motion(state, candidate, r)) motions.push_back(candidate);
   }
   return keep_maximal(std::move(motions));
+}
+
+/// The member sets of a plane family (e.g. plane.maximal(j) or
+/// plane.dense(j)), in the family's order.
+inline std::vector<DeviceSet> members_of(const MotionPlane& plane,
+                                         std::span<const MotionPlane::MotionId> family) {
+  std::vector<DeviceSet> sets;
+  sets.reserve(family.size());
+  for (const MotionPlane::MotionId mid : family) sets.emplace_back(plane.members(mid));
+  return sets;
 }
 
 }  // namespace acn::test
