@@ -1,14 +1,15 @@
 // Microbench for the quantized kernel layer (core/kernels): one row per
 // kernel per dispatch variant, so the scalar-vs-AVX2 speedup of every hot
 // primitive — window filter, min/max reduction, survivor popcounts, the
-// Theorem-7 node scans, the Chebyshev-ball prefilter — is recorded on its
-// own, independent of the surrounding search shape. Emits one embedded-JSON
-// line per row ("name" + "ms_per_step"), the format tools/record_bench.sh
-// keys its nightly perf-regression gate on.
+// Theorem-7 node scans — is recorded on its own, independent of the
+// surrounding search shape. Emits one embedded-JSON line per row ("name" +
+// "ms_per_step"), the format tools/record_bench.sh keys its nightly
+// perf-regression gate on.
 //
 // Flags:
 //   --smoke     tiny inputs, one rep, plus a scalar/AVX2 byte-identity
-//               check on every kernel's outputs (CI-friendly)
+//               check on the outputs of every kernel-table entry
+//               (CI-friendly; a build without AVX2 has nothing to compare)
 //   --json      suppress the human-readable table, JSON lines only
 //   --dispatch  print the auto-selected dispatch name and exit (used by
 //               record_bench.sh to stamp recordings with the kernel path)
@@ -48,12 +49,6 @@ struct Workload {
   std::vector<std::uint32_t> qcol;
   std::vector<std::uint32_t> ids;
   WindowBoundsQ wb;
-  // Radius prefilter: joint columns, [dim][device] layout.
-  std::size_t dims = 4;
-  std::vector<double> cols;
-  std::vector<std::uint32_t> qcols;
-  std::vector<double> centre;
-  double radius = 0.03;
   // Theorem-7 scans: row-major bitset matrices over a compact universe.
   std::size_t words = 2;
   std::size_t target_count = 0;
@@ -84,16 +79,6 @@ struct Workload {
     // A representable window width (2r = 2^-4) lands boundaries exactly on
     // the quantization grid — the tie-band path is exercised, not dodged.
     wb = acn::kernels::window_bounds(0.40625, 0.40625 + 0.0625);
-    cols.resize(dims * n);
-    qcols.resize(dims * n);
-    centre.assign(dims, 0.5);
-    for (std::size_t t = 0; t < dims; ++t) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = rng.uniform();
-        cols[t * n + i] = x;
-        qcols[t * n + i] = acn::kernels::quantize(x);
-      }
-    }
     target_count = smoke ? 8 : 64;
     base_count = smoke ? 12 : 48;
     targets.resize(target_count * words);
@@ -185,61 +170,61 @@ void run_variant(const char* variant, const Workload& w, bool smoke,
                          acc.data(), surv.data());
                    }
                  })});
-
-  std::vector<std::uint32_t> radius_out(w.n);
-  std::vector<std::uint32_t> radius_maybe(w.n);
-  out.push_back({std::string("radius:") + variant, w.n,
-                 time_ms(reps, [&] {
-                   const auto r = ops.filter_in_radius(
-                       w.qcols.data(), w.cols.data(), w.n, w.dims,
-                       w.centre.data(), w.radius, w.ids.data(), w.n,
-                       radius_out.data(), radius_maybe.data());
-                   g_sink = g_sink + r.in_count + r.maybe_count;
-                 })});
 }
 
-// Byte-identity spot check between the two tables on the smoke inputs: the
-// window filter's id list, the survivor count of the node scan, and the
-// resolved radius member set must match exactly.
+/// Every output of one table on the smoke inputs, one field per Ops entry.
+struct TableOutputs {
+  std::vector<std::uint32_t> window_ids;
+  double lo = 0.0;
+  double hi = 0.0;
+  std::uint64_t popcount = 0;
+  bool all_below = false;
+  std::vector<std::uint32_t> survivor_rows;
+  std::vector<std::uint64_t> acc;
+};
+
+TableOutputs run_table(const Ops& ops, const Workload& w) {
+  TableOutputs o;
+  o.window_ids.resize(w.n);
+  o.window_ids.resize(ops.filter_in_window(w.qcol.data(), w.col.data(), w.ids.data(),
+                                           w.n, w.wb, o.window_ids.data()));
+  ops.minmax_ids(w.col.data(), w.ids.data(), w.n, &o.lo, &o.hi);
+  o.popcount = ops.popcount_andnot(w.wide_a.data(), w.wide_b.data(), w.wide_words);
+  o.all_below = ops.targets_all_below(w.targets.data(), w.target_count, w.words,
+                                      w.used.data(), w.tau);
+  o.acc = w.used;
+  o.survivor_rows.resize(w.base_count);
+  o.survivor_rows.resize(ops.nsc_scan_rows(
+      w.bases.data(), w.rows.data(), w.base_count, w.words, w.used.data(),
+      w.far.data(), w.l.data(), w.tau, o.acc.data(), o.survivor_rows.data()));
+  return o;
+}
+
+// Byte-identity check between the two tables on the smoke inputs: every
+// kernel-table entry's outputs must match exactly.
 bool smoke_check(const Workload& w) {
   if (!acn::kernels::avx2_available()) {
     std::printf("smoke: AVX2 unavailable, scalar only — nothing to compare\n");
     return true;
   }
-  bool ok = true;
   acn::kernels::force("scalar");
-  const Ops& s = acn::kernels::dispatch();
-  std::vector<std::uint32_t> s_out(w.n);
-  const std::size_t s_n = s.filter_in_window(w.qcol.data(), w.col.data(),
-                                             w.ids.data(), w.n, w.wb, s_out.data());
-  std::vector<std::uint64_t> s_acc(w.used);
-  std::vector<std::uint32_t> s_rows(w.base_count);
-  const std::size_t s_surv = s.nsc_scan_rows(
-      w.bases.data(), w.rows.data(), w.base_count, w.words, w.used.data(),
-      w.far.data(), w.l.data(), w.tau, s_acc.data(), s_rows.data());
-
+  const TableOutputs scalar = run_table(acn::kernels::dispatch(), w);
   acn::kernels::force("avx2");
-  const Ops& v = acn::kernels::dispatch();
-  std::vector<std::uint32_t> v_out(w.n);
-  const std::size_t v_n = v.filter_in_window(w.qcol.data(), w.col.data(),
-                                             w.ids.data(), w.n, w.wb, v_out.data());
-  if (v_n != s_n ||
-      std::memcmp(s_out.data(), v_out.data(), s_n * sizeof(std::uint32_t)) != 0) {
-    std::printf("smoke FAIL: filter_in_window scalar/avx2 mismatch\n");
-    ok = false;
-  }
-  std::vector<std::uint64_t> v_acc(w.used);
-  std::vector<std::uint32_t> v_rows(w.base_count);
-  const std::size_t v_surv = v.nsc_scan_rows(
-      w.bases.data(), w.rows.data(), w.base_count, w.words, w.used.data(),
-      w.far.data(), w.l.data(), w.tau, v_acc.data(), v_rows.data());
-  if (v_surv != s_surv || v_acc != s_acc ||
-      std::memcmp(s_rows.data(), v_rows.data(), s_surv * sizeof(std::uint32_t)) !=
-          0) {
-    std::printf("smoke FAIL: nsc_scan_rows scalar/avx2 mismatch\n");
-    ok = false;
-  }
-  if (ok) std::printf("smoke: scalar/avx2 outputs byte-identical\n");
+  const TableOutputs avx2 = run_table(acn::kernels::dispatch(), w);
+  bool ok = true;
+  const auto expect = [&](bool same, const char* kernel) {
+    if (!same) {
+      std::printf("smoke FAIL: %s scalar/avx2 mismatch\n", kernel);
+      ok = false;
+    }
+  };
+  expect(scalar.window_ids == avx2.window_ids, "filter_in_window");
+  expect(scalar.lo == avx2.lo && scalar.hi == avx2.hi, "minmax_ids");
+  expect(scalar.popcount == avx2.popcount, "popcount_andnot");
+  expect(scalar.all_below == avx2.all_below, "targets_all_below");
+  expect(scalar.survivor_rows == avx2.survivor_rows && scalar.acc == avx2.acc,
+         "nsc_scan_rows");
+  if (ok) std::printf("smoke: scalar/avx2 outputs byte-identical on all 5 kernels\n");
   return ok;
 }
 

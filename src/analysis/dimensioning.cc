@@ -8,7 +8,7 @@
 namespace acn {
 
 double vicinity_probability(double r, std::size_t d, VicinityModel model) {
-  if (r < 0.0 || r >= 0.25) {
+  if (!(r >= 0.0 && r < 0.25)) {  // NaN fails too
     throw std::invalid_argument("vicinity_probability: r must be in [0, 0.25)");
   }
   if (d == 0) throw std::invalid_argument("vicinity_probability: d must be >= 1");

@@ -351,9 +351,9 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
     // Ancestors' survivor lists may still lead with bases already passed.
     while (!rows.empty() && rows.front() < index) rows = rows.subspan(1);
 
-    // Usability scan + exact subtree bound, one kernel call: scan_open every
-    // candidate base, OR the usable ones into achievable_row, keep their
-    // indices for the children.
+    // Usability scan + exact subtree bound, one kernel call: scan every
+    // candidate base's open bits, OR the usable ones into achievable_row,
+    // keep their indices for the children.
     std::vector<std::uint32_t>& surv = cand_rows[index + 1];
     surv.resize(rows.size());
     std::copy(used, used + cwords, achievable_row.data());
@@ -461,11 +461,12 @@ std::vector<Decision> Characterizer::decide(WorkerPool* pool,
   std::vector<Decision> decisions(m);
   // Costliest-first dispatch when the pool will actually engage: the shared
   // cursor hands out indices in order, so without reordering one monster
-  // device (big dense family x big neighbourhood — the NSC search's input)
-  // drawn late serializes the whole tail behind a single lane. Sorting an
-  // index indirection by that cost proxy is classic LPT against skew. Each
-  // decision is a pure read of the shared plane into its own slot, so the
-  // bytes stay identical to the serial loop under any schedule or ordering.
+  // device (big dense family x big component — the component bounds N(j),
+  // the NSC search's input) drawn late serializes the whole tail behind a
+  // single lane. Sorting an index indirection by that cost proxy is classic
+  // LPT against skew. Each decision is a pure read of the shared plane into
+  // its own slot, so the bytes stay identical to the serial loop under any
+  // schedule or ordering.
   std::vector<std::uint32_t> order;
   const bool reorder =
       pool != nullptr && m >= options_.parallel_grain && pool->parallelism() > 1;
@@ -474,7 +475,7 @@ std::vector<Decision> Characterizer::decide(WorkerPool* pool,
     for (std::size_t i = 0; i < m; ++i) {
       const DeviceId j = abnormal[i];
       cost[i] = (1 + plane_->dense(j).size()) *
-                (1 + plane_->neighbourhood(j).size());
+                (1 + plane_->component_members(plane_->component_of(j)).size());
     }
     order.resize(m);
     std::iota(order.begin(), order.end(), 0u);

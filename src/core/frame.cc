@@ -1,6 +1,5 @@
 #include "core/frame.hpp"
 
-#include <algorithm>
 #include <chrono>
 
 namespace acn {
@@ -43,18 +42,17 @@ std::optional<FrameEngine::Result> FrameEngine::observe(const Snapshot& position
 
   // The interval's one spatial index: A_k only, at the plane's cell side.
   t0 = Clock::now();
-  GridIndex grid(state, state.abnormal(), std::max(config_.model.window(), kMinGridCell));
+  GridIndex grid = MotionPlane::index_for(state, config_.model);
   stats_.grid_ms = ms_since(t0);
 
   // Plane over the 4r-closure of A_k, through the from-scratch plane's own
-  // build path; both build passes fan out over the pool.
+  // build path; its family enumeration fans out over the pool.
   t0 = Clock::now();
   PlaneBuildLanes plane_lanes;
   plane_.reset();
   plane_.emplace(state, config_.model, std::move(grid), &pool_,
                  config_.component_fanout, &plane_lanes, config_.plane_arena_budget);
   stats_.plane_ms = ms_since(t0);
-  stats_.plane_query_lanes = LaneBreakdown::of(plane_lanes.query_lane_ms);
   stats_.plane_enum_lanes = LaneBreakdown::of(plane_lanes.enumerate_lane_ms);
   stats_.components = plane_->counters().enumeration_calls;
   stats_.motions = plane_->motion_count();

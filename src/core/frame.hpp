@@ -12,9 +12,9 @@
 //   2. A_k index — one GridIndex over the abnormal devices, cell
 //      max(2r, kMinGridCell): the only spatial index, sized by |A_k|, not n;
 //   3. plane — the MotionPlane built over that index, through the same path
-//      as the from-scratch MotionPlane(state, params), with its
-//      neighbourhood queries and per-component family enumeration fanned
-//      out over the engine's persistent WorkerPool;
+//      as the from-scratch MotionPlane(state, params): components by a
+//      union-find over the index's cells, then the per-component family
+//      enumeration fanned out over the engine's persistent WorkerPool;
 //   4. characterize — Theorems 5-7 for every device of A_k, fanned out over
 //      the same pool.
 //
@@ -78,8 +78,7 @@ struct FrameStats {
 
   // Per-lane skew of each fan-out phase (see LaneBreakdown).
   LaneBreakdown state_lanes;        ///< state-roll chunk fan-out
-  LaneBreakdown plane_query_lanes;  ///< plane pass 1 (neighbourhood queries)
-  LaneBreakdown plane_enum_lanes;   ///< plane pass 2 (component enumeration)
+  LaneBreakdown plane_enum_lanes;   ///< plane component enumeration
   LaneBreakdown characterize_lanes; ///< per-device decision fan-out
 
   /// Sum of the phase timers: the engine-side wall clock of one interval.
@@ -117,7 +116,7 @@ class FrameEngine {
     unsigned threads = 1;
     /// Component count below which the plane build runs inline.
     std::size_t component_fanout = 2;
-    /// Byte cap on the per-interval motion-plane arenas (neighbourhoods,
+    /// Byte cap on the per-interval motion-plane arenas (component lists,
     /// window covers, interned motions, membership bitsets). An adversarial
     /// placement can make the motion-family arenas combinatorially large;
     /// the cap turns that from an OOM kill into an ArenaBudgetExceeded

@@ -1,10 +1,8 @@
 #include "core/kernels/kernels.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -106,36 +104,13 @@ std::size_t scalar_nsc_scan_rows(const std::uint64_t* bases,
   return out_n;
 }
 
-RadiusFilter scalar_filter_in_radius(const std::uint32_t* /*qcols*/,
-                                     const double* cols, std::size_t stride,
-                                     std::size_t dims, const double* centre,
-                                     double radius, const std::uint32_t* ids,
-                                     std::size_t n, std::uint32_t* out,
-                                     std::uint32_t* /*maybe*/) {
-  RadiusFilter r;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t id = ids[i];
-    bool in = true;
-    for (std::size_t t = 0; t < dims; ++t) {
-      if (std::fabs(cols[t * stride + id] - centre[t]) > radius) {
-        in = false;
-        break;
-      }
-    }
-    if (in) out[r.in_count++] = id;
-  }
-  return r;
-}
-
 constexpr Ops kScalarOps = {
     "scalar",
     scalar_filter_in_window,
     scalar_minmax_ids,
     scalar_popcount_andnot,
-    scalar_scan_open,
     scalar_targets_all_below,
     scalar_nsc_scan_rows,
-    scalar_filter_in_radius,
 };
 
 // ---------------------------------------------------------------------------
@@ -198,7 +173,6 @@ inline bool crosscheck() noexcept {
 }
 
 thread_local std::vector<std::uint32_t> t_check_out;
-thread_local std::vector<std::uint32_t> t_check_maybe;
 thread_local std::vector<std::uint64_t> t_check_acc;
 thread_local std::vector<std::uint32_t> t_check_rows;
 
@@ -238,18 +212,6 @@ std::uint64_t checked_popcount_andnot(const std::uint64_t* a, const std::uint64_
   return count;
 }
 
-OpenScan checked_scan_open(const std::uint64_t* base, const std::uint64_t* used,
-                           const std::uint64_t* far, const std::uint64_t* l,
-                           std::size_t words) {
-  const OpenScan r = inner()->scan_open(base, used, far, l, words);
-  if (crosscheck()) {
-    const OpenScan ref = scalar_scan_open(base, used, far, l, words);
-    assert(ref.open == r.open && ref.far_any == r.far_any && ref.l_any == r.l_any &&
-           "scan_open: SIMD/scalar mismatch");
-  }
-  return r;
-}
-
 bool checked_targets_all_below(const std::uint64_t* targets, std::size_t count,
                                std::size_t words, const std::uint64_t* used,
                                std::uint64_t tau) {
@@ -285,54 +247,13 @@ std::size_t checked_nsc_scan_rows(const std::uint64_t* bases,
   return out_n;
 }
 
-RadiusFilter checked_filter_in_radius(const std::uint32_t* qcols, const double* cols,
-                                      std::size_t stride, std::size_t dims,
-                                      const double* centre, double radius,
-                                      const std::uint32_t* ids, std::size_t n,
-                                      std::uint32_t* out, std::uint32_t* maybe) {
-  const RadiusFilter r = inner()->filter_in_radius(qcols, cols, stride, dims, centre,
-                                                   radius, ids, n, out, maybe);
-  if (crosscheck()) {
-    // The SIMD split (definite + slop band) must resolve to exactly the
-    // scalar member set once the band is settled by the exact predicate.
-    t_check_out.resize(n);
-    t_check_maybe.clear();
-    const RadiusFilter ref = scalar_filter_in_radius(
-        qcols, cols, stride, dims, centre, radius, ids, n, t_check_out.data(), nullptr);
-    t_check_maybe.assign(out, out + r.in_count);
-    for (std::size_t i = 0; i < r.maybe_count; ++i) {
-      const std::uint32_t id = maybe[i];
-      bool in = true;
-      for (std::size_t t = 0; t < dims; ++t) {
-        if (std::fabs(cols[t * stride + id] - centre[t]) > radius) {
-          in = false;
-          break;
-        }
-      }
-      if (in) t_check_maybe.push_back(id);
-    }
-    std::sort(t_check_maybe.begin(), t_check_maybe.end());
-    std::sort(t_check_out.begin(), t_check_out.begin() + static_cast<std::ptrdiff_t>(ref.in_count));
-    assert(ref.in_count == t_check_maybe.size() &&
-           "filter_in_radius: SIMD/scalar member-count mismatch");
-    // An empty set may have null data(), which memcmp must never see.
-    assert((ref.in_count == 0 ||
-            std::memcmp(t_check_out.data(), t_check_maybe.data(),
-                        ref.in_count * sizeof(std::uint32_t)) == 0) &&
-           "filter_in_radius: SIMD/scalar member-set mismatch");
-  }
-  return r;
-}
-
 const Ops kCheckedOps = {
     "checked",
     checked_filter_in_window,
     checked_minmax_ids,
     checked_popcount_andnot,
-    checked_scan_open,
     checked_targets_all_below,
     checked_nsc_scan_rows,
-    checked_filter_in_radius,
 };
 #endif  // NDEBUG
 

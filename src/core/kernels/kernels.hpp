@@ -22,22 +22,13 @@
 
 namespace acn::kernels {
 
-/// Result of the fused subtree-bound scan: popcount of open = base & ~used
-/// plus "does open intersect far / l" flags.
+/// Result of the fused per-row scan inside nsc_scan_rows (shared by the
+/// scalar and AVX2 implementations): popcount of open = base & ~used plus
+/// "does open intersect far / l" flags.
 struct OpenScan {
   std::uint64_t open = 0;
   bool far_any = false;
   bool l_any = false;
-};
-
-/// Result of the Chebyshev-ball prefilter: `in_count` ids written to `out`
-/// are definitely inside the ball, `maybe_count` ids written to `maybe` sit
-/// in the quantization slop band and must be resolved by the caller with
-/// the exact scalar distance. (The scalar kernel resolves everything itself
-/// and always returns maybe_count == 0.)
-struct RadiusFilter {
-  std::size_t in_count = 0;
-  std::size_t maybe_count = 0;
 };
 
 /// The kernel table. All functions are stateless and thread-safe.
@@ -61,12 +52,6 @@ struct Ops {
   std::uint64_t (*popcount_andnot)(const std::uint64_t* a, const std::uint64_t* b,
                                    std::size_t words);
 
-  /// Fused scan of one base against the used set: open = base & ~used,
-  /// returns popcount(open) and whether open intersects far / l.
-  OpenScan (*scan_open)(const std::uint64_t* base, const std::uint64_t* used,
-                        const std::uint64_t* far, const std::uint64_t* l,
-                        std::size_t words);
-
   /// Batched relation-(4) test over a row-major bitset matrix (`count` rows
   /// of `words` words): true iff EVERY row keeps fewer than `tau` set bits
   /// outside `used`. One call per search node replaces a per-target call —
@@ -76,10 +61,11 @@ struct Ops {
                             std::uint64_t tau);
 
   /// Usability scan + achievable accumulation of the Theorem-7 DFS, one
-  /// call per node. For each row index r of `rows` (ascending), scan_open
-  /// bases[r * words ..] against `used`; usable rows (more than `tau` open
-  /// bits, an open far bit, an open L bit) are OR-ed into `acc` and their
-  /// index appended to `out_rows` (capacity >= count, order preserved).
+  /// call per node. For each row index r of `rows` (ascending), scan
+  /// bases[r * words ..] against `used` (open = base & ~used); usable rows
+  /// (more than `tau` open bits, an open far bit, an open L bit) are OR-ed
+  /// into `acc` and their index appended to `out_rows` (capacity >= count,
+  /// order preserved).
   /// Returns the number written. The caller seeds `acc` with `used`;
   /// afterwards acc = used | OR(usable bases) is the exact achievable set
   /// of the subtree, and the surviving list is a valid candidate filter for
@@ -90,17 +76,6 @@ struct Ops {
                                const std::uint64_t* far, const std::uint64_t* l,
                                std::uint64_t tau, std::uint64_t* acc,
                                std::uint32_t* out_rows);
-
-  /// Chebyshev-ball prefilter over the joint columns: classifies each id of
-  /// `ids` against max_t |cols[t][id] - centre[t]| <= radius using the
-  /// quantized mirror (qcols, same [dim][device] layout with row stride
-  /// `stride`). Definite members go to `out`, slop-band ids to `maybe` (both
-  /// capacity >= n, input order preserved within each).
-  RadiusFilter (*filter_in_radius)(const std::uint32_t* qcols, const double* cols,
-                                   std::size_t stride, std::size_t dims,
-                                   const double* centre, double radius,
-                                   const std::uint32_t* ids, std::size_t n,
-                                   std::uint32_t* out, std::uint32_t* maybe);
 };
 
 /// The selected table (cached after the first call). Debug builds return a

@@ -245,7 +245,7 @@ std::size_t avx2_nsc_scan_rows(const std::uint64_t* bases,
                                std::uint32_t* out_rows) {
   std::size_t out_n = 0;
   // Same small-universe fast paths as targets_all_below: the whole row scan
-  // stays in registers, no per-row scan_open call.
+  // stays in registers, no per-row avx2_scan_open call.
   if (words == 1) {
     const std::uint64_t u0 = used[0];
     const std::uint64_t f0 = far[0];
@@ -309,85 +309,13 @@ std::size_t avx2_nsc_scan_rows(const std::uint64_t* bases,
   return out_n;
 }
 
-RadiusFilter avx2_filter_in_radius(const std::uint32_t* qcols, const double* cols,
-                                   std::size_t stride, std::size_t dims,
-                                   const double* centre, double radius,
-                                   const std::uint32_t* ids, std::size_t n,
-                                   std::uint32_t* out, std::uint32_t* maybe) {
-  RadiusFilter r;
-  // Per-dimension prefilter bands (joint_dim <= 2 * Point::kMaxDim = 32).
-  std::int32_t lo_in[32];
-  std::int32_t hi_in[32];
-  std::int32_t lo_out[32];
-  std::int32_t hi_out[32];
-  for (std::size_t t = 0; t < dims; ++t) {
-    const RadiusBandQ band = radius_band(centre[t], radius);
-    lo_in[t] = band.lo_in;
-    hi_in[t] = band.hi_in;
-    lo_out[t] = band.lo_out;
-    hi_out[t] = band.hi_out;
-  }
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vid =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    // all_in / any_out accumulated across dimensions as lane masks.
-    unsigned all_in = 0xFFu;
-    unsigned any_out = 0;
-    for (std::size_t t = 0; t < dims; ++t) {
-      const __m256i q = _mm256_i32gather_epi32(
-          reinterpret_cast<const int*>(qcols + t * stride), vid, 4);
-      const __m256i ge_lo_in = _mm256_cmpgt_epi32(q, _mm256_set1_epi32(lo_in[t] - 1));
-      const __m256i le_hi_in = _mm256_cmpgt_epi32(_mm256_set1_epi32(hi_in[t] + 1), q);
-      const __m256i dim_in = _mm256_and_si256(ge_lo_in, le_hi_in);
-      const __m256i lt_lo_out = _mm256_cmpgt_epi32(_mm256_set1_epi32(lo_out[t]), q);
-      const __m256i gt_hi_out = _mm256_cmpgt_epi32(q, _mm256_set1_epi32(hi_out[t]));
-      const __m256i dim_out = _mm256_or_si256(lt_lo_out, gt_hi_out);
-      all_in &= static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(dim_in)));
-      any_out |= static_cast<unsigned>(
-          _mm256_movemask_ps(_mm256_castsi256_ps(dim_out)));
-      if (any_out == 0xFFu) break;  // every lane already rejected
-    }
-    const unsigned definite_in = all_in & ~any_out;
-    const unsigned band = 0xFFu & ~definite_in & ~any_out;
-    if (definite_in != 0) {
-      const __m256i perm = _mm256_load_si256(
-          reinterpret_cast<const __m256i*>(kPack.perm[definite_in]));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + r.in_count),
-                          _mm256_permutevar8x32_epi32(vid, perm));
-      r.in_count += static_cast<std::size_t>(__builtin_popcount(definite_in));
-    }
-    unsigned band_mask = band;
-    while (band_mask != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(band_mask));
-      band_mask &= band_mask - 1;
-      maybe[r.maybe_count++] = ids[i + lane];
-    }
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t id = ids[i];
-    bool in = true;
-    for (std::size_t t = 0; t < dims; ++t) {
-      if (std::fabs(cols[t * stride + id] - centre[t]) > radius) {
-        in = false;
-        break;
-      }
-    }
-    if (in) out[r.in_count++] = id;
-  }
-  return r;
-}
-
 constexpr Ops kAvx2Ops = {
     "avx2",
     avx2_filter_in_window,
     avx2_minmax_ids,
     avx2_popcount_andnot,
-    avx2_scan_open,
     avx2_targets_all_below,
     avx2_nsc_scan_rows,
-    avx2_filter_in_radius,
 };
 
 }  // namespace

@@ -80,31 +80,4 @@ struct WindowBoundsQ {
   return x >= b.lower && x <= b.upper;
 }
 
-/// Slop margin for radius (Chebyshev-ball) prefilters. Q deviates from
-/// x * 2^30 by strictly less than 1 (0.5 from the tie round plus the
-/// rounding error of t + 0.5, bounded by 2^-22 for t <= 2^31), and the
-/// bound c +- r itself is computed in double with relative error 2^-53. A
-/// quantized gap of k therefore certifies a real-coordinate gap of at least
-/// (k - 2) * 2^-30 - 2^-52. With k = kQSlop + 1 = 5 the certified gap
-/// (~2.8e-9) dwarfs the <= 2^-52 rounding of the scalar fl(x - c), so
-/// lanes strictly outside the +-kQSlop band are classified exactly; lanes
-/// inside it fall back to the scalar Chebyshev test.
-inline constexpr std::int32_t kQSlop = 4;
-
-/// Prefilter band of one dimension of a Chebyshev ball |x - c| <= radius:
-/// definitely-in when q in [lo_in, hi_in], definitely-out when q outside
-/// [lo_out, hi_out], undecided otherwise.
-struct RadiusBandQ {
-  std::int32_t lo_in = 0;
-  std::int32_t hi_in = 0;
-  std::int32_t lo_out = 0;
-  std::int32_t hi_out = 0;
-};
-
-[[nodiscard]] inline RadiusBandQ radius_band(double centre, double radius) noexcept {
-  const std::int32_t qlo = quantize_bound(centre - radius);
-  const std::int32_t qhi = quantize_bound(centre + radius);
-  return RadiusBandQ{qlo + kQSlop, qhi - kQSlop, qlo - kQSlop, qhi + kQSlop};
-}
-
 }  // namespace acn::kernels

@@ -297,6 +297,103 @@ void slide_edge_slice(const StatePair& state, double window,
   }
 }
 
+/// Pass 1 of the plane build: connected components of the 2r-interaction
+/// graph over A_k, as the union-find root of every A_k rank (`rank_of` maps
+/// an abnormal id to its rank), fed straight from the A_k grid's cells. Two
+/// devices within 2r share a cell or sit in neighbouring cells, so only
+/// those pairs are tested, and only while their roots still differ. A cell
+/// whose joint bounding box fits the window joins wholesale with no
+/// distance test: rounding is monotone, so no member pair's computed
+/// joint_distance exceeds the computed span. A cell that is one component
+/// stays one, so a pair of such cells stops at its first same-root or
+/// joined pair.
+std::vector<std::uint32_t> component_roots(const StatePair& state, const GridIndex& grid,
+                                           double window,
+                                           std::span<const std::uint32_t> rank_of,
+                                           std::size_t m) {
+  std::vector<std::uint32_t> parent(m);
+  std::iota(parent.begin(), parent.end(), 0u);
+  const auto find = [&](DeviceId id) {
+    std::uint32_t x = rank_of[id];
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  // `root` is x's root. Hangs y's tree under it when y is within 2r of x;
+  // true once y shares that root.
+  const auto join = [&](std::uint32_t root, DeviceId x, DeviceId y) {
+    const std::uint32_t ry = find(y);
+    if (ry == root) return true;
+    if (state.joint_distance(x, y) > window) return false;
+    parent[ry] = root;
+    return true;
+  };
+  // Each cell's members ordered by the first joint coordinate (S_{k-1}'s
+  // first dimension). A pair further apart than 2r there alone is no edge,
+  // and along that order the computed difference only grows, so every scan
+  // below stops at the first such pair. That keeps a crowded cell — an
+  // outage collapses a blob to one point of S_k while its S_{k-1} positions
+  // stay spread — from costing all its pairs.
+  const double* key = state.joint_col(0);
+  const std::size_t cells = grid.cell_count();
+  std::vector<std::uint32_t> run_begin(cells + 1, 0);
+  std::vector<DeviceId> runs;
+  runs.reserve(m);
+  for (std::uint32_t c = 0; c < cells; ++c) {
+    const auto members = grid.cell_members(c);
+    runs.insert(runs.end(), members.begin(), members.end());
+    std::sort(runs.begin() + run_begin[c], runs.end(),
+              [&](DeviceId x, DeviceId y) { return key[x] < key[y]; });
+    run_begin[c + 1] = static_cast<std::uint32_t>(runs.size());
+  }
+  const auto run = [&](std::uint32_t c) {
+    return std::span<const DeviceId>{runs.data() + run_begin[c],
+                                     run_begin[c + 1] - run_begin[c]};
+  };
+
+  std::array<std::size_t, 2 * Point::kMaxDim> joint_dims{};
+  std::iota(joint_dims.begin(), joint_dims.end(), std::size_t{0});
+  const std::span<const std::size_t> all_dims{joint_dims.data(), state.joint_dim()};
+  std::vector<std::uint8_t> whole(cells, 1);  // cell is one component
+  for (std::uint32_t c = 0; c < cells; ++c) {
+    const auto members = run(c);
+    if (members.size() == 1) continue;
+    if (spans_fit_window(state, window, members, all_dims)) {
+      for (const DeviceId id : members.subspan(1)) parent[find(id)] = find(members[0]);
+      continue;
+    }
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      const std::uint32_t root = find(members[a]);
+      for (std::size_t b = a + 1;
+           b < members.size() && key[members[b]] - key[members[a]] <= window; ++b) {
+        join(root, members[a], members[b]);
+      }
+    }
+    for (const DeviceId id : members.subspan(1)) {
+      if (find(id) != find(members[0])) whole[c] = 0;
+    }
+  }
+  grid.for_each_cell_pair(window, [&](std::uint32_t a, std::uint32_t b) {
+    const bool both_whole = whole[a] != 0 && whole[b] != 0;
+    const auto xs = run(a);
+    std::size_t lo = 0;  // first x not more than 2r below y
+    for (const DeviceId y : run(b)) {
+      while (lo < xs.size() && key[y] - key[xs[lo]] > window) ++lo;
+      const std::uint32_t root = find(y);
+      for (std::size_t i = lo; i < xs.size() && key[xs[i]] - key[y] <= window; ++i) {
+        if (join(root, y, xs[i]) && both_whole) return;
+      }
+    }
+  });
+  // Point every rank straight at its root.
+  for (std::size_t rank = 0; rank < m; ++rank) {
+    while (parent[parent[rank]] != parent[rank]) parent[rank] = parent[parent[rank]];
+  }
+  return parent;
+}
+
 }  // namespace
 
 bool spans_fit_window(const StatePair& state, double window,
@@ -385,10 +482,13 @@ bool exists_dense_window_cover(const StatePair& state, const Params& params,
   return slide_any(slide_any, pool, 0);
 }
 
+GridIndex MotionPlane::index_for(const StatePair& state, const Params& params) {
+  params.validate();
+  return GridIndex(state, state.abnormal(), std::max(params.window(), kMinGridCell));
+}
+
 MotionPlane::MotionPlane(const StatePair& state, Params params)
-    : MotionPlane(state, params,
-                  GridIndex(state, state.abnormal(),
-                            std::max(params.window(), kMinGridCell))) {}
+    : MotionPlane(state, params, index_for(state, params)) {}
 
 MotionPlane::MotionPlane(const StatePair& state, Params params, GridIndex grid,
                          WorkerPool* pool, std::size_t component_fanout,
@@ -404,6 +504,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   const DeviceSet& abnormal = state_.abnormal();
   ids_.assign(abnormal.begin(), abnormal.end());
   const std::size_t m = ids_.size();
+  const double window = params_.window();
 
   // Dense rank lookup: rank_of / covers / intern_run become array reads.
   rank_lookup_.assign(m == 0 ? 0 : ids_.back() + 1, kNoRank);
@@ -411,89 +512,49 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     rank_lookup_[ids_[rank]] = static_cast<std::uint32_t>(rank);
   }
 
-  // Pass 1: neighbourhoods, one grid query per device into the flat arena.
-  // With a pool, contiguous rank chunks query concurrently (the index is
-  // immutable during the build, so concurrent const queries are safe) into
-  // per-chunk arenas concatenated in rank order — the arena and offsets come
-  // out byte-identical to the serial pass.
-  counters_.neighbourhood_queries += m;
-  nbr_offsets_.reserve(m + 1);
-  nbr_offsets_.push_back(0);
-  constexpr std::size_t kQueryChunk = 256;
-  if (pool != nullptr && m >= 2 * kQueryChunk) {
-    const std::size_t chunks = (m + kQueryChunk - 1) / kQueryChunk;
-    std::vector<std::vector<DeviceId>> chunk_arena(chunks);
-    pool->for_each(
-        chunks, 2,
-        [&](std::size_t c) {
-          thread_local std::vector<DeviceId> nbr_scratch;
-          const std::size_t begin = c * kQueryChunk;
-          const std::size_t end = std::min(m, begin + kQueryChunk);
-          std::vector<DeviceId>& arena = chunk_arena[c];
-          for (std::size_t rank = begin; rank < end; ++rank) {
-            grid_.within_into(ids_[rank], params_.window(), nbr_scratch);
-            arena.push_back(static_cast<DeviceId>(nbr_scratch.size()));
-            arena.insert(arena.end(), nbr_scratch.begin(), nbr_scratch.end());
-          }
-        },
-        lanes != nullptr ? &lanes->query_lane_ms : nullptr);
-    for (const std::vector<DeviceId>& arena : chunk_arena) {
-      budget_.charge(arena.size() * sizeof(DeviceId));
-      for (std::size_t i = 0; i < arena.size();) {
-        const std::size_t len = arena[i++];
-        nbr_arena_.insert(nbr_arena_.end(), arena.begin() + static_cast<std::ptrdiff_t>(i),
-                          arena.begin() + static_cast<std::ptrdiff_t>(i + len));
-        nbr_offsets_.push_back(static_cast<std::uint32_t>(nbr_arena_.size()));
-        i += len;
-      }
-    }
-  } else {
-    std::vector<DeviceId> nbr_scratch;
-    for (const DeviceId j : ids_) {
-      grid_.within_into(j, params_.window(), nbr_scratch);
-      budget_.charge(nbr_scratch.size() * sizeof(DeviceId));
-      nbr_arena_.insert(nbr_arena_.end(), nbr_scratch.begin(), nbr_scratch.end());
-      nbr_offsets_.push_back(static_cast<std::uint32_t>(nbr_arena_.size()));
-    }
-  }
+  // Pass 1: connected components of the 2r-interaction graph.
+  std::vector<std::uint32_t> root = component_roots(state_, grid_, window, rank_lookup_, m);
 
-  // Pass 2: connected components of the 2r-interaction graph (edges are the
-  // neighbourhood lists), then ONE unanchored enumeration per component.
-  // Correctness hinges on an exact identity: a motion that is
-  // inclusion-maximal among the motions containing j is inclusion-maximal
-  // among ALL motions (every superset of it still contains j), so
-  // M(j) == { M in maxMotions(component of j) : j in M }. This is the
-  // "compute each A_k's motion families once" inversion — a blob of size b
-  // is slid once instead of once per member. Validated against brute-force
-  // subset enumeration by tests/core/motion_plane_test.cc.
-  const std::vector<std::vector<DeviceId>> components =
-      connected_components(ids_, [&](std::size_t rank) {
-        return std::span<const DeviceId>{nbr_arena_.data() + nbr_offsets_[rank],
-                                         nbr_offsets_[rank + 1] - nbr_offsets_[rank]};
-      });
-  const std::size_t comp_count = components.size();
+  // Component slots by smallest member: scanning ranks in ascending order
+  // also keeps every component's member run sorted by id. The root array
+  // is reused as the root -> slot map once comp_of_ holds the roots.
+  comp_of_ = root;
+  comp_rank_of_.resize(m);
+  std::vector<std::uint32_t> comp_size;
+  std::fill(root.begin(), root.end(), kNoRank);
+  for (std::size_t rank = 0; rank < m; ++rank) {
+    std::uint32_t& slot = root[comp_of_[rank]];
+    if (slot == kNoRank) {
+      slot = static_cast<std::uint32_t>(comp_size.size());
+      comp_size.push_back(0);
+    }
+    comp_of_[rank] = slot;
+    comp_rank_of_[rank] = comp_size[slot]++;
+  }
+  const std::size_t comp_count = comp_size.size();
 
   // Component-indexed arenas: each component's sorted member list is the
   // comp-rank universe its motions' membership bitsets index into (the
   // characterizer's word-parallel Theorem 6/7 path).
   budget_.charge(m * (3 * sizeof(std::uint32_t)) +
                  (comp_count + 1) * sizeof(std::uint32_t));
-  comp_of_.resize(m);
-  comp_rank_of_.resize(m);
-  comp_member_offsets_.reserve(comp_count + 1);
-  comp_member_offsets_.push_back(0);
-  comp_members_.reserve(m);
+  comp_member_offsets_.assign(comp_count + 1, 0);
   for (std::size_t ci = 0; ci < comp_count; ++ci) {
-    const std::vector<DeviceId>& comp = components[ci];
-    for (std::size_t cr = 0; cr < comp.size(); ++cr) {
-      const std::uint32_t rank = rank_lookup_[comp[cr]];
-      comp_of_[rank] = static_cast<std::uint32_t>(ci);
-      comp_rank_of_[rank] = static_cast<std::uint32_t>(cr);
-    }
-    comp_members_.insert(comp_members_.end(), comp.begin(), comp.end());
-    comp_member_offsets_.push_back(static_cast<std::uint32_t>(comp_members_.size()));
+    comp_member_offsets_[ci + 1] = comp_member_offsets_[ci] + comp_size[ci];
+  }
+  comp_members_.resize(m);
+  for (std::size_t rank = 0; rank < m; ++rank) {
+    comp_members_[comp_member_offsets_[comp_of_[rank]] + comp_rank_of_[rank]] = ids_[rank];
   }
 
+  // Pass 2: ONE unanchored enumeration per component. Correctness hinges on
+  // an exact identity: a motion that is inclusion-maximal among the motions
+  // containing j is inclusion-maximal among ALL motions (every superset of
+  // it still contains j), so M(j) == { M in maxMotions(component of j) :
+  // j in M }. This is the "compute each A_k's motion families once"
+  // inversion — a blob of size b is slid once instead of once per member.
+  // Validated against brute-force subset enumeration by
+  // tests/core/motion_plane_test.cc.
   // Family enumeration, planned as a flat task list. Most components are
   // one task each (the full enumerate + maximality-select, exactly the
   // serial walk). A component that would monopolize a lane — estimated
@@ -507,7 +568,6 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   // thing. Tasks are DISPATCHED costliest-first (classic LPT against skew)
   // but write private slots merged in plan order, so scheduling cannot leak
   // into results.
-  const double window = params_.window();
   struct EnumTask {
     std::uint32_t comp;
     std::uint32_t task_index;
@@ -528,7 +588,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   std::vector<std::uint32_t> comp_task_begin(comp_count + 1, 0);
   const kernels::Ops& ops = kernels::dispatch();
   for (std::size_t ci = 0; ci < comp_count; ++ci) {
-    const std::vector<DeviceId>& comp = components[ci];
+    const auto comp = component_members(static_cast<std::uint32_t>(ci));
     std::uint64_t span_weight = 0;
     bool tight = true;
     for (std::size_t t = 0; t < state_.joint_dim(); ++t) {
@@ -582,7 +642,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     if (task.task_count == 1) {
       out.final_family = true;
       ++out.counters.enumeration_calls;
-      enumerate_into(state_, params_, components[task.comp], std::nullopt,
+      enumerate_into(state_, params_, component_members(task.comp), std::nullopt,
                      &out.counters, scratch);
       // scratch.maximal is lexicographic by members; appending in this
       // order keeps every member's family in the project-wide order.
@@ -598,7 +658,7 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     // the component's enumeration_calls tick.
     if (task.task_index == 0) ++out.counters.enumeration_calls;
     std::array<double, Point::kMaxDim> anchor_coords{};
-    prepare_pool(state_, params_, components[task.comp], std::nullopt,
+    prepare_pool(state_, params_, component_members(task.comp), std::nullopt,
                  anchor_coords, scratch);
     slide_edge_slice(state_, window, task.task_index, task.task_count, scratch,
                      &out.counters);
@@ -728,10 +788,12 @@ bool MotionPlane::covers(DeviceId j) const noexcept {
   return j < rank_lookup_.size() && rank_lookup_[j] != kNoRank;
 }
 
-std::span<const DeviceId> MotionPlane::neighbourhood(DeviceId j) const {
-  const std::size_t rank = rank_of(j);
-  return {nbr_arena_.data() + nbr_offsets_[rank],
-          nbr_offsets_[rank + 1] - nbr_offsets_[rank]};
+std::vector<DeviceId> MotionPlane::neighbourhood(DeviceId j) const {
+  std::vector<DeviceId> out;
+  for (const DeviceId other : component_members(component_of(j))) {
+    if (state_.joint_distance(j, other) <= params_.window()) out.push_back(other);
+  }
+  return out;
 }
 
 std::span<const MotionPlane::MotionId> MotionPlane::maximal(DeviceId j) const {

@@ -6,15 +6,16 @@
 // The seed implementation re-derived those overlapping families per device
 // (split_neighbourhood re-filtered every neighbour's dense family on every
 // call), so a massive anomaly of size m paid O(m^2) family filters per
-// snapshot. The plane inverts that: one pass per snapshot computes, for
-// every abnormal device of A_k, its 2r-neighbourhood, its maximal-motion
-// family (Algorithm 2) and its tau-dense family (W-bar_k), after which each
-// per-device decision is a read-only lookup — and the decisions can run in
-// parallel across A_k (Characterizer::decide over a WorkerPool).
+// snapshot. The plane inverts that: one pass per snapshot computes the
+// 2r-interaction components of A_k and, for every abnormal device, its
+// maximal-motion family (Algorithm 2) and its tau-dense family (W-bar_k),
+// after which each per-device decision is a read-only lookup — and the
+// decisions can run in parallel across A_k (Characterizer::decide over a
+// WorkerPool). Neighbourhoods are not stored: every 2r-neighbour of j lies
+// in j's component, so N(j) is a scan of that component on request.
 //
 // Storage is flat throughout:
-//   * neighbourhoods live in one contiguous DeviceId arena, sliced by
-//     offset per device;
+//   * components are sorted runs of one DeviceId array, indexed by offset;
 //   * motions live in an arena-style store — each distinct motion is an
 //     (offset, length) run of sorted DeviceIds in one contiguous buffer,
 //     stored exactly once and shared by every member's family (the common
@@ -47,8 +48,8 @@ namespace acn {
 
 class WorkerPool;
 
-/// Thrown when a plane build's arena allocations (neighbourhood lists,
-/// window covers, interned motions, membership bitsets) would exceed the
+/// Thrown when a plane build's arena allocations (component lists, window
+/// covers, interned motions, membership bitsets) would exceed the
 /// configured byte budget. An adversarial placement at large n can make the
 /// motion-family arenas combinatorially large; this turns what would be an
 /// effectively unrecoverable std::bad_alloc (or an OOM kill) into a clean
@@ -87,7 +88,10 @@ struct ArenaBudget {
 /// Work counters; the evaluation (Table III) reports operation counts.
 /// Filled by the plane build (and by enumerate_maximal_windows when given).
 struct OracleCounters {
-  std::uint64_t neighbourhood_queries = 0;  ///< grid lookups (message analogue)
+  /// Per-device grid lookups. The plane computes its components from the
+  /// grid's cells and issues none, so this reads 0; it stays because the
+  /// end-to-end benchmark reports it.
+  std::uint64_t neighbourhood_queries = 0;
   std::uint64_t windows_explored = 0;       ///< canonical windows visited
   std::uint64_t covers_generated = 0;       ///< window covers materialized
   std::uint64_t enumeration_calls = 0;      ///< maxMotions invocations
@@ -96,12 +100,11 @@ struct OracleCounters {
                                      ///< to an interned motion (arena reuse)
 };
 
-/// Per-lane busy times of the plane build's two fan-outs (the engine's
-/// lane-skew instrumentation; see WorkerPool::for_each on lane_ms). Empty
-/// vectors when the corresponding pass ran serially.
+/// Per-lane busy times of the plane build's fan-out (the engine's lane-skew
+/// instrumentation; see WorkerPool::for_each on lane_ms). Empty when the
+/// enumeration ran serially.
 struct PlaneBuildLanes {
-  std::vector<double> query_lane_ms;      ///< pass 1: neighbourhood queries
-  std::vector<double> enumerate_lane_ms;  ///< pass 2: component enumeration
+  std::vector<double> enumerate_lane_ms;  ///< per-component enumeration
 };
 
 /// Canonical-window enumeration (the paper's Algorithm 2 core): all
@@ -140,29 +143,34 @@ class MotionPlane {
   /// Index of an interned motion within the plane's store.
   using MotionId = std::uint32_t;
 
-  /// Builds the whole plane for state.abnormal() eagerly, serially, over a
-  /// GridIndex of A_k it builds itself. `state` must outlive the plane. This
-  /// is the from-scratch reference path; it delegates to the ctor below.
+  /// Builds the whole plane for state.abnormal() eagerly, serially, over
+  /// index_for(state, params). `state` must outlive the plane. This is the
+  /// from-scratch reference path; it delegates to the ctor below.
   MotionPlane(const StatePair& state, Params params);
 
   /// Builds the plane over `grid`, which must index exactly state.abnormal()
-  /// of `state` with cell max(2r, kMinGridCell) — the streaming engine
-  /// builds that index per interval (timing it apart) and moves it in. Both
-  /// passes fan out over `pool` when given: pass 1 over contiguous rank
-  /// chunks, pass 2 over per-component enumeration tasks sized by an
-  /// estimated enumeration cost (member count x per-dimension window span),
-  /// with oversized non-tight components split across tasks by top-level
-  /// window edge ranges. Tasks merge in component-discovery/task order and
-  /// the cover dedup is content-based, so families, interned ids, and
-  /// counters are byte-identical for any pool size and any split. `state`
-  /// must outlive the plane; `lanes`, when given, receives per-lane busy
-  /// times of both fan-outs. `arena_budget_bytes` caps the total bytes the
-  /// build may park in its arenas (0 = unlimited); exceeding it throws
+  /// of `state` as index_for does — the streaming engine builds that index
+  /// per interval (timing it apart) and moves it in. The components come
+  /// from one serial union-find over the grid's cells; the family
+  /// enumeration fans out over `pool` when given, as per-component tasks
+  /// sized by an estimated enumeration cost (member count x per-dimension
+  /// window span), with oversized non-tight components split across tasks
+  /// by top-level window edge ranges. Tasks merge in component-discovery/
+  /// task order and the cover dedup is content-based, so families, interned
+  /// ids, and counters are byte-identical for any pool size and any split.
+  /// `state` must outlive the plane; `lanes`, when given, receives per-lane
+  /// busy times of the fan-out. `arena_budget_bytes` caps the total bytes
+  /// the build may park in its arenas (0 = unlimited); exceeding it throws
   /// ArenaBudgetExceeded with the plane half-built but the engine state
   /// untouched.
   MotionPlane(const StatePair& state, Params params, GridIndex grid,
               WorkerPool* pool = nullptr, std::size_t component_fanout = 2,
               PlaneBuildLanes* lanes = nullptr, std::uint64_t arena_budget_bytes = 0);
+
+  /// The A_k index a plane is built over: state.abnormal() at cell side
+  /// max(2r, kMinGridCell). Validates `params` first, so an out-of-domain
+  /// radius (NaN included) throws before any cell coordinate is computed.
+  [[nodiscard]] static GridIndex index_for(const StatePair& state, const Params& params);
 
   [[nodiscard]] const StatePair& state() const noexcept { return state_; }
   [[nodiscard]] const Params& params() const noexcept { return params_; }
@@ -172,9 +180,10 @@ class MotionPlane {
   /// True iff j is abnormal (covered by the plane).
   [[nodiscard]] bool covers(DeviceId j) const noexcept;
 
-  /// N(j): abnormal devices within 2r of j, j included. Sorted. Requires
-  /// covers(j) (throws std::invalid_argument otherwise).
-  [[nodiscard]] std::span<const DeviceId> neighbourhood(DeviceId j) const;
+  /// N(j): abnormal devices within 2r of j, j included. Sorted. Computed on
+  /// request by one scan of j's component, which holds every 2r-neighbour
+  /// of j. Requires covers(j) (throws std::invalid_argument otherwise).
+  [[nodiscard]] std::vector<DeviceId> neighbourhood(DeviceId j) const;
   /// M(j): ids of all maximal motions containing j, in deterministic
   /// (lexicographic by members) order. Requires covers(j).
   [[nodiscard]] std::span<const MotionId> maximal(DeviceId j) const;
@@ -248,7 +257,7 @@ class MotionPlane {
   }
 
  private:
-  /// The build proper (both passes, the merge, the bitsets).
+  /// The build proper (components, enumeration, the merge, the bitsets).
   void build(WorkerPool* pool, std::size_t component_fanout, PlaneBuildLanes* lanes);
   /// Rank of j within the sorted A_k ids; throws if not abnormal.
   [[nodiscard]] std::size_t rank_of(DeviceId j) const;
@@ -258,12 +267,10 @@ class MotionPlane {
 
   const StatePair& state_;
   Params params_;
-  GridIndex grid_;             ///< A_k index (neighbourhood queries)
+  GridIndex grid_;             ///< A_k index (its cells feed the components)
   std::vector<DeviceId> ids_;  ///< A_k, sorted
 
   // Per-device slices (all offset arrays have device_count() + 1 entries).
-  std::vector<std::uint32_t> nbr_offsets_;
-  std::vector<DeviceId> nbr_arena_;
   std::vector<std::uint32_t> maximal_offsets_;
   std::vector<MotionId> maximal_ids_;
   std::vector<std::uint32_t> dense_offsets_;

@@ -19,9 +19,10 @@ struct Params {
   /// Chebyshev diameter is <= 2r (Definition 1).
   [[nodiscard]] double window() const noexcept { return 2.0 * r; }
 
-  /// Throws std::invalid_argument on out-of-domain parameters.
+  /// Throws std::invalid_argument on out-of-domain parameters. The range
+  /// test is written so a NaN r fails it too.
   void validate() const {
-    if (r < 0.0 || r >= 0.25) {
+    if (!(r >= 0.0 && r < 0.25)) {
       throw std::invalid_argument("Params: r must be in [0, 0.25), got " +
                                   std::to_string(r));
     }

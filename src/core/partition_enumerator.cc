@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 
-#include "core/grid_index.hpp"
 #include "core/motion.hpp"
 #include "core/motion_plane.hpp"
 
@@ -20,17 +19,38 @@ PartitionEnumerator::PartitionEnumerator(const StatePair& state, Params params,
 }
 
 std::vector<std::vector<DeviceId>> PartitionEnumerator::components() const {
+  // A plain all-pairs union-find: this is the reference the plane's
+  // cell-union pass is tested against, so it shares none of that code.
   const DeviceSet& abnormal = state_.abnormal();
-  const std::vector<DeviceId> ids(abnormal.begin(), abnormal.end());
-  if (ids.empty()) return {};
-  // Interaction edges through the 2r grid instead of the all-pairs scan:
-  // within() filters by exact joint distance, so the edge set is identical.
-  const GridIndex grid(state_, abnormal, std::max(params_.window(), kMinGridCell));
-  std::vector<DeviceId> neighbours;
-  return connected_components(ids, [&](std::size_t rank) {
-    grid.within_into(ids[rank], params_.window(), neighbours);
-    return std::span<const DeviceId>(neighbours);
-  });
+  const std::size_t m = abnormal.size();
+  std::vector<std::size_t> parent(m);
+  for (std::size_t i = 0; i < m; ++i) parent[i] = i;
+  const auto find = [&](std::size_t x) {
+    while (parent[x] != x) {
+      parent[x] = parent[parent[x]];
+      x = parent[x];
+    }
+    return x;
+  };
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = a + 1; b < m; ++b) {
+      if (state_.joint_distance(abnormal[a], abnormal[b]) <= params_.window()) {
+        parent[find(a)] = find(b);
+      }
+    }
+  }
+  // Ascending scan: members sorted, components ordered by smallest member.
+  std::vector<std::vector<DeviceId>> components;
+  std::vector<std::size_t> slot(m, m);
+  for (std::size_t i = 0; i < m; ++i) {
+    std::size_t& s = slot[find(i)];
+    if (s == m) {
+      s = components.size();
+      components.emplace_back();
+    }
+    components[s].push_back(abnormal[i]);
+  }
+  return components;
 }
 
 namespace {

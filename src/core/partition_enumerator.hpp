@@ -51,7 +51,9 @@ class PartitionEnumerator {
   PartitionEnumerator(const StatePair& state, Params params);
   PartitionEnumerator(const StatePair& state, Params params, Limits limits);
 
-  /// Connected components of the 2r-interaction graph over A_k; sorted ids.
+  /// Connected components of the 2r-interaction graph over A_k, by an
+  /// all-pairs scan (the reference MotionPlane's components are tested
+  /// against); sorted ids, ordered by smallest member.
   [[nodiscard]] std::vector<std::vector<DeviceId>> components() const;
 
   /// All anomaly partitions of the whole A_k (no component decomposition).

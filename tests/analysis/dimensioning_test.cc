@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace acn {
 namespace {
 
@@ -25,6 +27,9 @@ TEST(VicinityProbabilityTest, ValidatesDomain) {
   EXPECT_THROW((void)vicinity_probability(-0.1, 2, VicinityModel::kInterior),
                std::invalid_argument);
   EXPECT_THROW((void)vicinity_probability(0.05, 0, VicinityModel::kInterior),
+               std::invalid_argument);
+  EXPECT_THROW((void)vicinity_probability(std::numeric_limits<double>::quiet_NaN(), 2,
+                                          VicinityModel::kInterior),
                std::invalid_argument);
 }
 

@@ -5,6 +5,7 @@
 // every interval, at every thread count. Swept over randomized
 // multi-interval scenarios, a device-teleport stream, an all-abnormal
 // stream, a grid-cell boundary straddle, and a churning roster.
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -271,6 +272,13 @@ TEST(FrameEquivalence, RosterChurnPooledMatchesSerial) {
           << "interval " << k << " device " << device;
     }
   }
+}
+
+TEST(FrameEquivalence, RejectsNaNRadius) {
+  // Caught at construction, before any grid build casts a coordinate.
+  EXPECT_THROW(FrameEngine(FrameEngine::Config{
+                   .model = Params{.r = std::numeric_limits<double>::quiet_NaN()}}),
+               std::invalid_argument);
 }
 
 TEST(FrameEquivalence, RejectsFleetShapeChanges) {

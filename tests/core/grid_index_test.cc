@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "support/test_util.hpp"
 
@@ -17,6 +19,8 @@ TEST(GridIndexTest, FindsSelf) {
 TEST(GridIndexTest, RejectsNonPositiveCell) {
   const StatePair state = test::make_static_1d({0.5});
   EXPECT_THROW(GridIndex(state, state.abnormal(), 0.0), std::invalid_argument);
+  EXPECT_THROW(GridIndex(state, state.abnormal(), std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
 }
 
 TEST(GridIndexTest, RadiusFiltersByJointDistance) {

@@ -106,51 +106,6 @@ TEST(QuantizeTest, WindowFilterMatchesExactPredicate) {
   }
 }
 
-// The AVX2 Chebyshev-ball prefilter resolves to exactly the scalar member
-// set once its slop-band ids are settled with the exact predicate.
-TEST(QuantizeTest, RadiusPrefilterResolvesToExactMembers) {
-  if (!kernels::avx2_available()) GTEST_SKIP() << "AVX2 unavailable";
-  const DispatchGuard guard;
-  Rng rng(37);
-  const std::size_t n = 3000;
-  const std::size_t dims = 4;
-  std::vector<double> cols(dims * n);
-  std::vector<std::uint32_t> qcols(dims * n);
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    cols[i] = rng.uniform();
-    qcols[i] = kernels::quantize(cols[i]);
-  }
-  std::vector<std::uint32_t> ids(n);
-  for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<std::uint32_t>(i);
-  const std::vector<double> centre(dims, 0.5);
-  const double radius = 0.06;
-
-  const auto exact_in = [&](std::uint32_t id) {
-    for (std::size_t t = 0; t < dims; ++t) {
-      if (std::fabs(cols[t * n + id] - centre[t]) > radius) return false;
-    }
-    return true;
-  };
-
-  ASSERT_TRUE(kernels::force("avx2"));
-  std::vector<std::uint32_t> out(n);
-  std::vector<std::uint32_t> maybe(n);
-  const auto r = kernels::dispatch().filter_in_radius(
-      qcols.data(), cols.data(), n, dims, centre.data(), radius, ids.data(), n,
-      out.data(), maybe.data());
-  std::vector<std::uint32_t> resolved(out.begin(), out.begin() + r.in_count);
-  for (std::size_t i = 0; i < r.maybe_count; ++i) {
-    if (exact_in(maybe[i])) resolved.push_back(maybe[i]);
-  }
-  std::sort(resolved.begin(), resolved.end());
-
-  std::vector<std::uint32_t> expected;
-  for (std::uint32_t id = 0; id < n; ++id) {
-    if (exact_in(id)) expected.push_back(id);
-  }
-  EXPECT_EQ(resolved, expected);
-}
-
 // Decisions over whole scenario streams are byte-identical whichever table
 // the dispatcher picks — the end-to-end form of the per-kernel guarantee.
 TEST(KernelDispatchTest, ForcedScalarAndAvx2DecisionsAreByteIdentical) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
+#include "core/partition_enumerator.hpp"
 #include "support/test_util.hpp"
 
 namespace acn {
@@ -74,12 +77,8 @@ TEST(MotionPlaneFamilyTest, DenseMotionsFilterByTau) {
 TEST(MotionPlaneFamilyTest, NeighbourhoodIsSymmetricAndWithin2r) {
   const StatePair state = test::make_static_1d({0.10, 0.15, 0.50});
   const MotionPlane plane(state, {.r = 0.05, .tau = 1});
-  const auto n0 = plane.neighbourhood(0);
-  EXPECT_EQ(std::vector<DeviceId>(n0.begin(), n0.end()),
-            (std::vector<DeviceId>{0, 1}));
-  const auto n2 = plane.neighbourhood(2);
-  EXPECT_EQ(std::vector<DeviceId>(n2.begin(), n2.end()),
-            (std::vector<DeviceId>{2}));
+  EXPECT_EQ(plane.neighbourhood(0), (std::vector<DeviceId>{0, 1}));
+  EXPECT_EQ(plane.neighbourhood(2), (std::vector<DeviceId>{2}));
 }
 
 TEST(MotionPlaneFamilyTest, CountersAdvance) {
@@ -97,6 +96,159 @@ TEST(MotionPlaneFamilyTest, ZeroRadiusGroupsIdenticalTrajectoriesOnly) {
   const auto motions = members_of(plane, plane.maximal(0));
   ASSERT_EQ(motions.size(), 1u);
   EXPECT_EQ(motions[0], DeviceSet({0, 1}));
+}
+
+TEST(MotionPlaneFamilyTest, RejectsNaNRadius) {
+  const StatePair state = test::make_static_1d({0.10, 0.12});
+  const Params params{.r = std::numeric_limits<double>::quiet_NaN(), .tau = 1};
+  EXPECT_THROW(params.validate(), std::invalid_argument);
+  EXPECT_THROW(MotionPlane(state, params), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Components: the plane's cell-union pass against the all-pairs reference
+// (PartitionEnumerator::components), on random blobs and on the edge cases
+// of the cell shortcut.
+// ---------------------------------------------------------------------------
+
+/// The plane's components, checked against the all-pairs reference.
+std::vector<std::vector<DeviceId>> checked_components(const StatePair& state,
+                                                      const Params& params) {
+  const MotionPlane plane(state, params);
+  std::vector<std::vector<DeviceId>> components;
+  for (std::uint32_t c = 0; c < plane.component_count(); ++c) {
+    const auto members = plane.component_members(c);
+    components.emplace_back(members.begin(), members.end());
+  }
+  EXPECT_EQ(components, PartitionEnumerator(state, params).components());
+  return components;
+}
+
+struct BlobCase {
+  std::uint64_t seed;
+  std::size_t d;
+  double r;
+  std::size_t blobs;
+  std::size_t per_blob;
+};
+
+class PlaneComponentSweep : public ::testing::TestWithParam<BlobCase> {};
+
+TEST_P(PlaneComponentSweep, MatchesAllPairsReference) {
+  const auto& param = GetParam();
+  Rng rng(param.seed);
+  const double cell = 2.0 * param.r;
+  std::vector<std::vector<double>> prev;
+  std::vector<std::vector<double>> curr;
+  const auto add = [&](const std::vector<double>& p_centre, double p_spread,
+                       const std::vector<double>& c_centre, double c_spread) {
+    std::vector<double> p(param.d);
+    std::vector<double> c(param.d);
+    for (std::size_t i = 0; i < param.d; ++i) {
+      p[i] = std::clamp(p_centre[i] + rng.uniform(-p_spread, p_spread), 0.0, 1.0);
+      c[i] = std::clamp(c_centre[i] + rng.uniform(-c_spread, c_spread), 0.0, 1.0);
+    }
+    prev.push_back(std::move(p));
+    curr.push_back(std::move(c));
+  };
+  for (std::size_t b = 0; b < param.blobs; ++b) {
+    // S_k centre on a cell corner, so every blob straddles cell boundaries.
+    std::vector<double> p_centre(param.d);
+    std::vector<double> c_centre(param.d);
+    for (std::size_t i = 0; i < param.d; ++i) {
+      p_centre[i] = rng.uniform(0.1, 0.9);
+      c_centre[i] = std::round(rng.uniform(0.1, 0.9) / cell) * cell;
+    }
+    switch (b % 3) {
+      case 0:  // tight: every cell of the blob fits the window
+        for (std::size_t k = 0; k < param.per_blob; ++k) {
+          add(p_centre, 0.9 * param.r, c_centre, 0.9 * param.r);
+        }
+        break;
+      case 1:  // close at k, spread at k-1: cells hold pairs more than 2r apart
+        for (std::size_t k = 0; k < param.per_blob / 4; ++k) {
+          add(p_centre, 3.0 * param.r, c_centre, 0.4 * param.r);
+        }
+        break;
+      default:  // small and loose at both instants
+        for (std::size_t k = 0; k < 8; ++k) add(p_centre, 2.0 * param.r, c_centre, 2.0 * param.r);
+        break;
+    }
+  }
+  // A uniform background: singletons and small components.
+  const std::vector<double> mid(param.d, 0.5);
+  for (std::size_t k = 0; k < 4 * param.per_blob; ++k) add(mid, 0.5, mid, 0.5);
+
+  const StatePair state = test::make_state(prev, curr);
+  const auto components = checked_components(state, {.r = param.r, .tau = 3});
+  EXPECT_LT(components.size(), prev.size()) << "no two devices joined";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomBlobs, PlaneComponentSweep,
+    ::testing::Values(BlobCase{21, 1, 0.01, 45, 120},  //
+                      BlobCase{22, 2, 0.03, 36, 60},   //
+                      BlobCase{23, 2, 0.04, 18, 90},   //
+                      BlobCase{24, 3, 0.04, 30, 48},   //
+                      BlobCase{25, 3, 0.08, 12, 40}));
+
+TEST(PlaneComponentTest, OneCellFarApartAtThePreviousInstantIsTwoComponents) {
+  // Both at k in cell [0.5, 0.6) of side 2r = 0.1; 0.4 apart at k-1. Only
+  // the joint bounding-box check keeps the cell from joining wholesale.
+  const StatePair state = test::make_state_1d({{0.10, 0.52}, {0.50, 0.55}});
+  EXPECT_EQ(checked_components(state, {.r = 0.05, .tau = 1}),
+            (std::vector<std::vector<DeviceId>>{{0}, {1}}));
+}
+
+TEST(PlaneComponentTest, ExactlyTwoRApartAcrossACellBoundaryIsJoined) {
+  // 2r = 2^-4: each pair sits on the corners of two neighbouring cells
+  // (6/7, 10/11) and is exactly 2r apart at both instants; at k-1 the
+  // lower cell's device is below its partner in one pair, above in the
+  // other.
+  const Params params{.r = 0.03125, .tau = 1};
+  const StatePair state = test::make_state_1d(
+      {{0.25, 0.375}, {0.3125, 0.4375}, {0.8125, 0.625}, {0.75, 0.6875}});
+  ASSERT_EQ(state.joint_distance(0, 1), params.window());
+  ASSERT_EQ(state.joint_distance(2, 3), params.window());
+  EXPECT_EQ(checked_components(state, params),
+            (std::vector<std::vector<DeviceId>>{{0, 1}, {2, 3}}));
+}
+
+TEST(PlaneComponentTest, ExactlyTwoRApartInsideACellIsJoined) {
+  // One cell at k, a chain of exact 2r steps at k-1: the cell does not fit
+  // the window, so its pairs are tested, and both links hold.
+  const Params params{.r = 0.03125, .tau = 1};
+  const StatePair state =
+      test::make_state_1d({{0.25, 0.40}, {0.3125, 0.40}, {0.375, 0.41}});
+  ASSERT_EQ(state.joint_distance(0, 1), params.window());
+  EXPECT_EQ(checked_components(state, params),
+            (std::vector<std::vector<DeviceId>>{{0, 1, 2}}));
+}
+
+TEST(PlaneComponentTest, OneUlpBeyondTwoRIsTwoComponents) {
+  const Params params{.r = 0.03125, .tau = 1};
+  const double beyond = std::nextafter(params.window(), 1.0);
+  const StatePair state = test::make_state_1d({{0.5, 0.0}, {0.5, beyond}});
+  ASSERT_EQ(state.joint_distance(0, 1), beyond);
+  EXPECT_EQ(checked_components(state, params),
+            (std::vector<std::vector<DeviceId>>{{0}, {1}}));
+}
+
+TEST(PlaneComponentTest, CoincidentDevicesAtZeroRadiusAreJoined) {
+  const StatePair state =
+      test::make_state_1d({{0.3, 0.7}, {0.3, 0.7}, {0.3, 0.70001}, {0.3, 0.7}});
+  EXPECT_EQ(checked_components(state, {.r = 0.0, .tau = 1}),
+            (std::vector<std::vector<DeviceId>>{{0, 1, 3}, {2}}));
+}
+
+TEST(PlaneComponentTest, ChainJustUnderTwoRAcrossManyCellsIsOneComponent) {
+  // Consecutive links 0.0599 < 2r = 0.06; every other pair is farther.
+  std::vector<std::pair<double, double>> chain;
+  for (int k = 0; k < 15; ++k) chain.emplace_back(0.5, 0.05 + 0.0599 * k);
+  const StatePair state = test::make_state_1d(chain);
+  const auto components = checked_components(state, {.r = 0.03, .tau = 1});
+  ASSERT_EQ(components.size(), 1u);
+  EXPECT_EQ(components[0].size(), chain.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -132,8 +284,9 @@ TEST(WindowEnumerationTest, PoolEnumerationRespectsPoolRestriction) {
 
 // ---------------------------------------------------------------------------
 // Property: the plane's families, the anchored slide and the early-exit
-// dense-cover slide all agree with brute-force subset search. Randomized
-// over geometry, dimension, radius and density.
+// dense-cover slide all agree with brute-force subset search, and N(j) with
+// an all-pairs scan. Randomized over geometry, dimension, radius and
+// density.
 // ---------------------------------------------------------------------------
 
 struct PlaneSweepCase {
@@ -177,6 +330,13 @@ TEST_P(PlaneBruteForceSweep, MatchesBruteForce) {
     // The anchored slide (Algorithm 1's extraction step).
     const auto anchored = enumerate_maximal_windows(state, params, all, j);
     EXPECT_EQ(anchored, expected) << "anchored, device " << j << " seed " << param.seed;
+
+    // N(j), scanned on request from j's component, against all pairs.
+    std::vector<DeviceId> within;
+    for (const DeviceId other : all) {
+      if (state.joint_distance(j, other) <= params.window()) within.push_back(other);
+    }
+    EXPECT_EQ(plane.neighbourhood(j), within) << "N(j), device " << j << " seed " << param.seed;
   }
 
   // The early-exit slide (condition C1): a tau-dense motion exists iff the

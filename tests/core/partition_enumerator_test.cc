@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.hpp"
 #include "support/test_util.hpp"
 
@@ -81,6 +83,13 @@ TEST(PartitionEnumeratorTest, ComponentsUseJointNotSingleInstantDistance) {
   const StatePair state = test::make_state_1d({{0.1, 0.1}, {0.12, 0.9}});
   const PartitionEnumerator enumerator(state, Params{.r = 0.05, .tau = 1});
   EXPECT_EQ(enumerator.components().size(), 2u);
+}
+
+TEST(PartitionEnumeratorTest, RejectsNaNRadius) {
+  const StatePair state = test::make_static_1d({0.10, 0.12});
+  EXPECT_THROW(PartitionEnumerator(
+                   state, Params{.r = std::numeric_limits<double>::quiet_NaN(), .tau = 1}),
+               std::invalid_argument);
 }
 
 TEST(PartitionEnumeratorTest, WholeSetEnumerationMatchesComponentwise) {
