@@ -17,6 +17,10 @@
 // mean busy ms across worker lanes for each fan-out phase — the load-balance
 // health check. (On a single-core runner the pool collapses to one lane, so
 // max == mean there; the columns carry information on multi-core hosts.)
+// A third reports, per cell, the worst interval's plane arena bytes and the
+// distinct dense families per step (the units characterize decides in).
+// Both keep fewer columns than the main table, whose rows alone
+// tools/record_bench.sh keys for its regression gate.
 //
 // The full grid ends with n=1,000,000 scale rows: the same pipeline at one
 // million devices, the engine's per-interval cost staying a function of the
@@ -51,6 +55,8 @@ struct CellResult {
   double parallel_ms_per_step = 0.0;  // engine, pooled
   double scratch_ms_per_step = 0.0;   // from-scratch rebuild (reference)
   double abnormal_mean = 0.0;
+  std::uint64_t arena_bytes_max = 0;  // worst-interval plane arena, serial engine
+  double families_mean = 0.0;         // distinct dense families per step
   bool ok = true;
 };
 
@@ -91,6 +97,9 @@ std::vector<acn::CharacterizationSets> run_engine(
       phases->grid_ms_per_step += stats.state_ms + stats.grid_ms;
       phases->plane_ms_per_step += stats.plane_ms;
       phases->characterize_ms_per_step += stats.characterize_ms;
+      phases->arena_bytes_max =
+          std::max(phases->arena_bytes_max, engine.plane()->arena_bytes());
+      phases->families_mean += static_cast<double>(engine.plane()->family_count());
     }
     if (skew != nullptr) {
       skew->state_max += stats.state_lanes.max_ms;
@@ -147,6 +156,7 @@ CellResult run_cell(std::size_t n, std::uint32_t errors, std::uint64_t steps,
   result.grid_ms_per_step /= static_cast<double>(steps);
   result.plane_ms_per_step /= static_cast<double>(steps);
   result.characterize_ms_per_step /= static_cast<double>(steps);
+  result.families_mean /= static_cast<double>(steps);
 
   // Pooled path: hardware concurrency; in smoke mode an explicit 4-lane
   // pool, so the pool machinery is exercised even on single-core CI.
@@ -296,10 +306,11 @@ int main(int argc, char** argv) {
       smoke ? sizeof(cells_smoke) / sizeof(Cell) : sizeof(cells_full) / sizeof(Cell);
 
   std::vector<LaneTiming> skew_rows(cell_count);
+  std::vector<CellResult> cell_rows(cell_count);
   bool all_ok = true;
   for (std::size_t i = 0; i < cell_count; ++i) {
-    const CellResult cell =
-        run_cell(cells[i].n, cells[i].a, cells[i].steps, smoke, &skew_rows[i]);
+    cell_rows[i] = run_cell(cells[i].n, cells[i].a, cells[i].steps, smoke, &skew_rows[i]);
+    const CellResult& cell = cell_rows[i];
     all_ok = all_ok && cell.ok;
     std::printf(
         "| %zu | %u | %.1f | %.3f | %.3f | %.3f | %.3f | %.3f | %.3f | %s |\n",
@@ -322,6 +333,17 @@ int main(int argc, char** argv) {
     std::printf("| %zu | %u | %.3f/%.3f | %.3f/%.3f | %.3f/%.3f |\n",
                 cells[i].n, cells[i].a, row.state_max, row.state_mean,
                 row.plane_max, row.plane_mean, row.char_max, row.char_mean);
+  }
+  // Plane arena table: the serial engine's worst-interval arena bytes and
+  // the dense families characterize decided per step.
+  std::printf("\n# plane arena (serial engine: worst-interval "
+              "MotionPlane::arena_bytes(), distinct dense families per step)\n");
+  std::printf("| n | A | arena max MB | families/step |\n");
+  std::printf("|---|---|---|---|\n");
+  for (std::size_t i = 0; i < cell_count; ++i) {
+    std::printf("| %zu | %u | %.3f | %.1f |\n", cells[i].n, cells[i].a,
+                static_cast<double>(cell_rows[i].arena_bytes_max) / (1024.0 * 1024.0),
+                cell_rows[i].families_mean);
   }
   // Telemetry overhead: the same stream through the OnlineMonitor with the
   // telemetry layer off, then on, back to back (min over reps). The rows

@@ -1,6 +1,6 @@
 // WorkerPool: a persistent pool of parked worker threads for the
 // per-interval fan-outs (plane build per interaction component,
-// characterization per abnormal device).
+// characterization per dense family).
 //
 // The seed spawned fresh std::threads inside every parallel characterization
 // call — tens of microseconds of spawn/join latency per interval, paid even

@@ -4,7 +4,6 @@
 #include <bit>
 #include <numeric>
 #include <span>
-#include <stdexcept>
 
 #include "common/worker_pool.hpp"
 #include "core/kernels/kernels.hpp"
@@ -20,104 +19,70 @@ Characterizer::Characterizer(const StatePair& state, Params params,
 Characterizer::Characterizer(const MotionPlane& plane, CharacterizeOptions options)
     : plane_(&plane), options_(options) {}
 
-Characterizer::Split Characterizer::split_neighbourhood(DeviceId j) const {
+Characterizer::FamilyVerdict Characterizer::decide_family(DeviceId j) const {
   const MotionPlane& plane = *plane_;
-  Split split;
-
-  // Word-parallel over j's component rank space. D_k(j) is the OR of the
-  // membership bitsets of j's dense motions; walking its set bits in rank
-  // order yields the members ascending by id (the comp-rank universe is the
-  // sorted member list), exactly the order the sorted-union path produced.
   const std::uint32_t ci = plane.component_of(j);
   const auto comp = plane.component_members(ci);
   const std::size_t words = plane.component_words(ci);
-  thread_local std::vector<std::uint64_t> d_bits;
-  d_bits.assign(words, 0);
-  for (const MotionPlane::MotionId mid : plane.dense(j)) {
+  const auto family = plane.dense(j);
+  FamilyVerdict verdict{std::vector<std::uint64_t>(words, 0),
+                        std::vector<std::uint64_t>(words, 0)};
+
+  // Word-parallel over j's component rank space. D_k(j) is the OR of the
+  // membership bitsets of j's dense motions.
+  for (const MotionPlane::MotionId mid : family) {
     const auto bits = plane.motion_bits(mid);
-    for (std::size_t k = 0; k < words; ++k) d_bits[k] |= bits[k];
+    for (std::size_t k = 0; k < words; ++k) verdict.d[k] |= bits[k];
   }
 
-  // J/L split: ell joins J_k(j) iff every dense motion of ell contains j —
-  // one precomputed bit test (j's comp-rank in ell's dense-intersection
-  // bitset; all-ones when ell has no dense motions, matching the vacuous
-  // truth of the original all-of loop).
+  // J/L split: ell joins J_k(j) iff every dense motion of ell contains j,
+  // i.e. iff W-bar_k(ell) is a subset of F = W-bar_k(j) — the same for every
+  // member of F. One bit test: j's comp-rank in ell's family bitset (ell
+  // lies in a motion of F, so it has a family).
   const std::uint32_t jcr = plane.comp_rank_of(j);
-  std::vector<DeviceId> d_members;
-  std::vector<DeviceId> j_members;
-  std::vector<DeviceId> l_members;
   for (std::size_t k = 0; k < words; ++k) {
-    std::uint64_t w = d_bits[k];
+    std::uint64_t w = verdict.d[k];
     while (w != 0) {
-      const std::size_t cr = k * 64 + static_cast<std::size_t>(std::countr_zero(w));
+      const int bit = std::countr_zero(w);
       w &= w - 1;
-      const DeviceId ell = comp[cr];
-      d_members.push_back(ell);
-      if (cr == jcr) {
-        j_members.push_back(ell);  // j's own dense motions all contain j
-        continue;
-      }
-      const auto inter = plane.dense_intersection_bits(ell);
-      if ((inter[jcr >> 6] >> (jcr & 63)) & 1) {
-        j_members.push_back(ell);
-      } else {
-        l_members.push_back(ell);
-      }
+      const DeviceId ell = comp[k * 64 + static_cast<std::size_t>(bit)];
+      const auto inter = plane.family_bits(plane.family(ell));
+      if (((inter[jcr >> 6] >> (jcr & 63)) & 1) == 0) verdict.l[k] |= 1ULL << bit;
     }
-  }
-  split.d = DeviceSet::from_sorted(std::move(d_members));
-  split.j = DeviceSet::from_sorted(std::move(j_members));
-  split.l = DeviceSet::from_sorted(std::move(l_members));
-  return split;
-}
-
-Decision Characterizer::characterize(DeviceId j) const {
-  const MotionPlane& plane = *plane_;
-  if (!plane.covers(j)) {
-    throw std::invalid_argument("characterize: device " + std::to_string(j) +
-                                " is not in A_k");
-  }
-  Decision decision;
-  decision.maximal_motion_count = plane.maximal(j).size();
-
-  // Theorem 5: no dense motion containing j  =>  isolated.
-  const auto dense_j = plane.dense(j);
-  decision.dense_motion_count = dense_j.size();
-  if (dense_j.empty()) {
-    decision.cls = AnomalyClass::kIsolated;
-    decision.rule = DecisionRule::kTheorem5;
-    return decision;
   }
 
   // Theorem 6 (Algorithm 3): some maximal dense motion of j intersects
   // J_k(j) in more than tau devices  =>  massive. (|M ∩ J| > tau gives the
   // dense motion M ∩ J ⊆ J_k(j) required by the theorem, and conversely any
   // dense B ⊆ J_k(j) extends to a maximal M in W-bar(j) with |M ∩ J| > tau.)
-  const Split split = split_neighbourhood(j);
-  // |M ∩ J| as AND + popcount over j's component rank space. The kernel
-  // computes popcount(a & ~b), so J is handed over complemented; motion
-  // bitsets never set tail bits past the component size, so complement tail
-  // bits are harmless.
-  {
-    const std::uint32_t ci = plane.component_of(j);
-    const std::size_t words = plane.component_words(ci);
-    thread_local std::vector<std::uint64_t> not_j_bits;
-    not_j_bits.assign(words, ~std::uint64_t{0});
-    for (const DeviceId member : split.j) {
-      const std::uint32_t cr = plane.comp_rank_of(member);
-      not_j_bits[cr >> 6] &= ~(1ULL << (cr & 63));
-    }
-    const kernels::Ops& ops = kernels::dispatch();
-    for (const MotionPlane::MotionId mid : dense_j) {
-      if (ops.popcount_andnot(plane.motion_bits(mid).data(), not_j_bits.data(),
-                              words) > plane.params().tau) {
-        decision.cls = AnomalyClass::kMassive;
-        decision.rule = DecisionRule::kTheorem6;
-        return decision;
-      }
+  // M lies inside D_k(j) = J ∪ L, so |M ∩ J| = popcount(M & ~L).
+  const kernels::Ops& ops = kernels::dispatch();
+  for (const MotionPlane::MotionId mid : family) {
+    if (ops.popcount_andnot(plane.motion_bits(mid).data(), verdict.l.data(), words) >
+        plane.params().tau) {
+      verdict.theorem6 = true;
+      break;
     }
   }
+  return verdict;
+}
 
+Decision Characterizer::decide_member(DeviceId j, const FamilyVerdict& family) const {
+  Decision decision;
+  decision.maximal_motion_count = plane_->maximal(j).size();
+  decision.dense_motion_count = plane_->dense(j).size();
+
+  // Theorem 5: no dense motion containing j  =>  isolated.
+  if (decision.dense_motion_count == 0) {
+    decision.cls = AnomalyClass::kIsolated;
+    decision.rule = DecisionRule::kTheorem5;
+    return decision;
+  }
+  if (family.theorem6) {
+    decision.cls = AnomalyClass::kMassive;
+    decision.rule = DecisionRule::kTheorem6;
+    return decision;
+  }
   if (!options_.run_full_nsc) {
     decision.cls = AnomalyClass::kUnresolved;
     decision.rule = DecisionRule::kTheorem6Only;
@@ -126,7 +91,7 @@ Decision Characterizer::characterize(DeviceId j) const {
 
   // Theorem 7 / Corollary 8 (Algorithms 4/5): search for a violating
   // collection; its existence certifies "unresolved", its absence "massive".
-  const NscOutcome outcome = search_violating_collection(j, split.l);
+  const NscOutcome outcome = search_violating_collection(j, family.l);
   decision.collections_tested = outcome.nodes;
   if (outcome.exhausted) {
     decision.cls = AnomalyClass::kUnresolved;  // safe side: never over-claims
@@ -140,6 +105,10 @@ Decision Characterizer::characterize(DeviceId j) const {
     decision.rule = DecisionRule::kTheorem7;
   }
   return decision;
+}
+
+Decision Characterizer::characterize(DeviceId j) const {
+  return decide_member(j, decide_family(j));  // the plane throws if j is not in A_k
 }
 
 namespace {
@@ -157,22 +126,27 @@ struct SearchBits {
   }
 };
 
+/// The devices of j's component whose comp-rank bit is set in `bits`.
+DeviceSet devices_of(const MotionPlane& plane, DeviceId j, std::span<const std::uint64_t> bits) {
+  const auto comp = plane.component_members(plane.component_of(j));
+  std::vector<DeviceId> ids;
+  for (std::size_t k = 0; k < bits.size(); ++k) {
+    for (std::uint64_t w = bits[k]; w != 0; w &= w - 1) {
+      ids.push_back(comp[k * 64 + static_cast<std::size_t>(std::countr_zero(w))]);
+    }
+  }
+  return DeviceSet::from_sorted(std::move(ids));  // comp-rank order is id order
+}
+
 }  // namespace
 
 Characterizer::NscOutcome Characterizer::search_violating_collection(
-    DeviceId j, const DeviceSet& l) const {
+    DeviceId j, std::span<const std::uint64_t> l) const {
   const MotionPlane& plane = *plane_;
   const StatePair& state = plane.state();
   const Params& params = plane.params();
   const std::size_t tau = params.tau;
   NscOutcome outcome;
-
-  // Every dense motion of j lives inside N(j) (its 2r-neighbourhood), so a
-  // collection element can only influence relation (4) through members it
-  // shares with N(j). A base with no such member is removable from any
-  // violating collection (dropping it keeps not-(4): the surviving motions
-  // of j are untouched), so it is pruned — exactly.
-  const auto neighbours = plane.neighbourhood(j);
 
   // The candidate scan below is word-parallel over j's component rank space
   // (every base and target motion lives in j's 2r-interaction component); the
@@ -184,37 +158,36 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
   const std::uint32_t jcr = plane.comp_rank_of(j);
   const kernels::Ops& ops = kernels::dispatch();
 
-  // N(j) as a bitset (for the "base intersects N(j)" prune below).
+  // N(j) as a bitset. Every dense motion of j lives inside N(j) (its
+  // 2r-neighbourhood), so a collection element can only influence relation
+  // (4) through members it shares with N(j). A base with no such member is
+  // removable from any violating collection (dropping it keeps not-(4): the
+  // surviving motions of j are untouched), so it is pruned — exactly.
   SearchBits nbr_bits(comp.size());
-  for (const DeviceId id : neighbours) nbr_bits.set(plane.comp_rank_of(id));
+  for (const DeviceId id : plane.neighbourhood(j)) nbr_bits.set(plane.comp_rank_of(id));
 
-  // Candidate base sets: maximal dense motions of L-neighbours avoiding j.
-  // Collections are WLOG one element per base: two disjoint elements carved
-  // from the same base merge into one (their union is still a subset of the
-  // base — a motion — still dense, still holding a far and an L device).
-  // The plane's interning makes id-level dedup exact; sorting by member
-  // sequence reproduces the deterministic lexicographic walk order.
+  // Candidate base sets: maximal dense motions of L-neighbours avoiding j,
+  // i.e. the component's dense motions that miss j and hold an L_k(j)
+  // device, kept when they meet N(j). Collections are WLOG one element per
+  // base: two disjoint elements carved from the same base merge into one
+  // (their union is still a subset of the base — a motion — still dense,
+  // still holding a far and an L device). A component's motion ids run in
+  // lexicographic member order, the deterministic walk order.
   std::vector<MotionPlane::MotionId> bases;
-  for (const DeviceId ell : l) {
-    for (const MotionPlane::MotionId mid : plane.dense(ell)) {
-      if (plane.motion_contains(mid, j)) continue;
-      const auto bits = plane.motion_bits(mid);
-      bool touches = false;
-      for (std::size_t k = 0; k < words && !touches; ++k) {
-        touches = (bits[k] & nbr_bits.words[k]) != 0;
-      }
-      if (touches) bases.push_back(mid);
+  const auto [first, last] = plane.component_motions(ci);
+  for (MotionPlane::MotionId mid = first; mid < last; ++mid) {
+    const auto bits = plane.motion_bits(mid);
+    if (plane.members(mid).size() <= tau || ((bits[jcr >> 6] >> (jcr & 63)) & 1) != 0) {
+      continue;
     }
+    bool meets_l = false;
+    bool touches = false;
+    for (std::size_t k = 0; k < words; ++k) {
+      meets_l = meets_l || (bits[k] & l[k]) != 0;
+      touches = touches || (bits[k] & nbr_bits.words[k]) != 0;
+    }
+    if (meets_l && touches) bases.push_back(mid);
   }
-  std::sort(bases.begin(), bases.end());
-  bases.erase(std::unique(bases.begin(), bases.end()), bases.end());
-  std::sort(bases.begin(), bases.end(),
-            [&](MotionPlane::MotionId a, MotionPlane::MotionId b) {
-              const auto ra = plane.members(a);
-              const auto rb = plane.members(b);
-              return std::lexicographical_compare(ra.begin(), ra.end(), rb.begin(),
-                                                  rb.end());
-            });
 
   // Compact search universe: the members of the bases and of j's dense
   // motions (j excluded — never removable), re-ranked densely so the
@@ -243,27 +216,22 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
   // farther than 2r from j (negation of relation (5)); such devices are
   // never target members (every target member shares a motion with j, hence
   // sits within 2r of it). The L flag doubles as the effect test: L_k(j) is
-  // a subset of D_k(j) \ {j}, i.e. of the target union.
-  std::vector<std::uint64_t> far_l_scratch;
+  // a subset of D_k(j) \ {j}, i.e. of the target union. Both are sized for
+  // the component; the search reads only their first cwords words.
+  SearchBits far_bits(comp.size());
+  SearchBits l_bits(comp.size());
   for (std::size_t k = 0; k < words; ++k) {
     std::uint64_t w = support.words[k];
     while (w != 0) {
       const std::size_t cr = k * 64 + static_cast<std::size_t>(std::countr_zero(w));
       w &= w - 1;
       dense_rank[cr] = u;
-      const DeviceId id = comp[cr];
-      const bool far = state.joint_distance(j, id) > params.window();
-      far_l_scratch.push_back((far ? 1u : 0u) | (l.contains(id) ? 2u : 0u));
+      if (state.joint_distance(j, comp[cr]) > params.window()) far_bits.set(u);
+      if ((l[cr >> 6] >> (cr & 63)) & 1) l_bits.set(u);
       ++u;
     }
   }
   const std::size_t cwords = (u + 63) / 64;
-  SearchBits far_bits(u);
-  SearchBits l_bits(u);
-  for (std::uint32_t i = 0; i < u; ++i) {
-    if (far_l_scratch[i] & 1u) far_bits.set(i);
-    if (far_l_scratch[i] & 2u) l_bits.set(i);
-  }
 
   // Re-rank the plane bitsets into the compact space. Bases avoid j, so
   // nothing to clear there; targets (j's maximal dense motions, the only
@@ -456,42 +424,59 @@ Characterizer::NscOutcome Characterizer::search_violating_collection(
 
 std::vector<Decision> Characterizer::decide(WorkerPool* pool,
                                             std::vector<double>* lane_ms) const {
-  const DeviceSet& abnormal = plane_->state().abnormal();
+  const MotionPlane& plane = *plane_;
+  const DeviceSet& abnormal = plane.state().abnormal();
   const std::size_t m = abnormal.size();
   std::vector<Decision> decisions(m);
-  // Costliest-first dispatch when the pool will actually engage: the shared
-  // cursor hands out indices in order, so without reordering one monster
-  // device (big dense family x big component — the component bounds N(j),
-  // the NSC search's input) drawn late serializes the whole tail behind a
-  // single lane. Sorting an index indirection by that cost proxy is classic
-  // LPT against skew. Each decision is a pure read of the shared plane into
-  // its own slot, so the bytes stay identical to the serial loop under any
-  // schedule or ordering.
-  std::vector<std::uint32_t> order;
-  const bool reorder =
-      pool != nullptr && m >= options_.parallel_grain && pool->parallelism() > 1;
-  if (reorder) {
-    std::vector<std::uint64_t> cost(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      const DeviceId j = abnormal[i];
-      cost[i] = (1 + plane_->dense(j).size()) *
-                (1 + plane_->component_members(plane_->component_of(j)).size());
+
+  // A_k slots grouped by dense family, by a counting sort: counts land two
+  // places up, so after the prefix sum begin[f + 1] is family f's start, and
+  // placing f's members advances it to f + 1's. Theorem 5 needs no family.
+  const std::size_t families = plane.family_count();
+  std::vector<std::uint32_t> begin(families + 2, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    const MotionPlane::FamilyId f = plane.family(abnormal[i]);
+    if (f == MotionPlane::kNoFamily) {
+      decisions[i] = decide_member(abnormal[i], {});
+    } else {
+      ++begin[f + 2];
     }
-    order.resize(m);
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return cost[a] > cost[b];
-                     });
   }
-  const auto decide_slot = [&](std::size_t i) {
-    const std::size_t slot = reorder ? order[i] : i;
-    decisions[slot] = characterize(abnormal[slot]);
+  std::partial_sum(begin.begin(), begin.end(), begin.begin());
+  std::vector<std::uint32_t> slots(begin[families + 1]);
+  for (std::size_t i = 0; i < m; ++i) {
+    const MotionPlane::FamilyId f = plane.family(abnormal[i]);
+    if (f != MotionPlane::kNoFamily) slots[begin[f + 1]++] = static_cast<std::uint32_t>(i);
+  }
+
+  // Costliest family first (classic LPT against skew): the shared cursor
+  // hands out indices in order, so one monster family (many members x big
+  // dense family x big component — the component bounds N(j), the NSC
+  // search's input) drawn late would serialize the tail behind one lane.
+  std::vector<std::uint64_t> cost(families);
+  for (std::size_t f = 0; f < families; ++f) {
+    const DeviceId first = abnormal[slots[begin[f]]];
+    cost[f] = (begin[f + 1] - begin[f]) * (1 + plane.dense(first).size()) *
+              (1 + plane.component_members(plane.component_of(first)).size());
+  }
+  std::vector<std::uint32_t> order(families);
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) { return cost[a] > cost[b]; });
+
+  const auto decide_family_at = [&](std::size_t i) {
+    const std::uint32_t f = order[i];
+    const FamilyVerdict verdict = decide_family(abnormal[slots[begin[f]]]);
+    for (std::uint32_t s = begin[f]; s < begin[f + 1]; ++s) {
+      decisions[slots[s]] = decide_member(abnormal[slots[s]], verdict);
+    }
   };
   if (pool != nullptr) {
-    pool->for_each(m, options_.parallel_grain, decide_slot, lane_ms);
+    // Inline below parallel_grain devices (for_each: count < min_fanout).
+    pool->for_each(families, m >= options_.parallel_grain ? 1 : families + 1,
+                   decide_family_at, lane_ms);
   } else {
-    for (std::size_t i = 0; i < m; ++i) decide_slot(i);
+    for (std::size_t i = 0; i < families; ++i) decide_family_at(i);
   }
   return decisions;
 }
@@ -519,16 +504,17 @@ CharacterizationSets bucket(const DeviceSet& abnormal,
   return sets;
 }
 
-DeviceSet Characterizer::neighbourhood_d(DeviceId j) {
-  return split_neighbourhood(j).d;
+DeviceSet Characterizer::neighbourhood_d(DeviceId j) const {
+  return devices_of(*plane_, j, decide_family(j).d);
 }
 
-DeviceSet Characterizer::neighbourhood_j(DeviceId j) {
-  return split_neighbourhood(j).j;
+DeviceSet Characterizer::neighbourhood_j(DeviceId j) const {
+  const FamilyVerdict family = decide_family(j);
+  return devices_of(*plane_, j, family.d).set_difference(devices_of(*plane_, j, family.l));
 }
 
-DeviceSet Characterizer::neighbourhood_l(DeviceId j) {
-  return split_neighbourhood(j).l;
+DeviceSet Characterizer::neighbourhood_l(DeviceId j) const {
+  return devices_of(*plane_, j, decide_family(j).l);
 }
 
 }  // namespace acn

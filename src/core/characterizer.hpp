@@ -14,10 +14,11 @@
 // of neighbours), matching the locality claim at the end of §V.
 //
 // All motion families are read from a snapshot-level MotionPlane built once
-// per (state, params): the Theorem 5/6 split walks interned motion runs
-// without materializing sets, and because each per-device decision is a
-// pure read of the plane, decide() fans A_k out over a WorkerPool
-// (disjoint result slots, byte-identical to the serial walk).
+// per (state, params). Theorems 5 and 6 read j only through its dense
+// family F = W-bar_k(j) (D_k(j) = union of F; ell is in J_k(j) iff
+// W-bar_k(ell) is a subset of F), so they run once per family, and decide()
+// fans the families out over a WorkerPool (disjoint result slots,
+// byte-identical to the serial walk). Only the Theorem-7 search reads j.
 //
 // The Theorem 7 search: a violating collection only ever contains sets B
 // with (a) |B| > tau, (b) B a subset of some maximal dense motion M of an
@@ -129,13 +130,14 @@ class Characterizer {
   [[nodiscard]] Decision characterize(DeviceId j) const;
 
   /// Decisions for every device of A_k, in A_k (ascending id) order — the
-  /// one batch entry point. Without a pool, a serial loop. With one, the
-  /// devices fan out over its lanes, costliest first (dense-family x
-  /// neighbourhood size proxy) so one expensive device drawn late cannot
-  /// serialize the tail; below options.parallel_grain devices the pool runs
-  /// the loop inline. Every decision writes its own slot, so the result is
-  /// byte-identical for any pool and schedule. `lane_ms`, when given with a
-  /// pool, receives per-lane busy times (see WorkerPool::for_each).
+  /// one batch entry point, deciding Theorems 5 and 6 once per dense family.
+  /// Without a pool, a serial loop. With one, the families fan out over its
+  /// lanes, costliest first (members x dense-family size x component size)
+  /// so one expensive family drawn late cannot serialize the tail; below
+  /// options.parallel_grain devices the pool runs the loop inline. Each
+  /// family writes only its members' slots, so the result is byte-identical
+  /// for any pool and schedule. `lane_ms`, when given with a pool, receives
+  /// per-lane busy times (see WorkerPool::for_each).
   [[nodiscard]] std::vector<Decision> decide(WorkerPool* pool = nullptr,
                                              std::vector<double>* lane_ms = nullptr) const;
 
@@ -143,22 +145,27 @@ class Characterizer {
   [[nodiscard]] CharacterizationSets characterize_all() const;
 
   /// D_k(j): union of the maximal dense motions containing j.
-  [[nodiscard]] DeviceSet neighbourhood_d(DeviceId j);
+  [[nodiscard]] DeviceSet neighbourhood_d(DeviceId j) const;
   /// J_k(j): members of D_k(j) whose every maximal dense motion contains j.
-  [[nodiscard]] DeviceSet neighbourhood_j(DeviceId j);
+  [[nodiscard]] DeviceSet neighbourhood_j(DeviceId j) const;
   /// L_k(j): members of D_k(j) with a maximal dense motion avoiding j.
-  [[nodiscard]] DeviceSet neighbourhood_l(DeviceId j);
+  [[nodiscard]] DeviceSet neighbourhood_l(DeviceId j) const;
 
   [[nodiscard]] const MotionPlane& plane() const noexcept { return *plane_; }
   [[nodiscard]] const Params& params() const noexcept { return plane_->params(); }
 
  private:
-  struct Split {
-    DeviceSet d;  ///< D_k(j)
-    DeviceSet j;  ///< J_k(j)
-    DeviceSet l;  ///< L_k(j)
+  /// What every member of one dense family shares: D_k(j) and L_k(j) over
+  /// the component's comp-ranks (J_k(j) = D \ L), and Theorem 6's outcome.
+  struct FamilyVerdict {
+    std::vector<std::uint64_t> d;
+    std::vector<std::uint64_t> l;
+    bool theorem6 = false;
   };
-  [[nodiscard]] Split split_neighbourhood(DeviceId j) const;
+  /// The verdict of j's dense family; every member gives the same one.
+  [[nodiscard]] FamilyVerdict decide_family(DeviceId j) const;
+  /// j's decision from its family's verdict (Theorem 7 where 6 fails).
+  [[nodiscard]] Decision decide_member(DeviceId j, const FamilyVerdict& family) const;
 
   struct NscOutcome {
     bool violating_found = false;
@@ -167,8 +174,9 @@ class Characterizer {
   };
   /// Plane-const and self-contained (the search carries its own bitset
   /// state), so any number of pool lanes may run it concurrently.
-  [[nodiscard]] NscOutcome search_violating_collection(DeviceId j,
-                                                       const DeviceSet& l) const;
+  /// `l` is L_k(j) over j's component comp-ranks.
+  [[nodiscard]] NscOutcome search_violating_collection(
+      DeviceId j, std::span<const std::uint64_t> l) const;
 
   std::optional<MotionPlane> owned_plane_;  ///< engaged by the state ctor
   const MotionPlane* plane_;

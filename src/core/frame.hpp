@@ -15,8 +15,8 @@
 //      as the from-scratch MotionPlane(state, params): components by a
 //      union-find over the index's cells, then the per-component family
 //      enumeration fanned out over the engine's persistent WorkerPool;
-//   4. characterize — Theorems 5-7 for every device of A_k, fanned out over
-//      the same pool.
+//   4. characterize — Theorems 5-7 for every device of A_k, decided per
+//      dense family and fanned out over the same pool.
 //
 // Verdicts are byte-identical to a from-scratch rebuild for every thread
 // count (tests/core/frame_equivalence_test.cc sweeps this, teleports and
@@ -79,7 +79,7 @@ struct FrameStats {
   // Per-lane skew of each fan-out phase (see LaneBreakdown).
   LaneBreakdown state_lanes;        ///< state-roll chunk fan-out
   LaneBreakdown plane_enum_lanes;   ///< plane component enumeration
-  LaneBreakdown characterize_lanes; ///< per-device decision fan-out
+  LaneBreakdown characterize_lanes; ///< per-family decision fan-out
 
   /// Sum of the phase timers: the engine-side wall clock of one interval.
   [[nodiscard]] double total_ms() const noexcept {
@@ -106,12 +106,12 @@ class FrameEngine {
  public:
   struct Config {
     Params model;
-    /// Options for every per-device decision; characterize.parallel_grain
+    /// Options for every decision; characterize.parallel_grain
     /// is the |A_k| below which the characterization fan-out runs inline
     /// (Characterizer::decide's threshold).
     CharacterizeOptions characterize;
     /// Lanes for every per-interval fan-out (state roll, plane build,
-    /// per-device characterization): 1 = inline serial (default), 0 =
+    /// per-family characterization): 1 = inline serial (default), 0 =
     /// hardware concurrency. Verdicts are identical for every value.
     unsigned threads = 1;
     /// Component count below which the plane build runs inline.

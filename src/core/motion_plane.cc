@@ -28,9 +28,14 @@ bool run_is_strict_subset(std::span<const DeviceId> small,
 /// (offset, length) run of sorted DeviceIds in one arena, deduplicated on
 /// insert — distinct windows over a tight blob produce the same cover many
 /// times, and every duplicate would otherwise ride through the maximality
-/// filter. clear() keeps all capacity, so one store serves every device of
-/// the plane build without per-device allocation.
+/// filter. One store serves every component of a lane's plane builds.
 struct CoverStore {
+  /// What clear() keeps for reuse. unordered_map::clear() zeroes the whole
+  /// bucket array, so one kept from a heavy enumeration would tax every
+  /// later clear(); a kept arena would sit outside every plane's budget.
+  static constexpr std::size_t kKeepBuckets = std::size_t{1} << 12;
+  static constexpr std::size_t kKeepIds = std::size_t{1} << 20;
+
   std::vector<DeviceId> arena;
   std::vector<std::uint32_t> offsets{0};
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
@@ -39,9 +44,13 @@ struct CoverStore {
   ArenaBudget* budget = nullptr;
 
   void clear() {
+    // Only a swap releases: `index = {}` calls clear().
+    if (arena.capacity() > kKeepIds) decltype(arena)().swap(arena);
+    if (offsets.capacity() > kKeepIds) decltype(offsets)().swap(offsets);
+    if (index.bucket_count() > kKeepBuckets) decltype(index)().swap(index);
     arena.clear();
     offsets.assign(1, 0);
-    index.clear();  // keeps the bucket array; cost tracks own entry count
+    index.clear();
   }
   [[nodiscard]] std::size_t count() const noexcept { return offsets.size() - 1; }
   [[nodiscard]] std::span<const DeviceId> run(std::uint32_t i) const noexcept {
@@ -182,6 +191,9 @@ const double* prepare_pool(const StatePair& state, const Params& params,
     scratch.next.resize(state.joint_dim());
   }
   scratch.covers.clear();
+  if (scratch.order.capacity() > CoverStore::kKeepIds) {
+    decltype(scratch.order)().swap(scratch.order);
+  }
   scratch.maximal.clear();
   if (pool.empty()) return anchor_joint;
 
@@ -682,19 +694,17 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
   // across slices, so the assembled store holds exactly the serial store's
   // runs — then run the same content-based maximality selection.
   motion_offsets_.push_back(0);
-  std::vector<std::vector<MotionId>> family_of(m);
-  std::vector<std::vector<MotionId>> dense_of(m);
   EnumerationScratch merge_scratch;
+  // Runs are distinct by construction: within a component the cover store
+  // already dedups, and components have disjoint member sets. The sharing
+  // the arena buys is one run serving every member's family list.
   const auto intern_run = [&](std::span<const DeviceId> run) {
-    const MotionId mid = intern(run);
+    budget_.charge(run.size() * sizeof(DeviceId));
+    motion_arena_.insert(motion_arena_.end(), run.begin(), run.end());
+    motion_offsets_.push_back(static_cast<std::uint32_t>(motion_arena_.size()));
     motion_component_.push_back(comp_of_[rank_lookup_[run[0]]]);
-    const bool dense = run.size() > params_.tau;
+    ++counters_.motions_stored;
     counters_.motions_shared += run.size() - 1;  // one arena run, |M| families
-    for (const DeviceId member : run) {
-      const std::uint32_t rank = rank_lookup_[member];
-      family_of[rank].push_back(mid);
-      if (dense) dense_of[rank].push_back(mid);
-    }
   };
   for (std::size_t ci = 0; ci < comp_count; ++ci) {
     for (std::uint32_t t = comp_task_begin[ci]; t < comp_task_begin[ci + 1]; ++t) {
@@ -726,26 +736,17 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     }
   }
 
-  maximal_offsets_.reserve(m + 1);
-  maximal_offsets_.push_back(0);
-  dense_offsets_.reserve(m + 1);
-  dense_offsets_.push_back(0);
-  for (std::size_t rank = 0; rank < m; ++rank) {
-    maximal_ids_.insert(maximal_ids_.end(), family_of[rank].begin(),
-                        family_of[rank].end());
-    dense_ids_.insert(dense_ids_.end(), dense_of[rank].begin(),
-                      dense_of[rank].end());
-    maximal_offsets_.push_back(static_cast<std::uint32_t>(maximal_ids_.size()));
-    dense_offsets_.push_back(static_cast<std::uint32_t>(dense_ids_.size()));
-  }
-
-  // Membership bitsets over comp-ranks: one word-run per motion, plus per
-  // device the AND of its dense motions' runs (all-ones when the dense
-  // family is empty — the vacuous truth of "every dense motion of ell
-  // contains j"). These are what turn the characterizer's J/L split,
-  // Theorem 6 intersection counts, and Theorem 7 survivor counts into
-  // bit tests, ANDs, and popcounts.
+  // One pass over the motions fills each M(j) (a counting sort over ranks;
+  // id order is family order, a component's motions being interned
+  // lexicographically) and each motion's membership bitset over comp-ranks
+  // — what turns the characterizer's J/L split and Theorem 6/7 counts into
+  // bit tests, ANDs and popcounts.
   const std::size_t motions = motion_count();
+  maximal_offsets_.assign(m + 1, 0);
+  for (const DeviceId member : motion_arena_) ++maximal_offsets_[rank_lookup_[member] + 1];
+  std::partial_sum(maximal_offsets_.begin(), maximal_offsets_.end(), maximal_offsets_.begin());
+  maximal_ids_.resize(maximal_offsets_[m]);
+  std::vector<std::uint32_t> next(maximal_offsets_.begin(), maximal_offsets_.end() - 1);
   motion_bits_offsets_.reserve(motions + 1);
   motion_bits_offsets_.push_back(0);
   for (MotionId mid = 0; mid < motions; ++mid) {
@@ -754,35 +755,44 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     const std::size_t at = motion_bits_.size();
     motion_bits_.resize(at + words, 0);
     for (const DeviceId member : members(mid)) {
-      const std::uint32_t cr = comp_rank_of_[rank_lookup_[member]];
+      const std::uint32_t rank = rank_lookup_[member];
+      maximal_ids_[next[rank]++] = mid;
+      const std::uint32_t cr = comp_rank_of_[rank];
       motion_bits_[at + (cr >> 6)] |= 1ULL << (cr & 63);
     }
     motion_bits_offsets_.push_back(static_cast<std::uint32_t>(motion_bits_.size()));
   }
-  inter_bits_offsets_.reserve(m + 1);
-  inter_bits_offsets_.push_back(0);
+
+  // Dense families: W-bar_k(j) is the subsequence of M(j) with more than
+  // tau members. The map is keyed by whole runs, so devices share a family
+  // id exactly when their runs are equal (the hash only picks a bucket).
+  family_of_.assign(m, kNoFamily);
+  const auto run_hash = [](const std::vector<MotionId>& run) { return hash_ids(run); };
+  std::unordered_map<std::vector<MotionId>, FamilyId, decltype(run_hash)> family_ids;
+  std::vector<MotionId> run;
   for (std::size_t rank = 0; rank < m; ++rank) {
-    const std::uint32_t ci = comp_of_[rank];
-    const std::size_t comp_size = component_members(ci).size();
-    const std::size_t words = (comp_size + 63) / 64;
-    budget_.charge(words * sizeof(std::uint64_t));
-    const std::size_t at = inter_bits_.size();
-    if (dense_of[rank].empty()) {
-      inter_bits_.resize(at + words, ~std::uint64_t{0});
-      if (comp_size & 63) {
-        inter_bits_.back() = (1ULL << (comp_size & 63)) - 1;  // mask the tail
-      }
-    } else {
-      const auto first = motion_bits(dense_of[rank][0]);
-      inter_bits_.insert(inter_bits_.end(), first.begin(), first.end());
-      for (std::size_t i = 1; i < dense_of[rank].size(); ++i) {
-        const auto run = motion_bits(dense_of[rank][i]);
-        for (std::size_t k = 0; k < words; ++k) inter_bits_[at + k] &= run[k];
-      }
+    run.clear();
+    for (std::uint32_t i = maximal_offsets_[rank]; i < maximal_offsets_[rank + 1]; ++i) {
+      if (members(maximal_ids_[i]).size() > params_.tau) run.push_back(maximal_ids_[i]);
     }
-    inter_bits_offsets_.push_back(static_cast<std::uint32_t>(inter_bits_.size()));
+    if (run.empty()) continue;
+    const auto [it, fresh] =
+        family_ids.try_emplace(run, static_cast<FamilyId>(family_count()));
+    family_of_[rank] = it->second;
+    if (!fresh) continue;
+    family_motions_.insert(family_motions_.end(), run.begin(), run.end());
+    family_offsets_.push_back(static_cast<std::uint32_t>(family_motions_.size()));
+    const std::size_t at = family_bits_.size();
+    const std::size_t words = motion_bits(run[0]).size();
+    budget_.charge(words * sizeof(std::uint64_t));
+    family_bits_.resize(at + words, ~std::uint64_t{0});
+    for (const MotionId mid : run) {
+      for (std::size_t k = 0; k < words; ++k) family_bits_[at + k] &= motion_bits(mid)[k];
+    }
+    family_bits_offsets_.push_back(static_cast<std::uint32_t>(family_bits_.size()));
   }
 }
+
 
 bool MotionPlane::covers(DeviceId j) const noexcept {
   return j < rank_lookup_.size() && rank_lookup_[j] != kNoRank;
@@ -803,19 +813,18 @@ std::span<const MotionPlane::MotionId> MotionPlane::maximal(DeviceId j) const {
 }
 
 std::span<const MotionPlane::MotionId> MotionPlane::dense(DeviceId j) const {
-  const std::size_t rank = rank_of(j);
-  return {dense_ids_.data() + dense_offsets_[rank],
-          dense_offsets_[rank + 1] - dense_offsets_[rank]};
+  const FamilyId f = family(j);
+  if (f == kNoFamily) return {};
+  return {family_motions_.data() + family_offsets_[f],
+          family_offsets_[f + 1] - family_offsets_[f]};
 }
 
-bool MotionPlane::motion_contains(MotionId m, DeviceId id) const noexcept {
-  // O(1) bit test when id is abnormal and in the motion's component; a
-  // motion can only contain abnormal members, so anything else is a miss.
-  if (id >= rank_lookup_.size()) return false;
-  const std::uint32_t rank = rank_lookup_[id];
-  if (rank == kNoRank || comp_of_[rank] != motion_component_[m]) return false;
-  const std::uint32_t cr = comp_rank_of_[rank];
-  return (motion_bits(m)[cr >> 6] >> (cr & 63)) & 1;
+std::pair<MotionPlane::MotionId, MotionPlane::MotionId> MotionPlane::component_motions(
+    std::uint32_t c) const {
+  // Motions are interned component by component: motion_component_ is sorted.
+  const auto [lo, hi] = std::equal_range(motion_component_.begin(), motion_component_.end(), c);
+  return {static_cast<MotionId>(lo - motion_component_.begin()),
+          static_cast<MotionId>(hi - motion_component_.begin())};
 }
 
 std::size_t MotionPlane::rank_of(DeviceId j) const {
@@ -824,19 +833,6 @@ std::size_t MotionPlane::rank_of(DeviceId j) const {
                                 " is not in A_k");
   }
   return rank_lookup_[j];
-}
-
-MotionPlane::MotionId MotionPlane::intern(std::span<const DeviceId> motion) {
-  // Uniqueness holds by construction: within a component the cover store
-  // already dedups, and components have disjoint member sets — so every
-  // call appends a new distinct run. The sharing the arena buys is one run
-  // serving every member's family list.
-  const auto mid = static_cast<MotionId>(motion_count());
-  budget_.charge(motion.size() * sizeof(DeviceId));
-  motion_arena_.insert(motion_arena_.end(), motion.begin(), motion.end());
-  motion_offsets_.push_back(static_cast<std::uint32_t>(motion_arena_.size()));
-  ++counters_.motions_stored;
-  return mid;
 }
 
 }  // namespace acn

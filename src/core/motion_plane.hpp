@@ -4,13 +4,13 @@
 // the dimensioned neighbourhood size, not n — every Theorem 5/6/7 decision
 // reads only motion families of devices within 4r of the device deciding.
 // The seed implementation re-derived those overlapping families per device
-// (split_neighbourhood re-filtered every neighbour's dense family on every
+// (its D/J/L split re-filtered every neighbour's dense family on every
 // call), so a massive anomaly of size m paid O(m^2) family filters per
 // snapshot. The plane inverts that: one pass per snapshot computes the
 // 2r-interaction components of A_k and, for every abnormal device, its
 // maximal-motion family (Algorithm 2) and its tau-dense family (W-bar_k),
-// after which each per-device decision is a read-only lookup — and the
-// decisions can run in parallel across A_k (Characterizer::decide over a
+// after which every decision is a read-only lookup — and the decisions can
+// run in parallel across dense families (Characterizer::decide over a
 // WorkerPool). Neighbourhoods are not stored: every 2r-neighbour of j lies
 // in j's component, so N(j) is a scan of that component on request.
 //
@@ -22,7 +22,9 @@
 //     case inside a blob: all members of a dense cluster see the same
 //     maximal motions). One enumeration per interaction component makes
 //     the runs distinct by construction, so no dedup pass is needed;
-//   * per-device families are (offset, length) slices of MotionId arrays.
+//   * maximal families are per-device slices of one MotionId array; each
+//     distinct dense family is one MotionId run and one bitset, per device
+//     a family id.
 //
 // The plane is the one query surface over motion families. The two
 // queries over an arbitrary pool — the canonical-window enumeration the
@@ -37,6 +39,7 @@
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/device_set.hpp"
@@ -142,6 +145,9 @@ class MotionPlane {
  public:
   /// Index of an interned motion within the plane's store.
   using MotionId = std::uint32_t;
+  /// Index of an interned dense family; kNoFamily marks an empty one.
+  using FamilyId = std::uint32_t;
+  static constexpr FamilyId kNoFamily = 0xFFFFFFFFu;
 
   /// Builds the whole plane for state.abnormal() eagerly, serially, over
   /// index_for(state, params). `state` must outlive the plane. This is the
@@ -187,16 +193,22 @@ class MotionPlane {
   /// M(j): ids of all maximal motions containing j, in deterministic
   /// (lexicographic by members) order. Requires covers(j).
   [[nodiscard]] std::span<const MotionId> maximal(DeviceId j) const;
-  /// W-bar_k(j): ids of the tau-dense members of M(j), same order.
-  /// Requires covers(j).
+  /// W-bar_k(j): ids of the tau-dense members of M(j), same order — the run
+  /// of j's dense family. Requires covers(j).
   [[nodiscard]] std::span<const MotionId> dense(DeviceId j) const;
+  /// Id of j's dense family (kNoFamily when W-bar_k(j) is empty); devices
+  /// share an id iff their dense() runs are equal. Requires covers(j).
+  [[nodiscard]] FamilyId family(DeviceId j) const { return family_of_[rank_of(j)]; }
+  /// Number of distinct non-empty dense families.
+  [[nodiscard]] std::size_t family_count() const noexcept {
+    return family_offsets_.size() - 1;
+  }
 
   /// Members of one interned motion (sorted run in the arena).
   [[nodiscard]] std::span<const DeviceId> members(MotionId m) const noexcept {
     return {motion_arena_.data() + motion_offsets_[m],
             motion_offsets_[m + 1] - motion_offsets_[m]};
   }
-  [[nodiscard]] bool motion_contains(MotionId m, DeviceId id) const noexcept;
 
   /// Number of distinct motions in the arena (after interning).
   [[nodiscard]] std::size_t motion_count() const noexcept {
@@ -224,13 +236,12 @@ class MotionPlane {
     return {comp_members_.data() + comp_member_offsets_[c],
             comp_member_offsets_[c + 1] - comp_member_offsets_[c]};
   }
+  /// Ids [first, last) of component c's motions: one contiguous run, in
+  /// lexicographic (by members) order.
+  [[nodiscard]] std::pair<MotionId, MotionId> component_motions(std::uint32_t c) const;
   /// Rank of j within its component's sorted member list.
   [[nodiscard]] std::uint32_t comp_rank_of(DeviceId j) const {
     return comp_rank_of_[rank_of(j)];
-  }
-  /// Component index of motion m.
-  [[nodiscard]] std::uint32_t motion_component(MotionId m) const noexcept {
-    return motion_component_[m];
   }
   /// Words per comp-rank bitset of component c.
   [[nodiscard]] std::size_t component_words(std::uint32_t c) const noexcept {
@@ -241,14 +252,11 @@ class MotionPlane {
     return {motion_bits_.data() + motion_bits_offsets_[m],
             motion_bits_offsets_[m + 1] - motion_bits_offsets_[m]};
   }
-  /// AND of the motion_bits of all of j's dense motions (all-ones over j's
-  /// component when the dense family is empty — the vacuous truth the J/L
-  /// split's "every dense motion of ell contains j" test needs). Requires
-  /// covers(j).
-  [[nodiscard]] std::span<const std::uint64_t> dense_intersection_bits(DeviceId j) const {
-    const std::size_t rank = rank_of(j);
-    return {inter_bits_.data() + inter_bits_offsets_[rank],
-            inter_bits_offsets_[rank + 1] - inter_bits_offsets_[rank]};
+  /// AND of the motion_bits of family f's motions: for a device ell of
+  /// family f, j's bit is set iff every dense motion of ell contains j.
+  [[nodiscard]] std::span<const std::uint64_t> family_bits(FamilyId f) const noexcept {
+    return {family_bits_.data() + family_bits_offsets_[f],
+            family_bits_offsets_[f + 1] - family_bits_offsets_[f]};
   }
 
   /// Bytes currently parked in the plane's arenas (budget meter reading).
@@ -261,20 +269,22 @@ class MotionPlane {
   void build(WorkerPool* pool, std::size_t component_fanout, PlaneBuildLanes* lanes);
   /// Rank of j within the sorted A_k ids; throws if not abnormal.
   [[nodiscard]] std::size_t rank_of(DeviceId j) const;
-  /// Appends one sorted member run to the arena store (runs are distinct by
-  /// construction — see the ctor) and returns its id.
-  MotionId intern(std::span<const DeviceId> motion);
 
   const StatePair& state_;
   Params params_;
   GridIndex grid_;             ///< A_k index (its cells feed the components)
   std::vector<DeviceId> ids_;  ///< A_k, sorted
 
-  // Per-device slices (all offset arrays have device_count() + 1 entries).
+  // Per-device maximal families (device_count() + 1 offsets).
   std::vector<std::uint32_t> maximal_offsets_;
   std::vector<MotionId> maximal_ids_;
-  std::vector<std::uint32_t> dense_offsets_;
-  std::vector<MotionId> dense_ids_;
+
+  // Interned dense families (family_count() + 1 offsets each).
+  std::vector<FamilyId> family_of_;  ///< per rank
+  std::vector<std::uint32_t> family_offsets_{0};
+  std::vector<MotionId> family_motions_;
+  std::vector<std::uint32_t> family_bits_offsets_{0};  ///< word offsets
+  std::vector<std::uint64_t> family_bits_;
 
   // The interned motion store.
   std::vector<std::uint32_t> motion_offsets_;  ///< motion_count() + 1 entries
@@ -294,8 +304,6 @@ class MotionPlane {
   std::vector<std::uint32_t> motion_component_;     ///< per motion
   std::vector<std::uint32_t> motion_bits_offsets_;  ///< word offsets, count+1
   std::vector<std::uint64_t> motion_bits_;
-  std::vector<std::uint32_t> inter_bits_offsets_;   ///< word offsets, m+1
-  std::vector<std::uint64_t> inter_bits_;
 
   mutable ArenaBudget budget_;
   OracleCounters counters_;

@@ -337,6 +337,38 @@ TEST_P(PlaneBruteForceSweep, MatchesBruteForce) {
       if (state.joint_distance(j, other) <= params.window()) within.push_back(other);
     }
     EXPECT_EQ(plane.neighbourhood(j), within) << "N(j), device " << j << " seed " << param.seed;
+
+    // W-bar_k(j): the brute-force motions with more than tau members.
+    std::vector<DeviceSet> dense;
+    for (const DeviceSet& motion : expected) {
+      if (motion.size() > params.tau) dense.push_back(motion);
+    }
+    EXPECT_EQ(members_of(plane, plane.dense(j)), dense)
+        << "dense, device " << j << " seed " << param.seed;
+  }
+
+  // Interned dense families: two devices share a family id iff their
+  // dense() runs are equal, and each family's bitset is the AND of its
+  // motions' bitsets.
+  for (DeviceId a = 0; a < param.n; ++a) {
+    const auto run_a = plane.dense(a);
+    EXPECT_EQ(plane.family(a) == MotionPlane::kNoFamily, run_a.empty()) << "device " << a;
+    for (DeviceId b = 0; b < param.n; ++b) {
+      const auto run_b = plane.dense(b);
+      EXPECT_EQ(plane.family(a) == plane.family(b),
+                std::equal(run_a.begin(), run_a.end(), run_b.begin(), run_b.end()))
+          << "devices " << a << ", " << b << " seed " << param.seed;
+    }
+    if (run_a.empty()) continue;
+    std::vector<std::uint64_t> and_bits(plane.motion_bits(run_a[0]).begin(),
+                                        plane.motion_bits(run_a[0]).end());
+    for (const MotionPlane::MotionId mid : run_a) {
+      const auto bits = plane.motion_bits(mid);
+      for (std::size_t k = 0; k < and_bits.size(); ++k) and_bits[k] &= bits[k];
+    }
+    const auto family_bits = plane.family_bits(plane.family(a));
+    EXPECT_EQ(std::vector<std::uint64_t>(family_bits.begin(), family_bits.end()), and_bits)
+        << "family bits, device " << a << " seed " << param.seed;
   }
 
   // The early-exit slide (condition C1): a tau-dense motion exists iff the

@@ -13,9 +13,11 @@
 # --check-regression diffs every fresh ms/step figure against the same row
 # of the previously committed BENCH_<name>.json (markdown-table cells and
 # embedded-JSON "ms_per_step" entries alike) and exits non-zero when any
-# row slowed down by more than 25% — the nightly perf gate. The new file is
-# still written (the recording is honest either way); only the exit status
-# flags the regression.
+# row slowed down by more than 25%, or when a committed row has no fresh
+# counterpart (a gate that compared nothing must not pass) — the nightly
+# perf gate. It prints how many rows it compared. The new file is still
+# written (the recording is honest either way); only the exit status flags
+# the regression.
 set -eu
 
 check_regression=0
@@ -117,21 +119,30 @@ extract_ms_keys() {
 }
 
 # Joins the previous run's keys against the fresh run's; prints every row
-# that slowed down >25% and returns non-zero if any did. Rows below 0.05 ms
-# are skipped — at that scale the machine jitter dwarfs the signal.
+# that slowed down >25% or vanished, and the number of rows compared, and
+# returns non-zero on either failure. Rows below 0.05 ms are not judged for
+# speed — at that scale the machine jitter dwarfs the signal.
 report_regressions() {
   awk '
     NR == FNR { old[$1] = $2; next }
     { new[$1] = $2 }
     END {
       bad = 0
-      for (k in new) {
-        if (k in old && old[k] + 0 >= 0.05 && new[k] + 0 > old[k] * 1.25) {
+      compared = 0
+      for (k in old) {
+        if (!(k in new)) {
+          printf "  missing: %s (committed row has no fresh counterpart)\n", k
+          bad = 1
+          continue
+        }
+        compared++
+        if (old[k] + 0 >= 0.05 && new[k] + 0 > old[k] * 1.25) {
           printf "  regression: %s %.3f -> %.3f ms/step (+%.0f%%)\n",
                  k, old[k], new[k], 100 * (new[k] / old[k] - 1)
           bad = 1
         }
       }
+      printf "  compared %d committed rows\n", compared
       exit bad
     }' "$1" "$2"
 }
@@ -173,7 +184,7 @@ for bin in "$@"; do
     if ! report_regressions "$old_keys" "$new_keys"; then
       status=1
       failed="$failed $name(regression)"
-      echo "error: $name regressed >25% vs committed $out_file" >&2
+      echo "error: $name regressed >25% or lost rows vs committed $out_file" >&2
     fi
     rm -f "$old_keys" "$new_keys"
   fi
