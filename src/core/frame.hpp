@@ -4,11 +4,11 @@
 // trajectories within 4r of the deciding device) bounds every interval's
 // work to the 4r-closure of A_k. The engine runs four phases per interval:
 //
-//   1. state roll — the new snapshot's columns are compared into the
-//      current half of the rolling StatePair's joint columns, after the old
-//      current half shifts into the previous half; entries (and their
-//      quantized mirrors) are rewritten only where a trajectory changed
-//      (StatePair::advance);
+//   1. state roll — the previous half of the rolling StatePair's joint
+//      columns catches up with the current half at the ids the last roll
+//      moved (O(|moved|)), then the new snapshot's columns are compared into
+//      the current half; entries (and their quantized mirrors) are
+//      rewritten only where a position changed (StatePair::advance);
 //   2. A_k index — one GridIndex over the abnormal devices, cell
 //      max(2r, kMinGridCell): the only spatial index, sized by |A_k|, not n;
 //   3. plane — the MotionPlane built over that index, through the same path
@@ -87,20 +87,6 @@ struct FrameStats {
   }
 };
 
-/// A closed interval as handed down from the ingestion layer: the
-/// materialized snapshot, the abnormal set, and the ingest-quality marker.
-/// `degraded` is metadata — it never changes what is computed, it travels
-/// with the interval so every consumer of the verdicts knows the lateness
-/// budget or the overload policy clipped the inputs (shed claims, deferred
-/// devices, a forced early close). The watermark pipeline (src/ingest)
-/// produces these; OnlineMonitor forwards them here.
-struct SealedFrame {
-  std::uint64_t interval = 0;
-  Snapshot positions;
-  DeviceSet abnormal;
-  bool degraded = false;
-};
-
 /// The streaming engine: feed one snapshot per interval, read verdicts.
 class FrameEngine {
  public:
@@ -142,12 +128,6 @@ class FrameEngine {
   /// deployments with churn feed it through FleetRoster, which recycles
   /// slots inside a fixed capacity instead of resizing the snapshot.
   std::optional<Result> observe(const Snapshot& positions, DeviceSet abnormal);
-
-  /// Sealed-frame handoff from the ingestion layer: same contract. The
-  /// degraded marker does not influence the computation (see SealedFrame).
-  std::optional<Result> observe(SealedFrame frame) {
-    return observe(frame.positions, std::move(frame.abnormal));
-  }
 
   /// The rolling state (requires at least one observe()).
   [[nodiscard]] const StatePair& state() const { return *state_; }

@@ -37,6 +37,10 @@ class Point {
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
   [[nodiscard]] double operator[](std::size_t i) const noexcept { return coords_[i]; }
   [[nodiscard]] double& operator[](std::size_t i) noexcept { return coords_[i]; }
+  /// The dim() live coordinates.
+  [[nodiscard]] std::span<const double> coords() const noexcept {
+    return {coords_.data(), dim_};
+  }
 
   /// True if every coordinate lies in [0, 1] (the QoS space proper). NaN
   /// lies nowhere, so a NaN coordinate fails (see in_unit_interval).

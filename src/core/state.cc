@@ -1,6 +1,7 @@
 #include "core/state.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 
@@ -59,6 +60,13 @@ Snapshot::Snapshot(std::size_t dim, std::vector<double> cols)
   }
 }
 
+void Snapshot::reject(DeviceId j, std::span<const double> position) const {
+  throw std::invalid_argument(
+      "Snapshot::set: refused device " + std::to_string(j) + " of " +
+      std::to_string(n_) + " a position of " + std::to_string(position.size()) +
+      " coordinates (want " + std::to_string(dim_) + ", each in [0, 1])");
+}
+
 Point Snapshot::operator[](DeviceId j) const {
   Point p = Point::zero(dim_);
   for (std::size_t t = 0; t < dim_; ++t) p[t] = cols_[t * n_ + j];
@@ -88,10 +96,21 @@ StatePair::StatePair(const Snapshot& prev, const Snapshot& curr, DeviceSet abnor
   }
   // Both snapshots are [dim][n] blocks, so the joint block is the prev
   // block followed by the curr block.
-  joint_cols_.resize(joint_dim() * n_);
-  std::copy(prev.col(0), prev.col(0) + dim_ * n_, joint_cols_.begin());
-  std::copy(curr.col(0), curr.col(0) + dim_ * n_,
-            joint_cols_.begin() + static_cast<std::ptrdiff_t>(dim_ * n_));
+  joint_cols_.reserve(joint_dim() * n_);
+  joint_cols_.assign(prev.col(0), prev.col(0) + dim_ * n_);
+  joint_cols_.insert(joint_cols_.end(), curr.col(0), curr.col(0) + dim_ * n_);
+  // The first advance() catches S_{k-1} up where the two snapshots differ:
+  // nowhere when both halves are one snapshot, as in the engine's priming.
+  if (&prev != &curr) {
+    for (DeviceId j = 0; j < n_; ++j) {
+      for (std::size_t t = 0; t < dim_; ++t) {
+        if (prev.col(t)[j] != curr.col(t)[j]) {
+          moved_.push_back(j);
+          break;
+        }
+      }
+    }
+  }
   qcols_.resize(joint_cols_.size());
   std::transform(joint_cols_.begin(), joint_cols_.end(), qcols_.begin(),
                  kernels::quantize);
@@ -130,57 +149,72 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
   // leaving a previous phase's numbers in a caller-reused buffer.
   if (lane_ms != nullptr) lane_ms->clear();
 
-  // Per dimension t: the prev column t takes the curr column d + t where
-  // they differ (the device moved in the PREVIOUS interval) — its quantized
-  // value is already there to copy — and the curr column takes `next`
-  // where they differ (it moved in THIS one).
+  // The halves differ only at the ids the last roll moved: the S_{k-1}
+  // half catches up with the S_k half there, its quantized value included.
   const std::size_t d = dim_;
   const std::size_t count = n_;
   double* const cols = joint_cols_.data();
   std::uint32_t* const qcols = qcols_.data();
-  const auto roll_range = [&](DeviceId begin, DeviceId end) {
-    std::size_t moved = 0;
-    for (DeviceId j = begin; j < end; ++j) {
-      bool changed = false;
-      for (std::size_t t = 0; t < d; ++t) {
-        const std::size_t prev_at = t * count + j;
-        const std::size_t curr_at = (d + t) * count + j;
-        const double x = cols[curr_at];
-        if (cols[prev_at] != x) {
-          cols[prev_at] = x;
-          qcols[prev_at] = qcols[curr_at];
-        }
-        const double y = next.col(t)[j];
-        if (x != y) {
-          cols[curr_at] = y;
-          qcols[curr_at] = kernels::quantize(y);
-          changed = true;
-        }
-      }
-      if (changed) ++moved;
+  for (const DeviceId j : moved_) {
+    for (std::size_t t = 0; t < d; ++t) {
+      cols[t * count + j] = cols[(d + t) * count + j];
+      qcols[t * count + j] = qcols[(d + t) * count + j];
     }
-    return moved;
+  }
+  // Then the S_k half takes `next` where they differ, listing the ids
+  // that moved in THIS interval. Each block of ids is compared column by
+  // column first, a branch-free pass that flags the devices that differ;
+  // only the flagged ones are rewritten and listed.
+  const auto roll_range = [&](DeviceId begin, DeviceId end,
+                              std::vector<DeviceId>& moved) {
+    constexpr DeviceId kBlock = 64;
+    std::array<std::uint8_t, kBlock> differs{};
+    for (DeviceId lo = begin; lo < end; lo += kBlock) {
+      const DeviceId width = std::min(end - lo, kBlock);
+      differs.fill(0);
+      for (std::size_t t = 0; t < d; ++t) {
+        const double* curr = cols + (d + t) * count + lo;
+        const double* in = next.col(t) + lo;
+        for (DeviceId i = 0; i < width; ++i) differs[i] |= curr[i] != in[i];
+      }
+      for (DeviceId i = 0; i < width; ++i) {
+        if (differs[i] == 0) continue;
+        const DeviceId j = lo + i;
+        for (std::size_t t = 0; t < d; ++t) {
+          const std::size_t at = (d + t) * count + j;
+          const double y = next.col(t)[j];
+          if (cols[at] != y) {
+            cols[at] = y;
+            qcols[at] = kernels::quantize(y);
+          }
+        }
+        moved.push_back(j);
+      }
+    }
   };
+  moved_.clear();
 
   // The fan-out pays off only when the id scan dwarfs the section setup;
   // below the grain (or without a pool) the roll stays a plain loop.
   constexpr std::size_t kChunk = 16384;
   if (pool == nullptr || count < 2 * kChunk) {
-    return roll_range(0, static_cast<DeviceId>(count));
+    roll_range(0, static_cast<DeviceId>(count), moved_);
+    return moved_.size();
   }
-  const std::size_t chunks = (count + kChunk - 1) / kChunk;
-  std::vector<std::size_t> chunk_moved(chunks, 0);
+  chunk_moved_.resize((count + kChunk - 1) / kChunk);
   pool->for_each(
-      chunks, 2,
+      chunk_moved_.size(), 2,
       [&](std::size_t c) {
         const auto begin = static_cast<DeviceId>(c * kChunk);
         const auto end = static_cast<DeviceId>(std::min(count, (c + 1) * kChunk));
-        chunk_moved[c] = roll_range(begin, end);
+        chunk_moved_[c].clear();
+        roll_range(begin, end, chunk_moved_[c]);
       },
       lane_ms);
-  std::size_t moved = 0;
-  for (const std::size_t part : chunk_moved) moved += part;
-  return moved;
+  for (const std::vector<DeviceId>& part : chunk_moved_) {
+    moved_.insert(moved_.end(), part.begin(), part.end());
+  }
+  return moved_.size();
 }
 
 }  // namespace acn

@@ -5,8 +5,10 @@
 // algorithm in the paper.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/device_set.hpp"
@@ -19,9 +21,11 @@ class WorkerPool;
 
 /// Positions of all devices at one discrete time, stored as dim-strided
 /// columns: col(t)[j] is coordinate t of device j, one contiguous double
-/// row per dimension ([dim][n]). Immutable once built. Point values exist
-/// only at the edges (the vector constructor, operator[], positions()); the
-/// per-interval readers (the state roll, the telemetry tally) read columns.
+/// row per dimension ([dim][n]). Every coordinate lies in [0, 1] at all
+/// times: the constructors check it, and set(), the one mutator, checks a
+/// position before writing it. Point values exist only at the edges (the
+/// vector constructor, operator[], positions()); the per-interval readers
+/// (the state roll, the telemetry tally) read columns.
 class Snapshot {
  public:
   /// Builds from per-device positions; all points must share the same
@@ -45,7 +49,25 @@ class Snapshot {
   /// Every position, gathered from the columns.
   [[nodiscard]] std::vector<Point> positions() const;
 
+  /// Moves device j to `position` (dim() coordinates). Throws
+  /// std::invalid_argument, leaving the snapshot unchanged, unless j <
+  /// size(), position.size() == dim() and every coordinate lies in [0, 1]
+  /// (NaN fails). Inline: FleetRoster writes every report through it.
+  void set(DeviceId j, std::span<const double> position) {
+    if (j >= n_ || position.size() != dim_ ||
+        !std::all_of(position.begin(), position.end(), in_unit_interval)) {
+      reject(j, position);
+    }
+    double* at = cols_.data() + j;
+    for (const double x : position) {
+      *at = x;
+      at += n_;
+    }
+  }
+
  private:
+  [[noreturn]] void reject(DeviceId j, std::span<const double> position) const;
+
   std::vector<double> cols_;  ///< [dim][device], row stride n_
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
@@ -64,13 +86,17 @@ class StatePair {
 
   /// In-place interval roll for the streaming engine: the S_{k-1} half
   /// takes the old S_k half, the S_k half takes `next`, A_k becomes
-  /// `abnormal`. Columns are compared and rewritten only where a trajectory
-  /// actually changed — the new prev half equals the old curr half by
-  /// construction, so a device untouched by both intervals costs two
-  /// comparisons per dimension and zero writes. Returns the number of
-  /// devices whose CURRENT position changed in this roll. Throws
-  /// std::invalid_argument (state unchanged) if `next` disagrees in size or
-  /// dimension or `abnormal` is out of range.
+  /// `abnormal`. The two halves differ only at the ids the previous roll
+  /// moved (the constructor lists the ids where its snapshots differ), so
+  /// the S_{k-1} half copies the S_k half, quantized mirror included, at
+  /// those ids alone: O(|moved|). The S_k half is then compared with
+  /// `next`, in blocks of ids scanned column by column, and rewritten only
+  /// where a position changed, which lists this roll's moved ids for the
+  /// next one — a device untouched by both intervals costs one comparison
+  /// per dimension and zero writes. Returns the number of devices whose
+  /// CURRENT position changed in this roll.
+  /// Throws std::invalid_argument (state unchanged) if `next` disagrees in
+  /// size or dimension or `abnormal` is out of range.
   ///
   /// PRECONDITION (stable device universe): slot j of `next` describes the
   /// same device as slot j of the current snapshot. The roll has no notion
@@ -80,10 +106,12 @@ class StatePair {
   /// device abnormal in the interval its slot was (re)assigned, so a slot
   /// swap can never fabricate a characterizable trajectory.
   ///
-  /// With a `pool`, the roll fans out over contiguous device-id chunks:
-  /// each lane rewrites the column entries of its own id range (disjoint
-  /// writes) and counts its chunk's moves, so the state and the count are
-  /// identical to the serial roll for every pool size and chunking.
+  /// With a `pool`, the S_k comparison fans out over contiguous device-id
+  /// chunks: each lane rewrites the column entries of its own id range
+  /// (disjoint writes) and lists its chunk's moves, and the lists join in
+  /// chunk order, so the state, the list and the count are identical to
+  /// the serial roll for every pool size and chunking. The lists' storage
+  /// is kept across rolls.
   /// `lane_ms`, when given, receives per-lane busy milliseconds (the
   /// engine's lane-skew instrumentation).
   std::size_t advance(const Snapshot& next, DeviceSet abnormal,
@@ -153,6 +181,11 @@ class StatePair {
   DeviceSet abnormal_;
   std::vector<double> joint_cols_;    ///< [joint dim][device], row stride n_
   std::vector<std::uint32_t> qcols_;  ///< quantized mirror of joint_cols_
+  /// Ascending ids whose S_k entry changed in the last roll (after the
+  /// constructor: the ids where its snapshots differ); the halves agree
+  /// everywhere else.
+  std::vector<DeviceId> moved_;
+  std::vector<std::vector<DeviceId>> chunk_moved_;  ///< pooled roll's lists
 };
 
 }  // namespace acn

@@ -1,5 +1,6 @@
 #include "ingest/pipeline.hpp"
 
+#include <array>
 #include <stdexcept>
 #include <utility>
 
@@ -57,12 +58,19 @@ void IngestPipeline::prime(
 }
 
 void IngestPipeline::prime(const Snapshot& initial) {
-  std::vector<std::pair<GatewayKey, Point>> fleet;
-  fleet.reserve(initial.size());
-  for (DeviceId j = 0; j < initial.size(); ++j) {
-    fleet.emplace_back(static_cast<GatewayKey>(j), initial[j]);
+  if (primed_) {
+    throw std::logic_error("IngestPipeline::prime: already primed");
   }
-  prime(fleet);
+  // Device j is admitted from column entry j of each of the d columns.
+  std::array<double, Point::kMaxDim> position{};
+  const std::span<const double> claim(position.data(), initial.dim());
+  for (DeviceId j = 0; j < initial.size(); ++j) {
+    for (std::size_t t = 0; t < initial.dim(); ++t) position[t] = initial.col(t)[j];
+    monitor_.admit(j, claim);
+    liveness_.admitted(j, 0);
+  }
+  (void)monitor_.close_interval({});
+  primed_ = true;
 }
 
 void IngestPipeline::push(const QosReport& report) {
@@ -195,14 +203,15 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
 
   // Apply the staged claims in key order (deterministic under any delivery
   // permutation). First-seen keys are auto-admitted; when the roster is
-  // full the report is refused and the interval marked degraded.
+  // full the report is refused and the interval marked degraded. Only the
+  // flagged claims become Points: they are the overload deferral's input.
   std::vector<GatewayKey> flagged;
   std::vector<Point> flagged_claims;
   const FleetRoster& roster = monitor_.roster();
   const bool liveness_on = liveness_.enabled();
-  frame.for_each_sorted([&](GatewayKey key,
-                            const StagingFrame::Staged& staged) {
-    if (monitor_.try_report(key, staged.claim)) {
+  frame.for_each_sorted([&](GatewayKey key, std::span<const double> claim,
+                            bool is_flagged) {
+    if (monitor_.try_report(key, claim)) {
       if (liveness_on && liveness_.reported(key, interval)) {
         ++counters_.revived_devices;
       }
@@ -212,14 +221,14 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
         degraded = true;
         return;
       }
-      monitor_.admit(key, staged.claim);
+      monitor_.admit(key, claim);
       if (liveness_on) liveness_.admitted(key, interval);
       ++counters_.admitted_devices;
     }
     ++closed.reported;
-    if (staged.flagged) {
+    if (is_flagged) {
       flagged.push_back(key);
-      flagged_claims.push_back(staged.claim);
+      flagged_claims.emplace_back(claim);
     }
   });
   if (poolable) {

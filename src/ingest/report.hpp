@@ -11,9 +11,17 @@
 // relying on arrival order, and carries a per-device emission counter so
 // duplicates and supersessions resolve the same way under any delivery
 // permutation.
+//
+// The claim itself is a compact value: its d coordinates inline, sized to
+// the roster's dimension limit, so a report carries d doubles and the seal
+// hands them to the roster as a span — no 16-coordinate Point on the wire.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 
 #include "core/point.hpp"
 
@@ -23,13 +31,49 @@ namespace acn {
 /// FleetRoster maps to dense DeviceId slots (online/roster.hpp).
 using GatewayKey = std::uint64_t;
 
+/// A claimed QoS position: up to kMaxDim coordinates held inline, the
+/// roster's dimension limit (a joint position of 2d coordinates must fit a
+/// Point). Range is not checked here; the roster refuses a claim outside
+/// [0,1]^d, or of the wrong dimension, when its interval seals.
+class Claim {
+ public:
+  static constexpr std::size_t kMaxDim = Point::kMaxDim / 2;
+
+  Claim() = default;
+  /// Throws std::invalid_argument if coords holds more than kMaxDim values.
+  explicit Claim(std::span<const double> coords) : dim_(coords.size()) {
+    if (dim_ > kMaxDim) {
+      throw std::invalid_argument(
+          "Claim: more coordinates than any roster holds (at most 8)");
+    }
+    std::copy(coords.begin(), coords.end(), coords_.begin());
+  }
+  /// Implicit, so a Point is assigned to QosReport::claim as before; throws
+  /// like the span constructor.
+  Claim(const Point& point) : Claim(point.coords()) {}
+
+  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+  [[nodiscard]] double operator[](std::size_t i) const noexcept { return coords_[i]; }
+  [[nodiscard]] std::span<const double> coords() const noexcept {
+    return {coords_.data(), dim_};
+  }
+
+  friend bool operator==(const Claim& a, const Claim& b) noexcept {
+    return std::ranges::equal(a.coords(), b.coords());
+  }
+
+ private:
+  std::array<double, kMaxDim> coords_{};
+  std::size_t dim_ = 0;
+};
+
 /// One device's QoS claim for one interval.
 struct QosReport {
   GatewayKey device = 0;
   /// Event time: the interval k this claim describes (NOT arrival time).
   std::uint64_t interval = 0;
   /// Claimed position in the QoS space at k.
-  Point claim;
+  Claim claim;
   /// The device's error-detection flag a_k (Definition 5) for [k-1, k].
   bool abnormal = false;
   /// Per-device monotone emission counter, assigned at the SOURCE. A
@@ -39,6 +83,7 @@ struct QosReport {
   /// rule, so the sealed frame is independent of delivery order.
   std::uint64_t arrival_seq = 0;
 };
+static_assert(sizeof(QosReport) <= 104, "a report carries its claim's d doubles inline");
 
 /// Running tallies of everything the pipeline tolerated, dropped, or shed.
 /// Exposed, never silent: each counter is a violation of the paper's

@@ -3,9 +3,9 @@
 namespace acn {
 
 void StagingFrame::configure(std::size_t dense_limit, std::size_t dim) {
-  // A dimension the lane cannot represent degrades to spill-everything,
-  // which is semantically identical (just slower).
-  dim_ = (dim == 0 || dim > Point::kMaxDim) ? 0 : dim;
+  // A dimension no claim can have degrades to spill-everything, which is
+  // semantically identical (just slower).
+  dim_ = (dim == 0 || dim > Claim::kMaxDim) ? 0 : dim;
   if (dim_ == 0) dense_limit = 0;
   present_.assign(dense_limit, 0);
   seq_.assign(dense_limit, 0);
@@ -15,10 +15,14 @@ void StagingFrame::configure(std::size_t dense_limit, std::size_t dim) {
 
 std::optional<StagingFrame::Staged> StagingFrame::find(GatewayKey key) const {
   if (key < present_.size()) {
-    if (present_[key] == 0) return std::nullopt;
-    Staged view;
-    materialize(key, view);
-    return view;
+    switch (present_[key]) {
+      case 0:
+        return std::nullopt;
+      case 1:
+        return Staged{seq_[key], Claim(lane_claim(key)), flag_[key] != 0};
+      default:
+        return odd_.at(key);
+    }
   }
   const auto it = spill_.find(key);
   if (it == spill_.end()) return std::nullopt;
@@ -29,8 +33,8 @@ std::vector<std::pair<GatewayKey, StagingFrame::Staged>> StagingFrame::sorted()
     const {
   std::vector<std::pair<GatewayKey, Staged>> entries;
   entries.reserve(device_count());
-  for_each_sorted([&entries](GatewayKey key, const Staged& staged) {
-    entries.emplace_back(key, staged);
+  for_each_sorted([&](GatewayKey key, std::span<const double>, bool) {
+    entries.emplace_back(key, *find(key));
   });
   return entries;
 }

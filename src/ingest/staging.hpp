@@ -13,15 +13,15 @@
 // interval passes through apply()), so staging is split into a dense lane —
 // keys below a configured limit index flat structure-of-arrays storage
 // directly: seq, flag, and exactly dim() claim coordinates per cell, no
-// hashing, no per-seal sort, no 136-byte Point padding — and a spill map
+// hashing, no per-seal sort, no unused claim capacity — and a spill map
 // for out-of-range keys. Claims whose dimension does not match the
 // configured one cannot pack into the lane stride; they park in a cold
 // side map so they still seal in key order and still explode at the
 // roster boundary exactly as an unstaged malformed claim would. The
 // pipeline sets the lane to the roster capacity and pools sealed frames,
 // so in the steady state a report costs one bounds check and a few
-// indexed stores, and sealing streams a tenth of the memory a fat-cell
-// layout would.
+// indexed stores, and the seal hands each claim to the roster as a span
+// of the lane's own coordinates.
 #pragma once
 
 #include <algorithm>
@@ -38,11 +38,11 @@ namespace acn {
 
 class StagingFrame {
  public:
-  /// Winning report of one (device, interval) cell, materialized out of
-  /// the lane storage on demand.
+  /// Winning report of one (device, interval) cell: how the spill and
+  /// odd-dimension maps store it, and what find() copies out of the lane.
   struct Staged {
     std::uint64_t seq = 0;
-    Point claim;
+    Claim claim;
     bool flagged = false;
   };
 
@@ -112,24 +112,30 @@ class StagingFrame {
   [[nodiscard]] std::size_t volume() const noexcept { return volume_; }
 
   /// Visits every staged entry in ascending key order — the deterministic
-  /// seal order. The dense lane is ordered by construction and every spill
-  /// key is >= the lane limit, so the traversal is lane-then-sorted-spill.
-  /// The Staged reference handed to `fn` is a per-visit materialization;
-  /// it does not outlive the call.
+  /// seal order — as fn(key, claim coordinates, flagged). The dense lane is
+  /// ordered by construction and every spill key is >= the lane limit, so
+  /// the traversal is lane-then-sorted-spill. The span views the frame's
+  /// own storage: it is valid for the call only.
   template <typename Fn>
   void for_each_sorted(Fn&& fn) const {
-    Staged view;
     for (std::size_t key = 0; key < present_.size(); ++key) {
       if (present_[key] == 0) continue;
-      materialize(key, view);
-      fn(static_cast<GatewayKey>(key), view);
+      if (present_[key] == 1) {
+        fn(static_cast<GatewayKey>(key), lane_claim(key), flag_[key] != 0);
+      } else {
+        const Staged& odd = odd_.at(key);
+        fn(static_cast<GatewayKey>(key), odd.claim.coords(), odd.flagged);
+      }
     }
     if (spill_.empty()) return;
     std::vector<GatewayKey> keys;
     keys.reserve(spill_.size());
     for (const auto& [key, staged] : spill_) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
-    for (const GatewayKey key : keys) fn(key, spill_.at(key));
+    for (const GatewayKey key : keys) {
+      const Staged& spilled = spill_.at(key);
+      fn(key, spilled.claim.coords(), spilled.flagged);
+    }
   }
 
   /// Staged entries sorted by key, copied out (test convenience; the
@@ -150,8 +156,11 @@ class StagingFrame {
   void store_lane(std::size_t key, const QosReport& report) noexcept {
     seq_[key] = report.arrival_seq;
     flag_[key] = report.abnormal ? 1 : 0;
-    double* cell = coords_.data() + key * dim_;
-    for (std::size_t i = 0; i < dim_; ++i) cell[i] = report.claim[i];
+    std::ranges::copy(report.claim.coords(), coords_.data() + key * dim_);
+  }
+
+  [[nodiscard]] std::span<const double> lane_claim(std::size_t key) const noexcept {
+    return {coords_.data() + key * dim_, dim_};
   }
 
   static void stage_fat(Staged& cell, const QosReport& report) {
@@ -165,20 +174,6 @@ class StagingFrame {
     if (report.arrival_seq < cell.seq) return Apply::kStale;
     stage_fat(cell, report);
     return Apply::kSuperseded;
-  }
-
-  void materialize(std::size_t key, Staged& view) const {
-    if (present_[key] == 2) {
-      view = odd_.at(key);
-      return;
-    }
-    view.seq = seq_[key];
-    view.flagged = flag_[key] != 0;
-    // Reuse the view's Point in place: resize only when a preceding odd_
-    // entry changed its dimension, then overwrite the dim_ live coords.
-    if (view.claim.dim() != dim_) view.claim = Point::zero(dim_);
-    const double* cell = coords_.data() + key * dim_;
-    for (std::size_t i = 0; i < dim_; ++i) view.claim[i] = cell[i];
   }
 
   // Dense lane, structure-of-arrays; present_[key]: 0 = empty, 1 = staged

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace acn {
@@ -21,60 +22,37 @@ OnlineMonitor::OnlineMonitor(Config config)
   }
 }
 
-DeviceId OnlineMonitor::admit(GatewayKey key, const Point& position) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::admit: roster mode is off");
-  }
-  return roster_->admit(key, position);
+void OnlineMonitor::roster_mode_off(const char* caller) {
+  throw std::logic_error(std::string(caller) + ": roster mode is off");
 }
 
 void OnlineMonitor::retire(GatewayKey key) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::retire: roster mode is off");
-  }
+  FleetRoster& roster = roster_or_throw("OnlineMonitor::retire");
   // A late force-close can race an explicit retirement (operator removal
   // vs. the ingestion layer's liveness expiry): the second retire of the
   // same gateway is a no-op, never a throw and never a second episode.
-  const std::optional<DeviceId> slot = roster_->slot_of(key);
+  const std::optional<DeviceId> slot = roster.slot_of(key);
   if (!slot.has_value()) return;
   // Close the slot's episode before the slot can be recycled: a new
   // occupant must never extend the departed gateway's incident.
   episodes_.close(*slot);
-  roster_->retire(key);
-}
-
-void OnlineMonitor::report(GatewayKey key, const Point& position) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::report: roster mode is off");
-  }
-  roster_->report(key, position);
-}
-
-bool OnlineMonitor::try_report(GatewayKey key, const Point& position) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::try_report: roster mode is off");
-  }
-  return roster_->try_report(key, position);
+  roster.retire(key);
 }
 
 IntervalReport OnlineMonitor::close_interval(
     std::span<const GatewayKey> abnormal_keys, bool degraded) {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::close_interval: roster mode is off");
-  }
-  const DeviceSet abnormal = roster_->abnormal_slots(abnormal_keys);
-  roster_->end_interval();
-  return observe(roster_->snapshot(), abnormal, degraded);
+  FleetRoster& roster = roster_or_throw("OnlineMonitor::close_interval");
+  const DeviceSet abnormal = roster.abnormal_slots(abnormal_keys);
+  roster.end_interval();
+  return observe(roster.snapshot(), abnormal, degraded);
 }
 
 const FleetRoster& OnlineMonitor::roster() const {
-  if (!roster_.has_value()) {
-    throw std::logic_error("OnlineMonitor::roster: roster mode is off");
-  }
+  if (!roster_.has_value()) roster_mode_off("OnlineMonitor::roster");
   return *roster_;
 }
 
-IntervalReport OnlineMonitor::observe(Snapshot positions,
+IntervalReport OnlineMonitor::observe(const Snapshot& positions,
                                       const DeviceSet& abnormal,
                                       bool degraded) {
   using Clock = std::chrono::steady_clock;
@@ -91,14 +69,11 @@ IntervalReport OnlineMonitor::observe(Snapshot positions,
   report.degraded = degraded;
 
   // The engine rolls its state in place (the snapshot's columns are
-  // compared into the current half, then dropped), indexes A_k, and
-  // characterizes it over the shared motion plane — serially or across its
-  // worker pool.
-  const std::optional<FrameEngine::Result> result = engine_.observe(
-      SealedFrame{.interval = interval_,
-                  .positions = std::move(positions),
-                  .abnormal = abnormal,
-                  .degraded = degraded});
+  // compared into the current half; the snapshot is not kept), indexes
+  // A_k, and characterizes it over the shared motion plane — serially or
+  // across its worker pool. `degraded` never reaches it: it is metadata.
+  const std::optional<FrameEngine::Result> result =
+      engine_.observe(positions, abnormal);
   if (result.has_value() && !abnormal.empty()) {
     const DeviceSet& ordered = engine_.state().abnormal();
     for (std::size_t i = 0; i < result->decisions.size(); ++i) {

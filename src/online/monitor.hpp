@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/characterizer.hpp"
@@ -83,7 +84,7 @@ class OnlineMonitor {
   /// ingestion layer sealed under shed/defer/forced-close policy; it is
   /// carried through to the report, never interpreted.
   /// Throws std::invalid_argument if the fleet size or dimension changes.
-  IntervalReport observe(Snapshot positions, const DeviceSet& abnormal,
+  IntervalReport observe(const Snapshot& positions, const DeviceSet& abnormal,
                          bool degraded = false);
 
   // --- churned-fleet front door (roster mode; throws std::logic_error
@@ -91,21 +92,33 @@ class OnlineMonitor {
 
   /// Admits a gateway mid-stream; it becomes eligible as abnormal from the
   /// NEXT interval (no trajectory exists in its join interval).
-  DeviceId admit(GatewayKey key, const Point& position);
+  DeviceId admit(GatewayKey key, std::span<const double> position) {
+    return roster_or_throw("OnlineMonitor::admit").admit(key, position);
+  }
+  DeviceId admit(GatewayKey key, const Point& position) {
+    return admit(key, position.coords());
+  }
   /// Retires a gateway mid-stream; its slot is parked and its open episode
   /// (if any) force-closed so a recycled slot cannot inherit it. Idempotent:
   /// retiring an already-retired (or never-admitted) key is a no-op, so an
   /// explicit retirement racing a late liveness force-close is harmless.
   void retire(GatewayKey key);
   /// Updates an active gateway's reported QoS position for this interval.
-  void report(GatewayKey key, const Point& position);
+  void report(GatewayKey key, const Point& position) {
+    roster_or_throw("OnlineMonitor::report").report(key, position);
+  }
   /// report() that returns false instead of throwing when the key is not
   /// active — the ingestion layer's per-device hot path (one roster lookup
   /// for the check and the update together).
-  bool try_report(GatewayKey key, const Point& position);
-  /// Closes the interval: materializes the roster snapshot, maps the
-  /// abnormal gateway keys to slots (dropping retired and just-admitted
-  /// gateways), and feeds the engine — the churn-tolerant observe().
+  bool try_report(GatewayKey key, std::span<const double> position) {
+    return roster_or_throw("OnlineMonitor::try_report").try_report(key, position);
+  }
+  bool try_report(GatewayKey key, const Point& position) {
+    return try_report(key, position.coords());
+  }
+  /// Closes the interval: maps the abnormal gateway keys to slots
+  /// (dropping retired and just-admitted gateways) and feeds the engine the
+  /// roster's snapshot by reference — the churn-tolerant observe().
   /// `degraded` is the ingestion layer's quality marker (see observe()).
   IntervalReport close_interval(std::span<const GatewayKey> abnormal_keys,
                                 bool degraded = false);
@@ -139,6 +152,14 @@ class OnlineMonitor {
   }
 
  private:
+  /// The embedded roster; throws std::logic_error naming `caller` when
+  /// roster mode is off.
+  FleetRoster& roster_or_throw(const char* caller) {
+    if (!roster_.has_value()) roster_mode_off(caller);
+    return *roster_;
+  }
+  [[noreturn]] static void roster_mode_off(const char* caller);
+
   Config config_;
   FrameEngine engine_;
   std::optional<AdaptiveSampler> sampler_;

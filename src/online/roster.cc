@@ -4,15 +4,23 @@
 
 namespace acn {
 
-FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim)
-    : capacity_(capacity), dim_(dim) {
+namespace {
+
+/// capacity slots parked at the origin of [0,1]^dim.
+Snapshot parked_at_origin(std::size_t capacity, std::size_t dim) {
   if (capacity == 0) {
     throw std::invalid_argument("FleetRoster: capacity must be >= 1");
   }
   if (dim == 0 || dim > Point::kMaxDim / 2) {
     throw std::invalid_argument("FleetRoster: dimension out of range");
   }
-  cols_.assign(dim * capacity, 0.0);
+  return Snapshot(dim, std::vector<double>(dim * capacity, 0.0));
+}
+
+}  // namespace
+
+FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim)
+    : positions_(parked_at_origin(capacity, dim)) {
   just_assigned_.assign(capacity, 0);
   slot_lane_.assign(capacity, kNoSlot);
   key_of_.assign(capacity, 0);
@@ -38,20 +46,17 @@ void FleetRoster::slot_erase(GatewayKey key) {
   --active_;
 }
 
-DeviceId FleetRoster::admit(GatewayKey key, const Point& position) {
+DeviceId FleetRoster::admit(GatewayKey key, std::span<const double> position) {
   if (slot_lookup(key) != kNoSlot) {
     throw std::invalid_argument("FleetRoster::admit: key already active");
   }
-  if (position.dim() != dim_ || !position.in_unit_box()) {
-    throw std::invalid_argument("FleetRoster::admit: bad position");
-  }
   if (free_.empty()) {
     throw std::invalid_argument("FleetRoster::admit: no free slot (capacity " +
-                                std::to_string(capacity_) + ")");
+                                std::to_string(capacity()) + ")");
   }
   const DeviceId slot = free_.front();
+  positions_.set(slot, position);  // validates before anything changes
   free_.pop_front();
-  store(slot, position);
   just_assigned_[slot] = 1;
   key_of_[slot] = key;
   occupied_[slot] = 1;
@@ -69,20 +74,10 @@ void FleetRoster::retire(GatewayKey key) {
   free_.push_back(slot);  // position stays parked where it last reported
 }
 
-void FleetRoster::report(GatewayKey key, const Point& position) {
+void FleetRoster::report(GatewayKey key, std::span<const double> position) {
   if (!try_report(key, position)) {
     throw std::invalid_argument("FleetRoster::report: key not active");
   }
-}
-
-bool FleetRoster::try_report(GatewayKey key, const Point& position) {
-  const DeviceId slot = slot_lookup(key);
-  if (slot == kNoSlot) return false;
-  if (position.dim() != dim_ || !position.in_unit_box()) {
-    throw std::invalid_argument("FleetRoster::report: bad position");
-  }
-  store(slot, position);
-  return true;
 }
 
 std::optional<DeviceId> FleetRoster::slot_of(GatewayKey key) const noexcept {

@@ -45,15 +45,18 @@ class FleetRoster {
  public:
   /// Fixed slot capacity and QoS-space dimension. Vacant never-occupied
   /// slots are parked at the origin of [0,1]^d. Throws on capacity == 0 or
-  /// d out of Point range.
+  /// d out of [1, Point::kMaxDim / 2] (a joint position must fit a Point).
   FleetRoster(std::size_t capacity, std::size_t dim);
 
   /// Admits a gateway, assigning it the least-recently-retired free slot at
   /// `position`. The slot is flagged just-assigned until end_interval(), so
-  /// abnormal_slots() drops it this interval. Throws std::invalid_argument
-  /// if the key is already active, the position is out of range, or no slot
-  /// is free.
-  DeviceId admit(GatewayKey key, const Point& position);
+  /// abnormal_slots() drops it this interval. Throws std::invalid_argument,
+  /// leaving the roster unchanged, if the key is already active, no slot is
+  /// free, or the position is not a point of [0,1]^dim() (NaN included).
+  DeviceId admit(GatewayKey key, std::span<const double> position);
+  DeviceId admit(GatewayKey key, const Point& position) {
+    return admit(key, position.coords());
+  }
 
   /// Retires an active gateway; its slot is parked at the last reported
   /// position and queued for reuse. Throws if the key is not active.
@@ -61,27 +64,39 @@ class FleetRoster {
 
   /// Updates an active gateway's reported position. Throws if the key is
   /// not active or the position is out of range.
-  void report(GatewayKey key, const Point& position);
+  void report(GatewayKey key, std::span<const double> position);
+  void report(GatewayKey key, const Point& position) {
+    report(key, position.coords());
+  }
 
   /// report() for the ingestion hot path: updates the position and returns
   /// true iff the key is active — one lookup instead of an active() check
   /// followed by report(). Still throws on a malformed position (a bad
-  /// claim is a caller bug, not churn).
-  bool try_report(GatewayKey key, const Point& position);
+  /// claim is a caller bug, not churn), with the snapshot unchanged.
+  bool try_report(GatewayKey key, std::span<const double> position) {
+    const DeviceId slot = slot_lookup(key);
+    if (slot == kNoSlot) return false;
+    positions_.set(slot, position);
+    return true;
+  }
+  bool try_report(GatewayKey key, const Point& position) {
+    return try_report(key, position.coords());
+  }
 
   [[nodiscard]] bool active(GatewayKey key) const noexcept {
     return slot_lookup(key) != kNoSlot;
   }
   [[nodiscard]] std::optional<DeviceId> slot_of(GatewayKey key) const noexcept;
   [[nodiscard]] std::size_t active_count() const noexcept { return active_; }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return positions_.size(); }
+  [[nodiscard]] std::size_t dim() const noexcept { return positions_.dim(); }
 
   /// The dense fixed-size snapshot the engine ingests: active slots at
-  /// their reported position, parked slots frozen at their last one. The
-  /// roster's columns are the snapshot's layout, so this is one copy of
-  /// dim() x capacity() doubles.
-  [[nodiscard]] Snapshot snapshot() const { return Snapshot(dim_, cols_); }
+  /// their reported position, parked slots frozen at their last one. It is
+  /// the roster's own storage, written only through Snapshot::set(), so a
+  /// refused write leaves it unchanged; the reference stays valid for the
+  /// roster's lifetime and sees every later write.
+  [[nodiscard]] const Snapshot& snapshot() const noexcept { return positions_; }
 
   /// Maps abnormal gateway keys to slots, dropping keys that are not active
   /// and slots (re)assigned since the last end_interval() — a device with
@@ -110,14 +125,7 @@ class FleetRoster {
   void slot_insert(GatewayKey key, DeviceId slot);
   void slot_erase(GatewayKey key);
 
-  /// Writes a validated `position` into the slot's column entries.
-  void store(DeviceId slot, const Point& position) noexcept {
-    for (std::size_t t = 0; t < dim_; ++t) cols_[t * capacity_ + slot] = position[t];
-  }
-
-  std::size_t capacity_;
-  std::size_t dim_;
-  std::vector<double> cols_;                ///< [dim][slot], active or parked
+  Snapshot positions_;                      ///< per slot, active or parked
   std::vector<std::uint8_t> just_assigned_; ///< per slot, reset by end_interval
   std::vector<DeviceId> slot_lane_;         ///< key < capacity; kNoSlot = absent
   std::unordered_map<GatewayKey, DeviceId> slot_spill_;  ///< key >= capacity

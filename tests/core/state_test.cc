@@ -52,6 +52,28 @@ TEST(SnapshotTest, ColumnConstructorValidates) {
   EXPECT_NO_THROW(Snapshot(1, {0.0, 1.0}));
 }
 
+TEST(SnapshotTest, SetWritesOnlyValidPositions) {
+  Snapshot s(2, {0.1, 0.2, 0.3, 0.7, 0.8, 0.9});
+  const std::vector<double> pos{0.25, 0.75};
+  s.set(1, pos);
+  EXPECT_EQ(s[1], (Point{0.25, 0.75}));
+  EXPECT_EQ(s[0], (Point{0.1, 0.7}));
+  EXPECT_EQ(s[2], (Point{0.3, 0.9}));
+
+  // Each refused write throws and leaves every column entry as it was.
+  const std::vector<Point> before = s.positions();
+  const std::vector<std::vector<double>> bad_positions{
+      {kNaN, 0.5}, {0.5, kNaN}, {1.5, 0.5}, {0.5, -0.1}, {0.5}, {0.5, 0.5, 0.5}, {}};
+  for (const std::vector<double>& bad : bad_positions) {
+    SCOPED_TRACE(testing::Message() << bad.size() << " coordinates");
+    EXPECT_THROW(s.set(0, bad), std::invalid_argument);
+    EXPECT_EQ(s.positions(), before);
+  }
+  EXPECT_THROW(s.set(3, pos), std::invalid_argument);  // out-of-range id
+  EXPECT_THROW(s.set(~DeviceId{0}, pos), std::invalid_argument);
+  EXPECT_EQ(s.positions(), before);
+}
+
 TEST(SnapshotTest, ValidatesConsistentDimensions) {
   EXPECT_THROW(Snapshot({Point{0.1}, Point{0.1, 0.2}}), std::invalid_argument);
 }
@@ -164,6 +186,69 @@ TEST(StatePairTest, AdvanceCountsMovesAndMatchesFreshState) {
       ASSERT_EQ(rolled->curr().positions(), next_points) << "roll " << k;
     }
   }
+}
+
+TEST(StatePairTest, MovedListRollMatchesFreshStateAtEveryStep) {
+  // advance() catches S_{k-1} up only at the ids the last roll moved (the
+  // constructor seeds that list where its two snapshots differ). Walk a
+  // serial and a pooled pair through the cases that list must survive and
+  // compare both with a StatePair built fresh from the same two snapshots
+  // after every roll. n spans three roll chunks of 16384 ids, and every
+  // random step moves the ids on both sides of each chunk boundary, each
+  // along one coordinate only (alternately the first and the second).
+  const std::size_t n = 40000;
+  const std::vector<DeviceId> edges{0u, 16383u, 16384u, 32767u, 32768u, 39999u};
+  Rng rng(29);
+  std::vector<Point> positions(n);
+  for (Point& p : positions) p = Point{rng.uniform(), rng.uniform()};
+  const auto move_some = [&](std::vector<Point> from) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (rng.bernoulli(0.05)) from[j] = Point{rng.uniform(), rng.uniform()};
+    }
+    for (std::size_t e = 0; e < edges.size(); ++e) {
+      Point& p = from[edges[e]];
+      p = e % 2 == 0 ? Point{rng.uniform(), p[1]} : Point{p[0], rng.uniform()};
+    }
+    return from;
+  };
+
+  // The constructor's two snapshots already differ at random ids.
+  std::vector<Point> prev = positions;
+  std::vector<Point> curr = move_some(positions);
+  StatePair serial{Snapshot(prev), Snapshot(curr), DeviceSet{}};
+  StatePair pooled{Snapshot(prev), Snapshot(curr), DeviceSet{}};
+  WorkerPool pool(4);
+
+  std::vector<Point> before_last = prev;  // S_{k-2} once a roll has run
+  const auto roll = [&](const char* step, std::vector<Point> next) {
+    SCOPED_TRACE(step);
+    std::size_t expected = 0;
+    for (std::size_t j = 0; j < n; ++j) expected += next[j] == curr[j] ? 0 : 1;
+    const Snapshot next_snapshot(next);
+    EXPECT_EQ(serial.advance(next_snapshot, DeviceSet{}), expected);
+    EXPECT_EQ(pooled.advance(next_snapshot, DeviceSet{}, &pool), expected);
+    const StatePair fresh(Snapshot(curr), next_snapshot, DeviceSet{});
+    for (const StatePair* rolled : {&serial, &pooled}) {
+      for (std::size_t t = 0; t < fresh.joint_dim(); ++t) {
+        ASSERT_TRUE(std::equal(fresh.joint_col(t), fresh.joint_col(t) + n,
+                               rolled->joint_col(t)))
+            << "dim " << t;
+        ASSERT_TRUE(std::equal(fresh.qcol(t), fresh.qcol(t) + n, rolled->qcol(t)))
+            << "dim " << t;
+      }
+    }
+    before_last = std::move(curr);
+    curr = std::move(next);
+  };
+
+  roll("random moves", move_some(curr));
+  roll("nothing moves", curr);
+  roll("random moves after a quiet roll", move_some(curr));
+  roll("every device returns to its k-2 position", before_last);
+  std::vector<Point> teleported(n);
+  for (Point& p : teleported) p = Point{rng.uniform(), rng.uniform()};
+  roll("every device teleports", teleported);
+  roll("random moves after a teleport", move_some(curr));
 }
 
 }  // namespace

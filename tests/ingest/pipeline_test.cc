@@ -1,7 +1,9 @@
 // IngestPipeline behaviour: watermark seal timing, late/duplicate/future
 // handling, stall timeout, interval-flood marking, overload sheds, the
 // liveness retire path, and alignment with the monitor it feeds.
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -86,6 +88,68 @@ TEST(IngestPipeline, NaNClaimIsRefusedLikeAnOutOfBoxClaim) {
       EXPECT_EQ(pipeline.monitor().roster().snapshot()[3], fleet_positions()[3]);
     }
   }
+}
+
+TEST(IngestPipeline, ClaimsOfEveryRosterDimensionRoundTripBitExact) {
+  // Awkward doubles: both ends of [0, 1], the smallest subnormal, the
+  // neighbours of 1 and 1/2, and values with no short decimal form.
+  const std::vector<double> awkward{
+      0.0, 1.0, std::numeric_limits<double>::denorm_min(),
+      std::nextafter(1.0, 0.0), std::nextafter(0.5, 1.0), 1.0 / 3.0, 0.1, 0.7};
+  const auto bits_equal = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (std::size_t d = 1; d <= Claim::kMaxDim; ++d) {
+    SCOPED_TRACE(testing::Message() << "d = " << d);
+    // Claim c of device j: coordinate t is awkward[(j + t + c) % 8].
+    const auto claim_of = [&](GatewayKey j, std::size_t c) {
+      std::vector<double> coords(d);
+      for (std::size_t t = 0; t < d; ++t) {
+        coords[t] = awkward[(static_cast<std::size_t>(j) + t + c) % awkward.size()];
+      }
+      return Point(coords);
+    };
+    IngestPipeline::Config config = base_config(4);
+    config.dim = d;
+    IngestPipeline pipeline(config);
+    std::vector<Point> primed;
+    for (GatewayKey j = 0; j < 3; ++j) primed.push_back(claim_of(j, 0));
+    pipeline.prime(Snapshot(primed));
+    const FleetRoster& roster = pipeline.monitor().roster();
+    for (GatewayKey j = 0; j < 3; ++j) {
+      for (std::size_t t = 0; t < d; ++t) {
+        ASSERT_TRUE(bits_equal(roster.snapshot().col(t)[j], primed[j][t]));
+      }
+    }
+    // Interval 1: the dense keys report, and a spill key is admitted.
+    const std::vector<GatewayKey> keys{0, 1, 2, 1000};
+    for (const GatewayKey key : keys) pipeline.push(make_report(key, 1, claim_of(key, 3)));
+    pipeline.finish();
+    ASSERT_EQ(pipeline.monitor().intervals_seen(), 2u);
+    for (const GatewayKey key : keys) {
+      const DeviceId slot = *roster.slot_of(key);
+      const Point sent = claim_of(key, 3);
+      for (std::size_t t = 0; t < d; ++t) {
+        EXPECT_TRUE(bits_equal(roster.snapshot().col(t)[slot], sent[t]))
+            << "key " << key << " coordinate " << t;
+      }
+    }
+  }
+}
+
+TEST(IngestPipeline, OddDimensionDenseClaimThrowsAtTheRoster) {
+  // A dense key's claim of the wrong dimension parks beside the staging
+  // lane, then seals in key order: keys before it are applied, and the
+  // roster refuses it without touching its slot.
+  IngestPipeline pipeline(base_config());
+  pipeline.prime(Snapshot(fleet_positions()));
+  const Point moved{0.15, 0.15};
+  pipeline.push(make_report(2, 1, moved));
+  pipeline.push(make_report(3, 1, Point{0.5, 0.5, 0.5}, /*abnormal=*/true));
+  EXPECT_THROW(pipeline.finish(), std::invalid_argument);
+  EXPECT_EQ(pipeline.monitor().intervals_seen(), 1u);  // only the prime
+  EXPECT_EQ(pipeline.monitor().roster().snapshot()[2], moved);
+  EXPECT_EQ(pipeline.monitor().roster().snapshot()[3], fleet_positions()[3]);
 }
 
 TEST(IngestPipeline, WatermarkSealsAtAllowedLag) {

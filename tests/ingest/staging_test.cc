@@ -2,6 +2,8 @@
 // last-write-wins rule, the LivenessTracker retry ladder, and the
 // OverloadController's two verdict-safety-aware sheds.
 #include <algorithm>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +120,61 @@ TEST(StagingFrame, DenseLaneSpillAndResetKeepSemantics) {
   EXPECT_EQ(frame.apply(make_report(5, 2, 0.1, 1)),
             StagingFrame::Apply::kAccepted);
   EXPECT_EQ(frame.device_count(), 1u);
+}
+
+TEST(Claim, HoldsUpToTheRosterDimensionLimit) {
+  std::vector<double> coords;
+  for (std::size_t d = 1; d <= Claim::kMaxDim; ++d) {
+    coords.push_back(1.0 / static_cast<double>(d + 2));
+    const Point point(coords);
+    const Claim claim = point;
+    ASSERT_EQ(claim.dim(), d);
+    EXPECT_TRUE(std::ranges::equal(claim.coords(), point.coords()));
+    EXPECT_EQ(claim[d - 1], coords.back());
+    EXPECT_TRUE(claim == Claim(std::span<const double>(coords)));
+    EXPECT_FALSE(claim == Claim(std::span<const double>(coords).first(d - 1)));
+  }
+  // A ninth coordinate fits a Point but no roster: the conversion refuses it.
+  coords.push_back(0.5);
+  const Point nine(coords);
+  EXPECT_THROW((void)Claim(nine), std::invalid_argument);
+  QosReport report;
+  EXPECT_THROW(report.claim = nine, std::invalid_argument);
+  EXPECT_EQ(report.claim.dim(), 0u);
+}
+
+TEST(StagingFrame, OddDimensionDenseClaimParksAndSealsInKeyOrder) {
+  StagingFrame frame;
+  frame.configure(8, 2);
+  (void)frame.apply(make_report(5, 1, 0.5, 1));
+  QosReport odd = make_report(3, 1, 0.3, 1, /*abnormal=*/true);
+  odd.claim = Point{0.3, 0.3, 0.3};  // a dense key, but not the lane's dim
+  (void)frame.apply(odd);
+  (void)frame.apply(make_report(1, 1, 0.1, 1));
+  (void)frame.apply(make_report(20, 1, 0.9, 1));  // spill key
+  EXPECT_EQ(frame.device_count(), 4u);
+
+  std::vector<GatewayKey> keys;
+  std::vector<std::vector<double>> claims;
+  std::vector<bool> flags;
+  frame.for_each_sorted([&](GatewayKey key, std::span<const double> claim, bool flagged) {
+    keys.push_back(key);
+    claims.emplace_back(claim.begin(), claim.end());
+    flags.push_back(flagged);
+  });
+  EXPECT_EQ(keys, (std::vector<GatewayKey>{1, 3, 5, 20}));
+  EXPECT_EQ(claims, (std::vector<std::vector<double>>{
+                        {0.1, 0.1}, {0.3, 0.3, 0.3}, {0.5, 0.5}, {0.9, 0.9}}));
+  EXPECT_EQ(flags, (std::vector<bool>{false, true, false, false}));
+
+  // A correction moves a cell between the lane and the odd map both ways.
+  (void)frame.apply(make_report(3, 1, 0.4, 2));
+  QosReport widened = make_report(5, 1, 0.6, 2);
+  widened.claim = Point{0.6, 0.6, 0.6};
+  (void)frame.apply(widened);
+  EXPECT_TRUE(frame.find(3)->claim == (Point{0.4, 0.4}));
+  EXPECT_TRUE(frame.find(5)->claim == (Point{0.6, 0.6, 0.6}));
+  EXPECT_EQ(frame.device_count(), 4u);
 }
 
 TEST(LivenessTracker, DisabledTracksNothing) {

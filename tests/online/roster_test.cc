@@ -1,7 +1,9 @@
 // FleetRoster: sparse gateway keys over a fixed dense slot universe —
 // FIFO slot recycling, parked positions, and the just-assigned abnormality
 // guard that keeps slot splices away from the characterizer.
+#include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -123,6 +125,54 @@ TEST(FleetRoster, SameIntervalRetireAdmitRecyclesFifoAndStaysIneligible) {
   roster.retire(201);
   EXPECT_EQ(roster.admit(301, Point{0.5, 0.5}), 2u);  // 103 left first
   EXPECT_EQ(roster.admit(302, Point{0.6, 0.6}), 1u);
+}
+
+TEST(FleetRoster, RefusedWritesLeaveTheSnapshotByteIdentical) {
+  // snapshot() is the roster's live storage, so a refused claim must not
+  // touch a byte of it, nor consume the free slot an admit would take.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  FleetRoster roster(4, 2);
+  (void)roster.admit(101, Point{0.1, 0.2});
+  (void)roster.admit(102, Point{0.3, 0.4});
+  roster.end_interval();
+  const Snapshot& live = roster.snapshot();
+  const std::vector<double> before(live.col(0), live.col(0) + 2 * 4);
+  const auto unchanged = [&] {
+    return std::memcmp(before.data(), live.col(0), before.size() * sizeof(double)) == 0;
+  };
+
+  const std::vector<std::vector<double>> bad_claims{
+      {nan, 0.5}, {0.5, nan}, {1.5, 0.5}, {0.5, -0.25}, {0.5}, {0.5, 0.5, 0.5}};
+  for (const std::vector<double>& bad : bad_claims) {
+    const std::span<const double> span(bad);
+    SCOPED_TRACE(testing::Message() << bad.size() << " coordinates, first " << bad[0]);
+    EXPECT_THROW((void)roster.admit(201, span), std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    EXPECT_THROW(roster.report(101, span), std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    EXPECT_THROW((void)roster.try_report(102, span), std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    // The Point overloads forward to the span ones; a Point cannot be
+    // empty, so the dimension cases above cover the rest.
+    const Point point(span);
+    EXPECT_THROW((void)roster.admit(202, point), std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    EXPECT_THROW(roster.report(101, point), std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+    EXPECT_THROW((void)roster.try_report(102, point), std::invalid_argument);
+    EXPECT_TRUE(unchanged());
+  }
+  EXPECT_EQ(roster.active_count(), 2u);
+  EXPECT_FALSE(roster.active(201));
+  EXPECT_FALSE(roster.active(202));
+  // No refused admit consumed a slot: the next one takes slot 2.
+  const std::vector<double> good{0.5, 0.6};
+  EXPECT_EQ(roster.admit(203, std::span<const double>(good)), 2u);
+  EXPECT_EQ(live[2], (Point{0.5, 0.6}));
+  EXPECT_TRUE(roster.try_report(101, std::span<const double>(good)));
+  EXPECT_EQ(live[0], (Point{0.5, 0.6}));
+  // An inactive key is refused without throwing, and without a write.
+  EXPECT_FALSE(roster.try_report(999, std::span<const double>(good)));
 }
 
 TEST(FleetRoster, ConstructorValidates) {
