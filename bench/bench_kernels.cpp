@@ -1,15 +1,16 @@
-// Microbench for the quantized kernel layer (core/kernels): one row per
-// kernel per dispatch variant, so the scalar-vs-AVX2 speedup of every hot
-// primitive — window filter, min/max reduction, survivor popcounts, the
-// Theorem-7 node scans — is recorded on its own, independent of the
-// surrounding search shape. Emits one embedded-JSON line per row ("name" +
+// Microbench for the kernel layer (core/kernels): one row per kernel per
+// dispatch variant, so the scalar-vs-AVX2 speedup of every hot primitive —
+// min/max reduction, survivor popcounts, the Theorem-7 node scans — is
+// recorded on its own, independent of the surrounding search shape. Emits one embedded-JSON line per row ("name" +
 // "ms_per_step"), the format tools/record_bench.sh keys its nightly
 // perf-regression gate on.
 //
 // Flags:
 //   --smoke     tiny inputs, one rep, plus a scalar/AVX2 byte-identity
-//               check on the outputs of every kernel-table entry
-//               (CI-friendly; a build without AVX2 has nothing to compare)
+//               check on the outputs of all four kernel-table entries
+//               (minmax_ids, popcount_andnot, targets_all_below,
+//               nsc_scan_rows; CI-friendly; a build without AVX2 has
+//               nothing to compare)
 //   --json      suppress the human-readable table, JSON lines only
 //   --dispatch  print the auto-selected dispatch name and exit (used by
 //               record_bench.sh to stamp recordings with the kernel path)
@@ -22,12 +23,10 @@
 
 #include "common/rng.hpp"
 #include "core/kernels/kernels.hpp"
-#include "core/kernels/quantize.hpp"
 
 namespace {
 
 using acn::kernels::Ops;
-using acn::kernels::WindowBoundsQ;
 
 // Defeats dead-code elimination without perturbing the timed loop.
 volatile std::uint64_t g_sink = 0;
@@ -43,12 +42,10 @@ double time_ms(int reps, F&& f) {
 }
 
 struct Workload {
-  // Window filter / minmax: one coordinate column with its quantized mirror.
+  // Minmax: one coordinate column.
   std::size_t n = 0;
   std::vector<double> col;
-  std::vector<std::uint32_t> qcol;
   std::vector<std::uint32_t> ids;
-  WindowBoundsQ wb;
   // Theorem-7 scans: row-major bitset matrices over a compact universe.
   std::size_t words = 2;
   std::size_t target_count = 0;
@@ -69,16 +66,11 @@ struct Workload {
     acn::Rng rng(7);
     n = smoke ? std::size_t{4096} : std::size_t{1} << 17;
     col.resize(n);
-    qcol.resize(n);
     ids.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       col[i] = rng.uniform();
-      qcol[i] = acn::kernels::quantize(col[i]);
       ids[i] = static_cast<std::uint32_t>(i);
     }
-    // A representable window width (2r = 2^-4) lands boundaries exactly on
-    // the quantization grid — the tie-band path is exercised, not dodged.
-    wb = acn::kernels::window_bounds(0.40625, 0.40625 + 0.0625);
     target_count = smoke ? 8 : 64;
     base_count = smoke ? 12 : 48;
     targets.resize(target_count * words);
@@ -120,14 +112,6 @@ void run_variant(const char* variant, const Workload& w, bool smoke,
   }
   const Ops& ops = acn::kernels::dispatch();
   const int reps = smoke ? 1 : 200;
-
-  std::vector<std::uint32_t> filter_out(w.n);
-  out.push_back({std::string("window:") + variant, w.n,
-                 time_ms(reps, [&] {
-                   g_sink = g_sink + ops.filter_in_window(w.qcol.data(), w.col.data(),
-                                                  w.ids.data(), w.n, w.wb,
-                                                  filter_out.data());
-                 })});
 
   out.push_back({std::string("minmax:") + variant, w.n,
                  time_ms(reps, [&] {
@@ -174,7 +158,6 @@ void run_variant(const char* variant, const Workload& w, bool smoke,
 
 /// Every output of one table on the smoke inputs, one field per Ops entry.
 struct TableOutputs {
-  std::vector<std::uint32_t> window_ids;
   double lo = 0.0;
   double hi = 0.0;
   std::uint64_t popcount = 0;
@@ -185,9 +168,6 @@ struct TableOutputs {
 
 TableOutputs run_table(const Ops& ops, const Workload& w) {
   TableOutputs o;
-  o.window_ids.resize(w.n);
-  o.window_ids.resize(ops.filter_in_window(w.qcol.data(), w.col.data(), w.ids.data(),
-                                           w.n, w.wb, o.window_ids.data()));
   ops.minmax_ids(w.col.data(), w.ids.data(), w.n, &o.lo, &o.hi);
   o.popcount = ops.popcount_andnot(w.wide_a.data(), w.wide_b.data(), w.wide_words);
   o.all_below = ops.targets_all_below(w.targets.data(), w.target_count, w.words,
@@ -218,13 +198,12 @@ bool smoke_check(const Workload& w) {
       ok = false;
     }
   };
-  expect(scalar.window_ids == avx2.window_ids, "filter_in_window");
   expect(scalar.lo == avx2.lo && scalar.hi == avx2.hi, "minmax_ids");
   expect(scalar.popcount == avx2.popcount, "popcount_andnot");
   expect(scalar.all_below == avx2.all_below, "targets_all_below");
   expect(scalar.survivor_rows == avx2.survivor_rows && scalar.acc == avx2.acc,
          "nsc_scan_rows");
-  if (ok) std::printf("smoke: scalar/avx2 outputs byte-identical on all 5 kernels\n");
+  if (ok) std::printf("smoke: scalar/avx2 outputs byte-identical on all 4 kernels\n");
   return ok;
 }
 

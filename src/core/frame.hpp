@@ -7,14 +7,14 @@
 //   1. state roll — the previous half of the rolling StatePair's joint
 //      columns catches up with the current half at the ids the last roll
 //      moved (O(|moved|)), then the new snapshot's columns are compared into
-//      the current half; entries (and their quantized mirrors) are
-//      rewritten only where a position changed (StatePair::advance);
+//      the current half; entries are rewritten only where a position
+//      changed (StatePair::advance);
 //   2. A_k index — one GridIndex over the abnormal devices, cell
 //      max(2r, kMinGridCell): the only spatial index, sized by |A_k|, not n;
 //   3. plane — the MotionPlane built over that index, through the same path
 //      as the from-scratch MotionPlane(state, params): components by a
-//      union-find over the index's cells, then the per-component family
-//      enumeration fanned out over the engine's persistent WorkerPool;
+//      union-find over the index's cells, then the per-component maximal
+//      clique search fanned out over the engine's persistent WorkerPool;
 //   4. characterize — Theorems 5-7 for every device of A_k, decided per
 //      dense family and fanned out over the same pool.
 //
@@ -100,10 +100,11 @@ class FrameEngine {
     /// per-family characterization): 1 = inline serial (default), 0 =
     /// hardware concurrency. Verdicts are identical for every value.
     unsigned threads = 1;
-    /// Component count below which the plane build runs inline.
+    /// Task count below which a plane build section runs inline.
     std::size_t component_fanout = 2;
     /// Byte cap on the per-interval motion-plane arenas (component lists,
-    /// window covers, interned motions, membership bitsets). An adversarial
+    /// adjacency bitsets, emitted cliques, interned motions, membership
+    /// bitsets). An adversarial
     /// placement can make the motion-family arenas combinatorially large;
     /// the cap turns that from an OOM kill into an ArenaBudgetExceeded
     /// thrown out of observe() with the engine state untouched — the next

@@ -22,18 +22,6 @@ namespace {
 // double-path loop it replaced, verbatim; the AVX2 table must match these
 // byte-for-byte on every input (asserted per call in debug builds).
 
-std::size_t scalar_filter_in_window(const std::uint32_t* /*qcol*/, const double* col,
-                                    const std::uint32_t* ids, std::size_t n,
-                                    const WindowBoundsQ& b, std::uint32_t* out) {
-  std::size_t out_n = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t id = ids[i];
-    const double x = col[id];
-    if (x >= b.lower && x <= b.upper) out[out_n++] = id;
-  }
-  return out_n;
-}
-
 void scalar_minmax_ids(const double* col, const std::uint32_t* ids, std::size_t n,
                        double* lo, double* hi) {
   double l = col[ids[0]];
@@ -106,7 +94,6 @@ std::size_t scalar_nsc_scan_rows(const std::uint64_t* bases,
 
 constexpr Ops kScalarOps = {
     "scalar",
-    scalar_filter_in_window,
     scalar_minmax_ids,
     scalar_popcount_andnot,
     scalar_targets_all_below,
@@ -172,24 +159,8 @@ inline bool crosscheck() noexcept {
   return g_crosscheck.load(std::memory_order_acquire);
 }
 
-thread_local std::vector<std::uint32_t> t_check_out;
 thread_local std::vector<std::uint64_t> t_check_acc;
 thread_local std::vector<std::uint32_t> t_check_rows;
-
-std::size_t checked_filter_in_window(const std::uint32_t* qcol, const double* col,
-                                     const std::uint32_t* ids, std::size_t n,
-                                     const WindowBoundsQ& b, std::uint32_t* out) {
-  const std::size_t count = inner()->filter_in_window(qcol, col, ids, n, b, out);
-  if (crosscheck()) {
-    t_check_out.resize(n);
-    const std::size_t ref =
-        scalar_filter_in_window(qcol, col, ids, n, b, t_check_out.data());
-    assert(ref == count && "filter_in_window: SIMD/scalar count mismatch");
-    assert(std::memcmp(t_check_out.data(), out, count * sizeof(std::uint32_t)) == 0 &&
-           "filter_in_window: SIMD/scalar id mismatch");
-  }
-  return count;
-}
 
 void checked_minmax_ids(const double* col, const std::uint32_t* ids, std::size_t n,
                         double* lo, double* hi) {
@@ -249,7 +220,6 @@ std::size_t checked_nsc_scan_rows(const std::uint64_t* bases,
 
 const Ops kCheckedOps = {
     "checked",
-    checked_filter_in_window,
     checked_minmax_ids,
     checked_popcount_andnot,
     checked_targets_all_below,

@@ -1,14 +1,14 @@
-// Runtime-dispatched hot-path kernels over the quantized coordinate mirror.
+// Runtime-dispatched hot-path kernels.
 //
-// The three inner loops the profile is made of — the canonical-window slide
-// filter, the bounding-box min/max reduction, and the Theorem-7 survivor
-// popcounts — are routed through this narrow table. Two implementations
-// exist: a scalar reference (always compiled, the semantic ground truth)
-// and an AVX2 variant (compiled when ACN_SIMD is on, selected at startup
-// via CPUID). Every AVX2 kernel is byte-identical to the scalar one by
-// construction (see quantize.hpp for the boundary-band argument), and in
-// debug builds the dispatcher installs cross-checking wrappers that run
-// BOTH paths and assert equality on every single call.
+// The inner loops the profile is made of — the bounding-box min/max
+// reduction and the Theorem-7 survivor popcounts — are routed through this
+// narrow table. Two implementations exist: a scalar reference (always
+// compiled, the semantic ground truth) and an AVX2 variant (compiled when
+// ACN_SIMD is on, selected at startup via CPUID). Every AVX2 kernel is
+// byte-identical to the scalar one by construction (min/max of doubles is
+// exact and order-free; popcounts are integer sums), and in debug builds
+// the dispatcher installs cross-checking wrappers that run BOTH paths and
+// assert equality on every single call.
 //
 // Selection order: ACN_KERNELS env var ("scalar"/"avx2") > force() test
 // hook > CPUID. The choice is made once and cached; force() exists so the
@@ -17,8 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "core/kernels/quantize.hpp"
 
 namespace acn::kernels {
 
@@ -34,13 +32,6 @@ struct OpenScan {
 /// The kernel table. All functions are stateless and thread-safe.
 struct Ops {
   const char* name;  ///< "scalar" or "avx2"
-
-  /// Writes to `out` (capacity >= n) the ids whose coordinate col[id] lies
-  /// in [b.lower, b.upper], preserving input order; returns the count.
-  /// `qcol` is the quantize() image of `col` (same indexing).
-  std::size_t (*filter_in_window)(const std::uint32_t* qcol, const double* col,
-                                  const std::uint32_t* ids, std::size_t n,
-                                  const WindowBoundsQ& b, std::uint32_t* out);
 
   /// Exact min/max of col[ids[i]] over i < n (n >= 1). Min/max of doubles
   /// is exact and order-independent, so this matches any scalar scan.

@@ -3,12 +3,6 @@
 // check in the dispatcher, so no function here runs on a non-AVX2 CPU.
 //
 // Techniques (after proxmark3's bitsliced hot loops):
-//   * window filter: 8 quantized coordinates gathered per iteration, signed
-//     32-bit lane compares against the quantized bounds, boundary-tie lanes
-//     (q == ql or q == qu, measure-2^-30 rare) resolved with the exact
-//     double predicate, verdict mask merged BEFORE the left-pack so output
-//     order stays the input order;
-//   * left-pack via a 256-entry permutation LUT indexed by the movemask;
 //   * min/max: 4 doubles gathered per iteration into vminpd/vmaxpd
 //     accumulators — min/max of doubles is exact, so this is byte-identical
 //     to any scalar scan by associativity/commutativity (no NaNs in [0,1]);
@@ -21,71 +15,6 @@
 
 namespace acn::kernels {
 namespace {
-
-/// perm[mask][k] = index of the k-th set lane of mask; identity on the tail
-/// so the permute never reads out of the source register.
-struct PackLut {
-  alignas(32) std::uint32_t perm[256][8];
-};
-
-constexpr PackLut make_pack_lut() {
-  PackLut lut{};
-  for (unsigned mask = 0; mask < 256; ++mask) {
-    unsigned k = 0;
-    for (unsigned lane = 0; lane < 8; ++lane) {
-      if (mask & (1u << lane)) lut.perm[mask][k++] = lane;
-    }
-    for (unsigned lane = 0; k < 8; ++lane, ++k) lut.perm[mask][k] = lane;
-  }
-  return lut;
-}
-
-constexpr PackLut kPack = make_pack_lut();
-
-std::size_t avx2_filter_in_window(const std::uint32_t* qcol, const double* col,
-                                  const std::uint32_t* ids, std::size_t n,
-                                  const WindowBoundsQ& b, std::uint32_t* out) {
-  const __m256i vql = _mm256_set1_epi32(b.ql);
-  const __m256i vqu = _mm256_set1_epi32(b.qu);
-  std::size_t out_n = 0;
-  std::size_t i = 0;
-  // Safe full-width stores: out_n <= i and i + 8 <= n, so out + out_n + 8
-  // never passes out + n.
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vid =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ids + i));
-    const __m256i q = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(qcol), vid, 4);
-    // Strict interior: ql < q < qu (all values fit signed 32-bit lanes).
-    const __m256i in = _mm256_and_si256(_mm256_cmpgt_epi32(q, vql),
-                                        _mm256_cmpgt_epi32(vqu, q));
-    unsigned in_mask =
-        static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(in)));
-    // Boundary ties resolved with the exact double predicate, merged into
-    // the mask before packing so order is preserved.
-    const __m256i tie = _mm256_or_si256(_mm256_cmpeq_epi32(q, vql),
-                                        _mm256_cmpeq_epi32(q, vqu));
-    unsigned tie_mask =
-        static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(tie)));
-    while (tie_mask != 0) {
-      const unsigned lane = static_cast<unsigned>(__builtin_ctz(tie_mask));
-      tie_mask &= tie_mask - 1;
-      const double x = col[ids[i + lane]];
-      if (x >= b.lower && x <= b.upper) in_mask |= 1u << lane;
-    }
-    const __m256i perm = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(kPack.perm[in_mask]));
-    const __m256i packed = _mm256_permutevar8x32_epi32(vid, perm);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + out_n), packed);
-    out_n += static_cast<std::size_t>(__builtin_popcount(in_mask));
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t id = ids[i];
-    const double x = col[id];
-    if (x >= b.lower && x <= b.upper) out[out_n++] = id;
-  }
-  return out_n;
-}
 
 void avx2_minmax_ids(const double* col, const std::uint32_t* ids, std::size_t n,
                      double* lo, double* hi) {
@@ -311,7 +240,6 @@ std::size_t avx2_nsc_scan_rows(const std::uint64_t* bases,
 
 constexpr Ops kAvx2Ops = {
     "avx2",
-    avx2_filter_in_window,
     avx2_minmax_ids,
     avx2_popcount_andnot,
     avx2_targets_all_below,

@@ -1,8 +1,8 @@
 #include "core/motion_plane.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
+#include <bit>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,301 +12,259 @@
 namespace acn {
 namespace {
 
-bool run_is_strict_subset(std::span<const DeviceId> small,
-                          std::span<const DeviceId> big) noexcept {
-  if (small.size() >= big.size()) return false;
-  std::size_t i = 0;
-  for (const DeviceId id : small) {
-    while (i < big.size() && big[i] < id) ++i;
-    if (i == big.size() || big[i] != id) return false;
-    ++i;
+/// Calls fn(i) for every set bit i of a `words`-word bitset, ascending.
+template <class Fn>
+void for_each_bit(const std::uint64_t* bits, std::size_t words, Fn&& fn) {
+  for (std::size_t k = 0; k < words; ++k) {
+    for (std::uint64_t w = bits[k]; w != 0; w &= w - 1) {
+      fn(static_cast<std::uint32_t>(k * 64 + static_cast<std::size_t>(std::countr_zero(w))));
+    }
+  }
+}
+
+std::size_t popcount_and(const std::uint64_t* a, const std::uint64_t* b,
+                         std::size_t words) noexcept {
+  std::size_t count = 0;
+  for (std::size_t k = 0; k < words; ++k) {
+    count += static_cast<std::size_t>(std::popcount(a[k] & b[k]));
+  }
+  return count;
+}
+
+/// The tight-cluster cut predicate: true iff `active` spans at most
+/// `window` in every joint dimension, i.e. `active` is one r-consistent
+/// motion (a clique of the 2r-graph) and the only maximal one within
+/// itself.
+bool spans_fit_window(const StatePair& state, double window,
+                      std::span<const DeviceId> active) noexcept {
+  // min/max of doubles is exact and order-free, so the kernel reduction is
+  // byte-identical to the plain scan on every input.
+  const kernels::Ops& ops = kernels::dispatch();
+  for (std::size_t t = 0; t < state.joint_dim(); ++t) {
+    double lo;
+    double hi;
+    ops.minmax_ids(state.joint_col(t), active.data(), active.size(), &lo, &hi);
+    if (hi - lo > window) return false;
   }
   return true;
 }
 
-/// Window covers of one enumeration, stored flat: each cover is an
-/// (offset, length) run of sorted DeviceIds in one arena, deduplicated on
-/// insert — distinct windows over a tight blob produce the same cover many
-/// times, and every duplicate would otherwise ride through the maximality
-/// filter. One store serves every component of a lane's plane builds.
-struct CoverStore {
-  /// What clear() keeps for reuse. unordered_map::clear() zeroes the whole
-  /// bucket array, so one kept from a heavy enumeration would tax every
-  /// later clear(); a kept arena would sit outside every plane's budget.
-  static constexpr std::size_t kKeepBuckets = std::size_t{1} << 12;
-  static constexpr std::size_t kKeepIds = std::size_t{1} << 20;
+/// The 2r-graph of one pool as adjacency bitsets over the pool's ranks: bit
+/// v of row u is set iff u != v and joint_distance(pool[u], pool[v]) <=
+/// window. Under the Chebyshev norm a set's joint bounding box fits the
+/// window iff every pair of its members does, and in floating point too: a
+/// dimension's computed box side is the computed difference of the pair at
+/// its two ends, and rounding is monotone, so no other pair's computed
+/// difference exceeds it. The r-consistent motions of the pool are
+/// therefore exactly the cliques of this graph, and its maximal motions
+/// (Algorithm 2) the maximal cliques.
+struct CliqueGraph {
+  std::size_t size = 0;
+  std::size_t words = 0;
+  std::vector<std::uint64_t> adj;  ///< `size` rows of `words` words
 
-  std::vector<DeviceId> arena;
-  std::vector<std::uint32_t> offsets{0};
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> index;
-  /// Plane-wide byte meter (null for the free-function enumeration path).
-  /// Set per task — the scratch is thread_local and outlives any one plane.
-  ArenaBudget* budget = nullptr;
-
-  void clear() {
-    // Only a swap releases: `index = {}` calls clear().
-    if (arena.capacity() > kKeepIds) decltype(arena)().swap(arena);
-    if (offsets.capacity() > kKeepIds) decltype(offsets)().swap(offsets);
-    if (index.bucket_count() > kKeepBuckets) decltype(index)().swap(index);
-    arena.clear();
-    offsets.assign(1, 0);
-    index.clear();
-  }
-  [[nodiscard]] std::size_t count() const noexcept { return offsets.size() - 1; }
-  [[nodiscard]] std::span<const DeviceId> run(std::uint32_t i) const noexcept {
-    return {arena.data() + offsets[i], offsets[i + 1] - offsets[i]};
-  }
-  void add(std::span<const DeviceId> ids) {
-    auto& slots = index[hash_ids(ids)];
-    for (const std::uint32_t i : slots) {
-      const auto existing = run(i);
-      if (existing.size() == ids.size() &&
-          std::equal(existing.begin(), existing.end(), ids.begin())) {
-        return;  // duplicate window cover
-      }
-    }
-    if (budget != nullptr) budget->charge(ids.size() * sizeof(DeviceId));
-    slots.push_back(static_cast<std::uint32_t>(count()));
-    arena.insert(arena.end(), ids.begin(), ids.end());
-    offsets.push_back(static_cast<std::uint32_t>(arena.size()));
+  [[nodiscard]] const std::uint64_t* row(std::size_t u) const noexcept {
+    return adj.data() + u * words;
   }
 };
 
-/// Reusable buffers for the canonical-window slide: one edge list and one
-/// shrinking active set per joint dimension (the recursion touches exactly
-/// one depth per dimension at a time), the flat cover store, the
-/// maximality-ranking scratch, and the dimension visit order.
-struct EnumerationScratch {
-  std::vector<std::vector<double>> edges;
-  std::vector<std::vector<DeviceId>> next;
-  std::vector<DeviceId> pool;
-  CoverStore covers;
+/// Builds the graph of `pool`, charging its rows to `budget` when given.
+/// Pairs are swept along the first joint coordinate: in that order the
+/// computed difference only grows, so each scan stops at the first pair
+/// more than 2r apart there.
+CliqueGraph clique_graph(const StatePair& state, double window,
+                         std::span<const DeviceId> pool, ArenaBudget* budget) {
+  CliqueGraph g;
+  g.size = pool.size();
+  g.words = (g.size + 63) / 64;
+  if (budget != nullptr) budget->charge(g.size * g.words * sizeof(std::uint64_t));
+  g.adj.assign(g.size * g.words, 0);
+  const double* key = state.joint_col(0);
+  std::vector<std::uint32_t> by_key(g.size);
+  std::iota(by_key.begin(), by_key.end(), 0u);
+  std::sort(by_key.begin(), by_key.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return key[pool[a]] < key[pool[b]];
+  });
+  for (std::size_t i = 0; i < g.size; ++i) {
+    const std::uint32_t u = by_key[i];
+    for (std::size_t k = i + 1;
+         k < g.size && key[pool[by_key[k]]] - key[pool[u]] <= window; ++k) {
+      const std::uint32_t v = by_key[k];
+      if (state.joint_distance(pool[u], pool[v]) > window) continue;
+      g.adj[u * g.words + v / 64] |= std::uint64_t{1} << (v % 64);
+      g.adj[v * g.words + u / 64] |= std::uint64_t{1} << (u % 64);
+    }
+  }
+  return g;
+}
+
+/// Degeneracy order (smallest-last): repeatedly take a vertex of least
+/// remaining degree. Every vertex then has at most degeneracy-many
+/// neighbours later in the order, which bounds each outer subproblem's P
+/// (Eppstein, Löffler & Strash 2010); later[i] receives order[i]'s count.
+/// Degree buckets are linked lists, so the order costs O(size + edges)
+/// time and O(size) memory.
+std::vector<std::uint32_t> degeneracy_order(const CliqueGraph& g,
+                                            std::vector<std::uint32_t>& later) {
+  constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  const std::size_t n = g.size;
+  std::vector<std::uint32_t> degree(n);
+  std::vector<std::uint32_t> head(n, kNone);
+  std::vector<std::uint32_t> next(n);
+  std::vector<std::uint32_t> prev(n);
+  const auto link = [&](std::uint32_t v) {
+    prev[v] = kNone;
+    next[v] = head[degree[v]];
+    if (next[v] != kNone) prev[next[v]] = v;
+    head[degree[v]] = v;
+  };
+  const auto unlink = [&](std::uint32_t v) {
+    (prev[v] != kNone ? next[prev[v]] : head[degree[v]]) = next[v];
+    if (next[v] != kNone) prev[next[v]] = prev[v];
+  };
+  for (auto v = static_cast<std::uint32_t>(n); v-- > 0;) {
+    degree[v] = static_cast<std::uint32_t>(popcount_and(g.row(v), g.row(v), g.words));
+    link(v);
+  }
+  std::vector<std::uint8_t> taken(n, 0);
   std::vector<std::uint32_t> order;
-  std::vector<std::uint32_t> maximal;
-  /// Joint dimensions, widest pool span first. The cover set is invariant
-  /// under visit order (the same window combinations are enumerated), but
-  /// splitting on the most spread-out dimension first shrinks active sets
-  /// fastest and lets the tight-cluster cut below fire at shallow depth.
-  std::array<std::size_t, 2 * Point::kMaxDim> dim_order{};
+  order.reserve(n);
+  std::uint32_t d = 0;
+  while (order.size() < n) {
+    while (head[d] == kNone) ++d;
+    const std::uint32_t v = head[d];
+    unlink(v);
+    taken[v] = 1;
+    order.push_back(v);
+    later.push_back(d);
+    for_each_bit(g.row(v), g.words, [&](std::uint32_t u) {
+      if (taken[u] != 0) return;
+      unlink(u);
+      --degree[u];
+      link(u);
+    });
+    if (d > 0) --d;  // a neighbour may now sit one bucket lower
+  }
+  return order;
+}
+
+/// Bron–Kerbosch with Tomita pivoting (Bron & Kerbosch 1973; Tomita, Tanaka
+/// & Takahashi 2006) over one CliqueGraph. Every maximal clique of the form
+/// R ∪ S, S ⊆ P, that no X vertex extends reaches `emit` exactly once, as
+/// ascending ranks; `emit` returns true to stop the search. Branches where
+/// |R| + |P| <= min_size are pruned. One search serves many runs: the
+/// per-depth P/X rows keep their capacity.
+class CliqueSearch {
+ public:
+  using Emit = std::function<bool(std::span<const std::uint32_t>)>;
+
+  /// Points the search at `g` with R, P and X empty and returns the root's
+  /// P row; its X row follows at P + g.words.
+  std::uint64_t* reset(const CliqueGraph& g) {
+    g_ = &g;
+    if (rows_.size() < 2 * g.words) rows_.resize(2 * g.words);
+    std::fill_n(rows_.begin(), 2 * g.words, 0);
+    r_.assign(g.words, 0);
+    r_size_ = 0;
+    return rows_.data();
+  }
+  void add_to_r(std::uint32_t v) {
+    r_[v / 64] |= std::uint64_t{1} << (v % 64);
+    ++r_size_;
+  }
+  /// Searches below the root; adds the nodes visited to `nodes` and returns
+  /// true iff `emit` stopped the search.
+  bool run(std::size_t min_size, const Emit& emit, std::uint64_t& nodes) {
+    min_size_ = min_size;
+    emit_ = &emit;
+    nodes_ = &nodes;
+    // Each level moves one P vertex into R, so |P| + 1 levels suffice. A
+    // level's rows are written before they are read, so they only grow.
+    const std::size_t levels = popcount_and(rows_.data(), rows_.data(), g_->words) + 1;
+    if (rows_.size() < levels * 2 * g_->words) rows_.resize(levels * 2 * g_->words);
+    return expand(0, r_size_);
+  }
+
+ private:
+  bool expand(std::size_t depth, std::size_t r_size);
+
+  const CliqueGraph* g_ = nullptr;
+  std::size_t min_size_ = 0;
+  const Emit* emit_ = nullptr;
+  std::uint64_t* nodes_ = nullptr;
+  std::vector<std::uint64_t> rows_;  ///< per depth: the P row, then the X row
+  std::vector<std::uint64_t> r_;     ///< R as a bitset
+  std::size_t r_size_ = 0;
+  std::vector<std::uint32_t> clique_;
 };
 
-void slide(const StatePair& state, double window, std::span<const DeviceId> active,
-           std::size_t dim_index, const double* anchor_joint,
-           EnumerationScratch& scratch, OracleCounters* counters) {
-  if (active.empty()) return;
-  if (dim_index == state.joint_dim()) {
-    if (counters != nullptr) ++counters->covers_generated;
-    // `active` descends from a sorted pool through order-preserving filters.
-    scratch.covers.add(active);
-    return;
-  }
+bool CliqueSearch::expand(std::size_t depth, std::size_t r_size) {
+  ++*nodes_;
+  const std::size_t w = g_->words;
+  std::uint64_t* p = rows_.data() + depth * 2 * w;
+  std::uint64_t* x = p + w;
+  const std::size_t p_size = popcount_and(p, p, w);
+  if (r_size + p_size <= min_size_) return false;
 
-  // Tight-cluster cut: when the active set already fits one window in every
-  // remaining dimension, that window's cover is `active` itself and every
-  // other window below this node covers a subset of it (active sets only
-  // shrink), i.e. nothing inclusion-maximal. Emitting the single cover here
-  // collapses the O(|active|^(2d)) edge recursion over a dense blob — the
-  // dominant shape of a massive anomaly — to one bounding-box scan. In the
-  // anchored variant the anchor is a member of every active set, so the
-  // bounding window is a valid anchored window too.
-  const std::span<const std::size_t> remaining_dims{
-      scratch.dim_order.data() + dim_index, state.joint_dim() - dim_index};
-  if (spans_fit_window(state, window, active, remaining_dims)) {
-    if (counters != nullptr) {
-      ++counters->windows_explored;  // the bounding window, evaluated once
-      ++counters->covers_generated;
+  // Tomita's pivot: the P ∪ X vertex with the most neighbours in P. The P
+  // half of the scan also tells whether P is a clique; an X vertex
+  // adjacent to all of P extends every clique of this branch.
+  std::uint32_t pivot = 0;
+  std::size_t best = 0;
+  bool have_pivot = false;
+  const auto neighbours_in_p = [&](std::uint32_t u) {
+    const std::size_t c = popcount_and(p, g_->row(u), w);
+    if (!have_pivot || c > best) {
+      pivot = u;
+      best = c;
+      have_pivot = true;
     }
-    scratch.covers.add(active);
-    return;
-  }
-
-  const std::size_t dim = scratch.dim_order[dim_index];
-  const double* col = state.joint_col(dim);
-  auto& edges = scratch.edges[dim_index];
-  edges.clear();
-  // Candidate lower edges: coordinates of active points; when anchored, only
-  // those within [x(anchor) - 2r, x(anchor)] so the window covers the anchor.
-  if (anchor_joint != nullptr) {
-    const double ax = anchor_joint[dim];
-    const double lo = ax - window;
-    for (const DeviceId id : active) {
-      const double x = col[id];
-      if (x >= lo && x <= ax) edges.push_back(x);
-    }
-  } else {
-    for (const DeviceId id : active) edges.push_back(col[id]);
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  // Kernel-dispatched membership filter: 8 quantized lanes per compare,
-  // boundary ties re-resolved against `col` — byte-identical to the plain
-  // `x >= lower && x <= upper` loop (core/kernels/quantize.hpp).
-  const kernels::Ops& ops = kernels::dispatch();
-  const std::uint32_t* qcol = state.qcol(dim);
-  auto& next = scratch.next[dim_index];
-  for (const double lower : edges) {
-    if (counters != nullptr) ++counters->windows_explored;
-    const kernels::WindowBoundsQ bounds = kernels::window_bounds(lower, lower + window);
-    next.resize(active.size());
-    next.resize(ops.filter_in_window(qcol, col, active.data(), active.size(),
-                                     bounds, next.data()));
-    slide(state, window, next, dim_index + 1, anchor_joint, scratch, counters);
-  }
-}
-
-/// Shared head of the enumeration paths: fills scratch.pool (anchored
-/// filter applied, sorted), sizes the per-depth buffers, clears the cover
-/// store, and computes the widest-span-first dimension order. Returns the
-/// anchor's joint coordinates (into `anchor_coords`) or nullptr. The
-/// dimension order is left untouched when the pool comes up empty.
-const double* prepare_pool(const StatePair& state, const Params& params,
-                           std::span<const DeviceId> pool_in,
-                           std::optional<DeviceId> anchor,
-                           std::array<double, Point::kMaxDim>& anchor_coords,
-                           EnumerationScratch& scratch) {
-  const double window = params.window();
-  const double* anchor_joint = nullptr;
-
-  auto& pool = scratch.pool;
-  pool.clear();
-  if (anchor.has_value()) {
-    // Only devices within 2r of the anchor can share a motion with it.
-    for (const DeviceId candidate : pool_in) {
-      if (state.joint_distance(*anchor, candidate) <= window) {
-        pool.push_back(candidate);
-      }
-    }
-    for (std::size_t t = 0; t < state.joint_dim(); ++t) {
-      anchor_coords[t] = state.joint_col(t)[*anchor];
-    }
-    anchor_joint = anchor_coords.data();
-  } else {
-    pool.assign(pool_in.begin(), pool_in.end());
-  }
-  std::sort(pool.begin(), pool.end());
-
-  if (scratch.edges.size() < state.joint_dim()) {
-    scratch.edges.resize(state.joint_dim());
-    scratch.next.resize(state.joint_dim());
-  }
-  scratch.covers.clear();
-  if (scratch.order.capacity() > CoverStore::kKeepIds) {
-    decltype(scratch.order)().swap(scratch.order);
-  }
-  scratch.maximal.clear();
-  if (pool.empty()) return anchor_joint;
-
-  // Visit dimensions widest span first (see EnumerationScratch::dim_order).
-  // Ties break toward the lower dimension index, keeping the order — and
-  // the windows_explored trajectory — deterministic.
-  const kernels::Ops& ops = kernels::dispatch();
-  std::array<double, 2 * Point::kMaxDim> span{};
-  for (std::size_t t = 0; t < state.joint_dim(); ++t) {
-    double lo;
-    double hi;
-    ops.minmax_ids(state.joint_col(t), pool.data(), pool.size(), &lo, &hi);
-    span[t] = hi - lo;
-    scratch.dim_order[t] = t;
-  }
-  std::stable_sort(scratch.dim_order.begin(),
-                   scratch.dim_order.begin() + state.joint_dim(),
-                   [&](std::size_t a, std::size_t b) { return span[a] > span[b]; });
-  return anchor_joint;
-}
-
-/// Shared tail: reduces scratch.covers to the inclusion-maximal covers,
-/// leaving their store indices in scratch.maximal in lexicographic (by
-/// members) order — the project-wide family order. Content-based throughout
-/// (the covers are distinct after dedup, so both sorts are strict total
-/// orders), which is what lets the split-task path below feed it a store
-/// assembled from per-task slices and still get the serial result.
-void select_maximal(const CoverStore& covers, EnumerationScratch& scratch) {
-  // Keep the inclusion-maximal covers. Scanning in size-descending order, a
-  // cover with any strict superset in the store also has one among the
-  // already-accepted maximal covers (subset is transitive and equal-size
-  // containment is equality, impossible after dedup), so each cover is
-  // checked against the few survivors only.
-  auto& order = scratch.order;
-  order.resize(covers.count());
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const auto ra = covers.run(a);
-    const auto rb = covers.run(b);
-    if (ra.size() != rb.size()) return ra.size() > rb.size();
-    return std::lexicographical_compare(ra.begin(), ra.end(), rb.begin(), rb.end());
+    return c;
+  };
+  bool p_is_clique = true;
+  for_each_bit(p, w, [&](std::uint32_t u) {
+    if (neighbours_in_p(u) + 1 < p_size) p_is_clique = false;
   });
-  auto& maximal = scratch.maximal;
-  for (const std::uint32_t candidate : order) {
-    bool covered = false;
-    for (const std::uint32_t other : maximal) {
-      if (run_is_strict_subset(covers.run(candidate), covers.run(other))) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) maximal.push_back(candidate);
-  }
-  // Family order: lexicographic by members (a shorter prefix sorts first),
-  // matching DeviceSet's vector comparison project-wide.
-  std::sort(maximal.begin(), maximal.end(), [&](std::uint32_t a, std::uint32_t b) {
-    const auto ra = covers.run(a);
-    const auto rb = covers.run(b);
-    return std::lexicographical_compare(ra.begin(), ra.end(), rb.begin(), rb.end());
+  bool dominated = false;
+  for_each_bit(x, w, [&](std::uint32_t u) {
+    dominated = dominated || neighbours_in_p(u) == p_size;
   });
-}
-
-/// Core of enumerate_maximal_windows over reusable scratch: fills
-/// scratch.maximal with the store indices of the inclusion-maximal covers,
-/// in lexicographic (by members) order.
-void enumerate_into(const StatePair& state, const Params& params,
-                    std::span<const DeviceId> pool_in,
-                    std::optional<DeviceId> anchor, OracleCounters* counters,
-                    EnumerationScratch& scratch) {
-  std::array<double, Point::kMaxDim> anchor_coords{};
-  const double* anchor_joint =
-      prepare_pool(state, params, pool_in, anchor, anchor_coords, scratch);
-  if (scratch.pool.empty()) return;
-  slide(state, params.window(), scratch.pool, 0, anchor_joint, scratch, counters);
-  select_maximal(scratch.covers, scratch);
-}
-
-/// Depth-0 slice of the unanchored slide for one split task: replays the
-/// serial slide's top level — same edge list, same per-edge counters, same
-/// subtree recursion — but only over the task's [begin, end) share of the
-/// edge list, leaving the task's covers in scratch.covers (per-task dedup
-/// only; the cross-task dedup happens at merge). Preconditions: prepare_pool
-/// ran (unanchored, pool non-empty) and the depth-0 tight-cluster cut does
-/// NOT fire (the split planner never splits tight components), so the
-/// serial slide would have entered this exact edge loop. Summed over a
-/// task partition of the edge list, the counters reproduce the serial
-/// enumeration's exactly.
-void slide_edge_slice(const StatePair& state, double window,
-                      std::size_t task_index, std::size_t task_count,
-                      EnumerationScratch& scratch, OracleCounters* counters) {
-  const std::size_t dim = scratch.dim_order[0];
-  const double* col = state.joint_col(dim);
-  auto& edges = scratch.edges[0];
-  edges.clear();
-  for (const DeviceId id : scratch.pool) edges.push_back(col[id]);
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  const std::size_t edge_count = edges.size();
-  const std::size_t begin = task_index * edge_count / task_count;
-  const std::size_t end = (task_index + 1) * edge_count / task_count;
-  const kernels::Ops& ops = kernels::dispatch();
-  const std::uint32_t* qcol = state.qcol(dim);
-  auto& next = scratch.next[0];
-  for (std::size_t e = begin; e < end; ++e) {
-    if (counters != nullptr) ++counters->windows_explored;
-    const kernels::WindowBoundsQ bounds =
-        kernels::window_bounds(edges[e], edges[e] + window);
-    next.resize(scratch.pool.size());
-    next.resize(ops.filter_in_window(qcol, col, scratch.pool.data(),
-                                     scratch.pool.size(), bounds, next.data()));
-    slide(state, window, next, 1, nullptr, scratch, counters);
+  if (dominated) return false;
+  // Node cut: P fits the window (a clique of this graph is exactly a set
+  // whose box does), so R ∪ P is the branch's only maximal clique, and no X
+  // vertex extends it. With P empty this is plain R.
+  if (p_is_clique) {
+    clique_.clear();
+    for (std::size_t k = 0; k < w; ++k) r_[k] |= p[k];
+    for_each_bit(r_.data(), w, [&](std::uint32_t v) { clique_.push_back(v); });
+    for (std::size_t k = 0; k < w; ++k) r_[k] &= ~p[k];
+    return (*emit_)(clique_);
   }
+
+  // Branch on P \ N(pivot), ascending. A word's candidates are read when
+  // the loop reaches it: only lower bits have left P by then.
+  std::uint64_t* child_p = x + w;
+  std::uint64_t* child_x = child_p + w;
+  const std::uint64_t* pivot_row = g_->row(pivot);
+  for (std::size_t k = 0; k < w; ++k) {
+    for (std::uint64_t cand = p[k] & ~pivot_row[k]; cand != 0; cand &= cand - 1) {
+      const std::uint64_t bit = cand & -cand;
+      const auto v = static_cast<std::uint32_t>(
+          k * 64 + static_cast<std::size_t>(std::countr_zero(cand)));
+      const std::uint64_t* nv = g_->row(v);
+      for (std::size_t i = 0; i < w; ++i) {
+        child_p[i] = p[i] & nv[i];
+        child_x[i] = x[i] & nv[i];
+      }
+      r_[k] |= bit;
+      const bool stop = expand(depth + 1, r_size + 1);
+      r_[k] &= ~bit;
+      if (stop) return true;
+      p[k] &= ~bit;  // P \ {v}
+      x[k] |= bit;   // X ∪ {v}
+    }
+  }
+  return false;
 }
 
 /// Pass 1 of the plane build: connected components of the 2r-interaction
@@ -365,14 +323,11 @@ std::vector<std::uint32_t> component_roots(const StatePair& state, const GridInd
                                      run_begin[c + 1] - run_begin[c]};
   };
 
-  std::array<std::size_t, 2 * Point::kMaxDim> joint_dims{};
-  std::iota(joint_dims.begin(), joint_dims.end(), std::size_t{0});
-  const std::span<const std::size_t> all_dims{joint_dims.data(), state.joint_dim()};
   std::vector<std::uint8_t> whole(cells, 1);  // cell is one component
   for (std::uint32_t c = 0; c < cells; ++c) {
     const auto members = run(c);
     if (members.size() == 1) continue;
-    if (spans_fit_window(state, window, members, all_dims)) {
+    if (spans_fit_window(state, window, members)) {
       for (const DeviceId id : members.subspan(1)) parent[find(id)] = find(members[0]);
       continue;
     }
@@ -408,90 +363,71 @@ std::vector<std::uint32_t> component_roots(const StatePair& state, const GridInd
 
 }  // namespace
 
-bool spans_fit_window(const StatePair& state, double window,
-                      std::span<const DeviceId> active,
-                      std::span<const std::size_t> dims) noexcept {
-  // min/max of doubles is exact and order-free, so the kernel reduction is
-  // byte-identical to the plain scan on every input.
-  const kernels::Ops& ops = kernels::dispatch();
-  for (const std::size_t t : dims) {
-    double lo;
-    double hi;
-    ops.minmax_ids(state.joint_col(t), active.data(), active.size(), &lo, &hi);
-    if (hi - lo > window) return false;
+std::vector<DeviceSet> maximal_motions(const StatePair& state, const Params& params,
+                                       std::vector<DeviceId> pool,
+                                       std::optional<DeviceId> anchor,
+                                       OracleCounters* counters) {
+  const double window = params.window();
+  if (anchor.has_value()) {
+    // Only devices within 2r of the anchor can share a motion with it.
+    std::erase_if(pool, [&](DeviceId id) {
+      return state.joint_distance(*anchor, id) > window;
+    });
+    pool.push_back(*anchor);
   }
-  return true;
-}
-
-std::vector<DeviceSet> enumerate_maximal_windows(const StatePair& state,
-                                                 const Params& params,
-                                                 std::vector<DeviceId> pool,
-                                                 std::optional<DeviceId> anchor,
-                                                 OracleCounters* counters) {
-  EnumerationScratch scratch;
-  enumerate_into(state, params, pool, anchor, counters, scratch);
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  if (pool.empty()) return {};
+  std::uint64_t nodes = 1;
   std::vector<DeviceSet> family;
-  family.reserve(scratch.maximal.size());
-  for (const std::uint32_t i : scratch.maximal) {
-    const auto run = scratch.covers.run(i);
-    family.push_back(
-        DeviceSet::from_sorted(std::vector<DeviceId>(run.begin(), run.end())));
+  if (spans_fit_window(state, window, pool)) {
+    // Tight-cluster cut: the whole pool fits one window.
+    family.push_back(DeviceSet::from_sorted(std::move(pool)));
+  } else {
+    const CliqueGraph graph = clique_graph(state, window, pool, nullptr);
+    CliqueSearch search;
+    std::uint64_t* p = search.reset(graph);
+    if (anchor.has_value()) {
+      const auto a = static_cast<std::uint32_t>(
+          std::lower_bound(pool.begin(), pool.end(), *anchor) - pool.begin());
+      search.add_to_r(a);
+      std::copy_n(graph.row(a), graph.words, p);
+    } else {
+      for (std::size_t v = 0; v < graph.size; ++v) p[v / 64] |= std::uint64_t{1} << (v % 64);
+    }
+    nodes = 0;
+    search.run(
+        0,
+        [&](std::span<const std::uint32_t> ranks) {
+          std::vector<DeviceId> ids;
+          ids.reserve(ranks.size());
+          for (const std::uint32_t r : ranks) ids.push_back(pool[r]);
+          family.push_back(DeviceSet::from_sorted(std::move(ids)));
+          return false;
+        },
+        nodes);
+    std::sort(family.begin(), family.end());
+  }
+  if (counters != nullptr) {
+    counters->windows_explored += nodes;
+    counters->covers_generated += family.size();
   }
   return family;
 }
 
-bool exists_dense_window_cover(const StatePair& state, const Params& params,
-                               std::span<const DeviceId> pool) {
-  const double window = params.window();
-
-  // This slide visits dimensions in natural order; the shared tight-cluster
-  // cut takes the remaining suffix of this identity order.
-  static constexpr auto kIdentityDims = [] {
-    std::array<std::size_t, 2 * Point::kMaxDim> dims{};
-    for (std::size_t i = 0; i < dims.size(); ++i) dims[i] = i;
-    return dims;
-  }();
-
-  // Same canonical-window slide as `enumerate_maximal_windows`, but returns
-  // at the first window whose cover is dense — no maximal-family
-  // materialization. Inner loops scan the columnar joint layout.
-  const kernels::Ops& ops = kernels::dispatch();
-  const auto slide_any = [&](const auto& self, std::span<const DeviceId> active,
-                             std::size_t dim_index) -> bool {
-    if (active.size() <= params.tau) return false;  // can only shrink further
-    if (dim_index == state.joint_dim()) return true;
-
-    // Tight-cluster cut: if the active set spans at most 2r in every
-    // remaining dimension, one window covers it whole — and it is dense.
-    if (spans_fit_window(state, window, active,
-                         std::span<const std::size_t>{
-                             kIdentityDims.data() + dim_index,
-                             state.joint_dim() - dim_index})) {
-      return true;
-    }
-
-    const double* col = state.joint_col(dim_index);
-    std::vector<double> edges;
-    edges.reserve(active.size());
-    for (const DeviceId id : active) edges.push_back(col[id]);
-    std::sort(edges.begin(), edges.end());
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-    // Same kernel-dispatched filter as the enumeration slide.
-    const std::uint32_t* qcol = state.qcol(dim_index);
-    std::vector<DeviceId> next;
-    next.reserve(active.size());
-    for (const double lower : edges) {
-      const kernels::WindowBoundsQ bounds =
-          kernels::window_bounds(lower, lower + window);
-      next.resize(active.size());
-      next.resize(ops.filter_in_window(qcol, col, active.data(), active.size(),
-                                       bounds, next.data()));
-      if (self(self, next, dim_index + 1)) return true;
-    }
-    return false;
-  };
-  return slide_any(slide_any, pool, 0);
+bool has_dense_motion(const StatePair& state, const Params& params,
+                      std::span<const DeviceId> pool) {
+  if (pool.size() <= params.tau) return false;
+  if (spans_fit_window(state, params.window(), pool)) return true;
+  // The same search, pruned to branches that can still hold more than tau
+  // members; every clique it emits is dense, so the first one ends it.
+  const CliqueGraph graph = clique_graph(state, params.window(), pool, nullptr);
+  CliqueSearch search;
+  std::uint64_t* p = search.reset(graph);
+  for (std::size_t v = 0; v < graph.size; ++v) p[v / 64] |= std::uint64_t{1} << (v % 64);
+  std::uint64_t nodes = 0;
+  return search.run(
+      params.tau, [](std::span<const std::uint32_t>) { return true; }, nodes);
 }
 
 GridIndex MotionPlane::index_for(const StatePair& state, const Params& params) {
@@ -559,181 +495,173 @@ void MotionPlane::build(WorkerPool* pool, std::size_t component_fanout,
     comp_members_[comp_member_offsets_[comp_of_[rank]] + comp_rank_of_[rank]] = ids_[rank];
   }
 
-  // Pass 2: ONE unanchored enumeration per component. Correctness hinges on
-  // an exact identity: a motion that is inclusion-maximal among the motions
-  // containing j is inclusion-maximal among ALL motions (every superset of
-  // it still contains j), so M(j) == { M in maxMotions(component of j) :
-  // j in M }. This is the "compute each A_k's motion families once"
-  // inversion — a blob of size b is slid once instead of once per member.
-  // Validated against brute-force subset enumeration by
-  // tests/core/motion_plane_test.cc.
-  // Family enumeration, planned as a flat task list. Most components are
-  // one task each (the full enumerate + maximality-select, exactly the
-  // serial walk). A component that would monopolize a lane — estimated
-  // enumeration cost = member count x per-dimension window-span sum — and
-  // is NOT a tight cluster (tight ones collapse to one bounding-box scan)
-  // is split across several tasks by top-level edge ranges; its maximality
-  // selection then runs at merge over the task covers. The flat list keeps
-  // the fan-out a single for_each (nested pool sections would deadlock on
-  // section_mutex_), and the split decision reads only the component data,
-  // never the pool — so every pool size plans, and produces, the same
-  // thing. Tasks are DISPATCHED costliest-first (classic LPT against skew)
-  // but write private slots merged in plan order, so scheduling cannot leak
-  // into results.
-  struct EnumTask {
-    std::uint32_t comp;
-    std::uint32_t task_index;
-    std::uint32_t task_count;
-    std::uint64_t cost;  ///< dispatch-priority estimate for this task
-  };
-  struct TaskResult {
-    std::vector<DeviceId> arena;            ///< concatenated runs
-    std::vector<std::uint32_t> offsets{0};  ///< run boundaries
-    OracleCounters counters;
-    bool final_family = false;  ///< runs are the finished family (1-task path)
-  };
-  constexpr std::uint64_t kSplitGrain = 4096;
-  constexpr double kMaxSpanWeight = 1 << 20;
-  constexpr std::uint32_t kMaxTasksPerComponent = 32;
-  std::vector<EnumTask> tasks;
-  tasks.reserve(comp_count);
-  std::vector<std::uint32_t> comp_task_begin(comp_count + 1, 0);
-  const kernels::Ops& ops = kernels::dispatch();
+  // Pass 2: the maximal motions of each component, which are the maximal
+  // cliques of its 2r-graph (see CliqueGraph). A motion that is maximal
+  // among the motions containing j is maximal among all of them, so M(j) ==
+  // { M in maxMotions(component of j) : j in M } — one search per component
+  // serves every member. A tight component, one whose joint box fits the
+  // window, is one clique and emits itself with no search. Every other
+  // ("loose") component gets its adjacency bitsets in comp-rank space and
+  // a degeneracy order, fanned out over components costliest first; then
+  // its outer Bron–Kerbosch loop runs as tasks over contiguous ranges of
+  // that order, again costliest first. Vertex v's subproblem is R = {v},
+  // P = its neighbours later in the order, X = the earlier ones, so each
+  // maximal clique is emitted once, by its first vertex in the order, and
+  // the subproblems are independent. Results merge in component and order
+  // position, and each component's cliques are sorted by members before
+  // interning, so families, ids and counters are the same for every pool
+  // size.
+  std::vector<std::uint32_t> loose;
   for (std::size_t ci = 0; ci < comp_count; ++ci) {
     const auto comp = component_members(static_cast<std::uint32_t>(ci));
-    std::uint64_t span_weight = 0;
-    bool tight = true;
-    for (std::size_t t = 0; t < state_.joint_dim(); ++t) {
-      double lo;
-      double hi;
-      ops.minmax_ids(state_.joint_col(t), comp.data(), comp.size(), &lo, &hi);
-      // Span in windows, at least 1. Within the window it is 1 without
-      // dividing: at r = 0 the quotient is NaN or inf, which must never
-      // reach the integer cast; the cap bounds it for any tiny r > 0.
-      const double span = hi - lo;
-      if (span > window) {
-        tight = false;
-        span_weight += static_cast<std::uint64_t>(
-            std::min(std::ceil(span / window), kMaxSpanWeight));
-      } else {
-        span_weight += 1;
-      }
-    }
-    const std::uint64_t cost = comp.size() * span_weight;
-    std::uint32_t task_count = 1;
-    if (pool != nullptr && !tight && cost >= 2 * kSplitGrain) {
-      task_count = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          std::min<std::uint64_t>(cost / kSplitGrain, kMaxTasksPerComponent),
-          comp.size()));
-    }
-    comp_task_begin[ci] = static_cast<std::uint32_t>(tasks.size());
-    for (std::uint32_t t = 0; t < task_count; ++t) {
-      tasks.push_back(EnumTask{static_cast<std::uint32_t>(ci), t, task_count,
-                               cost / task_count});
+    if (spans_fit_window(state_, window, comp)) {
+      budget_.charge(comp.size() * sizeof(DeviceId));  // the emitted clique
+    } else {
+      loose.push_back(static_cast<std::uint32_t>(ci));
     }
   }
-  comp_task_begin[comp_count] = static_cast<std::uint32_t>(tasks.size());
-
-  std::vector<std::uint32_t> dispatch(tasks.size());
-  std::iota(dispatch.begin(), dispatch.end(), 0u);
-  std::stable_sort(dispatch.begin(), dispatch.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return tasks[a].cost > tasks[b].cost;
-                   });
-
-  std::vector<TaskResult> results(tasks.size());
-  const auto run_task = [&](std::size_t slot) {
-    // One scratch per lane, reused across tasks AND planes (CoverStore and
-    // the edge/next vectors keep their capacity; contents are cleared by
-    // prepare_pool). Lanes are distinct threads, so thread_local is exactly
-    // per-lane; the serial loop is one lane reusing one scratch.
-    thread_local EnumerationScratch scratch;
-    scratch.covers.budget = &budget_;
-    const EnumTask& task = tasks[dispatch[slot]];
-    TaskResult& out = results[dispatch[slot]];
-    if (task.task_count == 1) {
-      out.final_family = true;
-      ++out.counters.enumeration_calls;
-      enumerate_into(state_, params_, component_members(task.comp), std::nullopt,
-                     &out.counters, scratch);
-      // scratch.maximal is lexicographic by members; appending in this
-      // order keeps every member's family in the project-wide order.
-      for (const std::uint32_t i : scratch.maximal) {
-        const auto run = scratch.covers.run(i);
-        out.arena.insert(out.arena.end(), run.begin(), run.end());
-        out.offsets.push_back(static_cast<std::uint32_t>(out.arena.size()));
-      }
+  const auto costliest_first = [](std::vector<std::uint32_t>& order, const auto& cost) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return cost(a) > cost(b); });
+  };
+  const auto fan_out = [&](std::size_t count, const std::function<void(std::size_t)>& fn) {
+    if (pool == nullptr) {
+      for (std::size_t i = 0; i < count; ++i) fn(i);
       return;
     }
-    // Split path: this task slides its share of the top-level edges and
-    // exports its (locally deduped) covers in store order; one task carries
-    // the component's enumeration_calls tick.
-    if (task.task_index == 0) ++out.counters.enumeration_calls;
-    std::array<double, Point::kMaxDim> anchor_coords{};
-    prepare_pool(state_, params_, component_members(task.comp), std::nullopt,
-                 anchor_coords, scratch);
-    slide_edge_slice(state_, window, task.task_index, task.task_count, scratch,
-                     &out.counters);
-    for (std::uint32_t i = 0; i < scratch.covers.count(); ++i) {
-      const auto run = scratch.covers.run(i);
-      out.arena.insert(out.arena.end(), run.begin(), run.end());
-      out.offsets.push_back(static_cast<std::uint32_t>(out.arena.size()));
-    }
+    std::vector<double> lane_ms;
+    pool->for_each(count, component_fanout, fn, lanes != nullptr ? &lane_ms : nullptr);
+    if (lanes == nullptr) return;
+    std::vector<double>& total = lanes->enumerate_lane_ms;  // summed per lane slot
+    total.resize(std::max(total.size(), lane_ms.size()), 0.0);
+    for (std::size_t i = 0; i < lane_ms.size(); ++i) total[i] += lane_ms[i];
   };
-  if (pool != nullptr) {
-    pool->for_each(tasks.size(), component_fanout, run_task,
-                   lanes != nullptr ? &lanes->enumerate_lane_ms : nullptr);
-  } else {
-    for (std::size_t slot = 0; slot < tasks.size(); ++slot) run_task(slot);
-  }
 
-  // Deterministic merge: intern runs and assign families component by
-  // component, in discovery order. Split components re-assemble their cover
-  // store from the task slices in task (= edge) order — per-task dedup kept
-  // first occurrences within a slice, the merge add() keeps the first
-  // across slices, so the assembled store holds exactly the serial store's
-  // runs — then run the same content-based maximality selection.
-  motion_offsets_.push_back(0);
-  EnumerationScratch merge_scratch;
-  // Runs are distinct by construction: within a component the cover store
-  // already dedups, and components have disjoint member sets. The sharing
-  // the arena buys is one run serving every member's family list.
-  const auto intern_run = [&](std::span<const DeviceId> run) {
-    budget_.charge(run.size() * sizeof(DeviceId));
-    motion_arena_.insert(motion_arena_.end(), run.begin(), run.end());
-    motion_offsets_.push_back(static_cast<std::uint32_t>(motion_arena_.size()));
-    motion_component_.push_back(comp_of_[rank_lookup_[run[0]]]);
-    ++counters_.motions_stored;
-    counters_.motions_shared += run.size() - 1;  // one arena run, |M| families
+  struct LooseComponent {
+    CliqueGraph graph;
+    std::vector<std::uint32_t> order;  ///< degeneracy order of comp-ranks
+    std::vector<std::uint32_t> later;  ///< per position: |P| of its subproblem
+    std::vector<std::uint32_t> pos;    ///< comp-rank -> position in order
   };
-  for (std::size_t ci = 0; ci < comp_count; ++ci) {
-    for (std::uint32_t t = comp_task_begin[ci]; t < comp_task_begin[ci + 1]; ++t) {
-      const OracleCounters& c = results[t].counters;
-      counters_.windows_explored += c.windows_explored;
-      counters_.covers_generated += c.covers_generated;
-      counters_.enumeration_calls += c.enumeration_calls;
+  std::vector<LooseComponent> graphs(loose.size());
+  std::vector<std::uint32_t> dispatch(loose.size());
+  std::iota(dispatch.begin(), dispatch.end(), 0u);
+  costliest_first(dispatch, [&](std::uint32_t i) { return comp_size[loose[i]]; });
+  fan_out(loose.size(), [&](std::size_t slot) {
+    LooseComponent& lc = graphs[dispatch[slot]];
+    lc.graph = clique_graph(state_, window, component_members(loose[dispatch[slot]]), &budget_);
+    lc.order = degeneracy_order(lc.graph, lc.later);
+    lc.pos.resize(lc.order.size());
+    for (std::size_t i = 0; i < lc.order.size(); ++i) {
+      lc.pos[lc.order[i]] = static_cast<std::uint32_t>(i);
     }
-    const TaskResult& first = results[comp_task_begin[ci]];
-    if (first.final_family) {
-      for (std::size_t i = 0; i + 1 < first.offsets.size(); ++i) {
-        intern_run({first.arena.data() + first.offsets[i],
-                    first.offsets[i + 1] - first.offsets[i]});
+  });
+
+  // Each loose component's order, cut into tasks of about kTaskGrain
+  // estimated cost, a subproblem being estimated at 1 + |P|^2. The cut
+  // reads only the component, never the pool.
+  constexpr std::uint64_t kTaskGrain = std::uint64_t{1} << 16;
+  struct SearchTask {
+    std::uint32_t loose;
+    std::uint32_t begin;
+    std::uint32_t end;
+    std::uint64_t cost;
+  };
+  std::vector<SearchTask> tasks;
+  for (std::size_t li = 0; li < loose.size(); ++li) {
+    const LooseComponent& lc = graphs[li];
+    SearchTask task{static_cast<std::uint32_t>(li), 0, 0, 0};
+    for (std::size_t i = 0; i < lc.order.size(); ++i) {
+      task.cost += 1 + std::uint64_t{lc.later[i]} * lc.later[i];
+      task.end = static_cast<std::uint32_t>(i + 1);
+      if (task.cost >= kTaskGrain || task.end == lc.order.size()) {
+        tasks.push_back(task);
+        task = SearchTask{static_cast<std::uint32_t>(li), task.end, task.end, 0};
       }
+    }
+  }
+  struct SearchResult {
+    std::vector<std::uint32_t> ranks;       ///< emitted cliques, concatenated
+    std::vector<std::uint32_t> offsets{0};  ///< clique boundaries
+    std::uint64_t nodes = 0;
+  };
+  std::vector<SearchResult> results(tasks.size());
+  dispatch.resize(tasks.size());
+  std::iota(dispatch.begin(), dispatch.end(), 0u);
+  costliest_first(dispatch, [&](std::uint32_t t) { return tasks[t].cost; });
+  fan_out(tasks.size(), [&](std::size_t slot) {
+    const SearchTask& task = tasks[dispatch[slot]];
+    SearchResult& out = results[dispatch[slot]];
+    const LooseComponent& lc = graphs[task.loose];
+    const CliqueGraph& g = lc.graph;
+    const CliqueSearch::Emit emit = [&](std::span<const std::uint32_t> clique) {
+      budget_.charge(clique.size() * sizeof(std::uint32_t));
+      out.ranks.insert(out.ranks.end(), clique.begin(), clique.end());
+      out.offsets.push_back(static_cast<std::uint32_t>(out.ranks.size()));
+      return false;
+    };
+    CliqueSearch search;
+    for (std::uint32_t i = task.begin; i < task.end; ++i) {
+      const std::uint32_t v = lc.order[i];
+      std::uint64_t* p = search.reset(g);
+      std::uint64_t* x = p + g.words;
+      for_each_bit(g.row(v), g.words, [&](std::uint32_t u) {
+        std::uint64_t* side = lc.pos[u] > i ? p : x;
+        side[u / 64] |= std::uint64_t{1} << (u % 64);
+      });
+      search.add_to_r(v);
+      search.run(0, emit, out.nodes);
+    }
+  });
+
+  // Deterministic merge, component by component in discovery order.
+  // Runs are distinct by construction: a component's search emits each
+  // maximal clique once, and components have disjoint member sets. The
+  // sharing the arena buys is one run serving every member's family list.
+  motion_offsets_.push_back(0);
+  const auto intern_run = [&](std::uint32_t comp, std::span<const std::uint32_t> ranks) {
+    budget_.charge(ranks.size() * sizeof(DeviceId));
+    const auto members = component_members(comp);
+    for (const std::uint32_t r : ranks) motion_arena_.push_back(members[r]);
+    motion_offsets_.push_back(static_cast<std::uint32_t>(motion_arena_.size()));
+    motion_component_.push_back(comp);
+    ++counters_.motions_stored;
+    counters_.motions_shared += ranks.size() - 1;  // one arena run, |M| families
+  };
+  std::vector<std::uint32_t> whole;
+  std::vector<std::span<const std::uint32_t>> cliques;
+  std::size_t li = 0;
+  std::size_t ti = 0;
+  for (std::size_t ci = 0; ci < comp_count; ++ci) {
+    const auto comp = static_cast<std::uint32_t>(ci);
+    ++counters_.enumeration_calls;
+    if (li == loose.size() || loose[li] != comp) {
+      // Tight: one search node, one clique.
+      ++counters_.windows_explored;
+      ++counters_.covers_generated;
+      whole.resize(comp_size[ci]);
+      std::iota(whole.begin(), whole.end(), 0u);
+      intern_run(comp, whole);
       continue;
     }
-    merge_scratch.covers.clear();
-    merge_scratch.maximal.clear();
-    for (std::uint32_t t = comp_task_begin[ci]; t < comp_task_begin[ci + 1]; ++t) {
-      const TaskResult& part = results[t];
+    cliques.clear();
+    for (; ti < tasks.size() && tasks[ti].loose == li; ++ti) {
+      const SearchResult& part = results[ti];
+      counters_.windows_explored += part.nodes;
       for (std::size_t i = 0; i + 1 < part.offsets.size(); ++i) {
-        merge_scratch.covers.add({part.arena.data() + part.offsets[i],
-                                  part.offsets[i + 1] - part.offsets[i]});
+        cliques.emplace_back(part.ranks.data() + part.offsets[i],
+                             part.offsets[i + 1] - part.offsets[i]);
       }
     }
-    select_maximal(merge_scratch.covers, merge_scratch);
-    for (const std::uint32_t i : merge_scratch.maximal) {
-      intern_run(merge_scratch.covers.run(i));
-    }
+    // Family order: lexicographic by members (a shorter prefix sorts
+    // first), matching DeviceSet's vector comparison project-wide; comp
+    // ranks ascend with ids, so ranks sort as the ids do.
+    std::sort(cliques.begin(), cliques.end(), [](const auto& a, const auto& b) {
+      return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+    });
+    counters_.covers_generated += cliques.size();
+    for (const auto& clique : cliques) intern_run(comp, clique);
+    ++li;
   }
 
   // One pass over the motions fills each M(j) (a counting sort over ranks;

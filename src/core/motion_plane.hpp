@@ -26,11 +26,20 @@
 //     distinct dense family is one MotionId run and one bitset, per device
 //     a family id.
 //
+// Maximal motions are maximal cliques. Under the Chebyshev norm a set's
+// joint bounding box fits the 2r window iff every pair of its members is
+// within 2r, so the r-consistent motions of a pool are the cliques of its
+// joint 2r-graph (edge: joint_distance(a, b) <= 2r), and Algorithm 2's
+// maximal motions are its maximal cliques. One search enumerates them:
+// Bron–Kerbosch with Tomita pivoting over adjacency bitsets, with the
+// tight-cluster cut (a set whose box fits the window is one clique) per
+// component and per search node.
+//
 // The plane is the one query surface over motion families. The two
-// queries over an arbitrary pool — the canonical-window enumeration the
-// plane build runs per component (also Algorithm 1's extraction step) and
-// its early-exit dense-cover variant (the partition checker's condition
-// C1) — live here as free functions.
+// queries over an arbitrary pool — the maximal motions (the plane's
+// per-component search, also Algorithm 1's extraction step) and the
+// early-exit dense-motion check (the partition checker's condition C1) —
+// run the same search and live here as free functions.
 #pragma once
 
 #include <atomic>
@@ -51,8 +60,8 @@ namespace acn {
 
 class WorkerPool;
 
-/// Thrown when a plane build's arena allocations (component lists, window
-/// covers, interned motions, membership bitsets) would exceed the
+/// Thrown when a plane build's arena allocations (component lists,
+/// adjacency bitsets, emitted cliques, interned motions, membership bitsets) would exceed the
 /// configured byte budget. An adversarial placement at large n can make the
 /// motion-family arenas combinatorially large; this turns what would be an
 /// effectively unrecoverable std::bad_alloc (or an OOM kill) into a clean
@@ -89,57 +98,48 @@ struct ArenaBudget {
 };
 
 /// Work counters; the evaluation (Table III) reports operation counts.
-/// Filled by the plane build (and by enumerate_maximal_windows when given).
+/// Filled by the plane build (and by maximal_motions when given). The
+/// window/cover names predate the clique search; the end-to-end benchmark
+/// prints them under these names.
 struct OracleCounters {
   /// Per-device grid lookups. The plane computes its components from the
   /// grid's cells and issues none, so this reads 0; it stays because the
   /// end-to-end benchmark reports it.
   std::uint64_t neighbourhood_queries = 0;
-  std::uint64_t windows_explored = 0;       ///< canonical windows visited
-  std::uint64_t covers_generated = 0;       ///< window covers materialized
-  std::uint64_t enumeration_calls = 0;      ///< maxMotions invocations
+  /// Bron–Kerbosch search nodes. A tight component, or a pool that fits
+  /// one window, counts one node and runs no search.
+  std::uint64_t windows_explored = 0;
+  /// Maximal cliques emitted: one per maximal motion, so the plane's count
+  /// equals motions_stored, and covers per motion reads 1.
+  std::uint64_t covers_generated = 0;
+  std::uint64_t enumeration_calls = 0;      ///< components searched
   std::uint64_t motions_stored = 0;         ///< distinct motions in the arena
   std::uint64_t motions_shared = 0;  ///< family references beyond the first
                                      ///< to an interned motion (arena reuse)
 };
 
 /// Per-lane busy times of the plane build's fan-out (the engine's lane-skew
-/// instrumentation; see WorkerPool::for_each on lane_ms). Empty when the
-/// enumeration ran serially.
+/// instrumentation; see WorkerPool::for_each on lane_ms), summed over its
+/// two sections (adjacency per component, then the clique search). Empty
+/// when the build ran serially.
 struct PlaneBuildLanes {
-  std::vector<double> enumerate_lane_ms;  ///< per-component enumeration
+  std::vector<double> enumerate_lane_ms;
 };
 
-/// Canonical-window enumeration (the paper's Algorithm 2 core): all
-/// inclusion-maximal r-consistent motions within `pool`; when `anchor` is
-/// set, only motions containing the anchor. Deterministic (sorted) order.
-/// Shared by the MotionPlane build and the Algorithm 1 builders.
-[[nodiscard]] std::vector<DeviceSet> enumerate_maximal_windows(
+/// Algorithm 2's core: all inclusion-maximal r-consistent motions within
+/// `pool` — the maximal cliques of its 2r-graph; when `anchor` is set, only
+/// those containing the anchor (R = {anchor}, P = pool ∩ N(anchor)). The
+/// anchor counts as a pool member. Sorted order. The Algorithm 1 builders'
+/// extraction step.
+[[nodiscard]] std::vector<DeviceSet> maximal_motions(
     const StatePair& state, const Params& params, std::vector<DeviceId> pool,
     std::optional<DeviceId> anchor, OracleCounters* counters = nullptr);
 
-/// True iff `pool` holds a tau-dense motion: the same canonical-window
-/// slide with early exit at the first full-dimensional window covering more
-/// than tau devices (never materializes maximal families). The partition
-/// validity checker's condition C1.
-[[nodiscard]] bool exists_dense_window_cover(const StatePair& state, const Params& params,
-                                             std::span<const DeviceId> pool);
-
-/// The tight-cluster cut predicate: true iff `active` spans at most
-/// `window` in every joint dimension listed in `dims` — i.e. one window per
-/// listed dimension covers the whole set, making `active` itself the only
-/// inclusion-maximal cover reachable below the current slide node (any
-/// other window keeps a subset). Anchored-slide precondition: every pool
-/// member lies within `window` (joint Chebyshev) of the anchor — then the
-/// bounding interval of active ∪ {anchor} also has length <= window per
-/// dimension, so an anchored covering window exists. The anchored
-/// enumeration establishes it by construction: it filters its pool by
-/// joint_distance <= window. The ONE definition shared by the enumeration
-/// slide and the early-exit dense-cover slide — their agreement on the same
-/// state depends on both using it.
-[[nodiscard]] bool spans_fit_window(const StatePair& state, double window,
-                                    std::span<const DeviceId> active,
-                                    std::span<const std::size_t> dims) noexcept;
+/// True iff `pool` holds a tau-dense motion: the same clique search, pruned
+/// where |R| + |P| <= tau and stopped at the first clique of more than tau
+/// members. The partition validity checker's condition C1.
+[[nodiscard]] bool has_dense_motion(const StatePair& state, const Params& params,
+                                    std::span<const DeviceId> pool);
 
 class MotionPlane {
  public:
@@ -157,13 +157,14 @@ class MotionPlane {
   /// Builds the plane over `grid`, which must index exactly state.abnormal()
   /// of `state` as index_for does — the streaming engine builds that index
   /// per interval (timing it apart) and moves it in. The components come
-  /// from one serial union-find over the grid's cells; the family
-  /// enumeration fans out over `pool` when given, as per-component tasks
-  /// sized by an estimated enumeration cost (member count x per-dimension
-  /// window span), with oversized non-tight components split across tasks
-  /// by top-level window edge ranges. Tasks merge in component-discovery/
-  /// task order and the cover dedup is content-based, so families, interned
-  /// ids, and counters are byte-identical for any pool size and any split.
+  /// from one serial union-find over the grid's cells. A tight component
+  /// is its own only motion; the others' clique searches fan out over
+  /// `pool` when given: first the adjacency per component, then the outer
+  /// Bron–Kerbosch loop as tasks over ranges of each component's degeneracy
+  /// order, both costliest first, `component_fanout` being the task count
+  /// below which a section runs inline. Each component's cliques are sorted
+  /// by members before interning, so families, interned ids, counters and
+  /// arena_bytes() are byte-identical for any pool size.
   /// `state` must outlive the plane; `lanes`, when given, receives per-lane
   /// busy times of the fan-out. `arena_budget_bytes` caps the total bytes
   /// the build may park in its arenas (0 = unlimited); exceeding it throws
@@ -259,13 +260,14 @@ class MotionPlane {
             family_bits_offsets_[f + 1] - family_bits_offsets_[f]};
   }
 
-  /// Bytes currently parked in the plane's arenas (budget meter reading).
+  /// Bytes the build charged to its arenas (the budget meter's reading),
+  /// the adjacency bitsets of the searches included.
   [[nodiscard]] std::uint64_t arena_bytes() const noexcept {
     return budget_.used.load(std::memory_order_relaxed);
   }
 
  private:
-  /// The build proper (components, enumeration, the merge, the bitsets).
+  /// The build proper (components, clique search, the merge, the bitsets).
   void build(WorkerPool* pool, std::size_t component_fanout, PlaneBuildLanes* lanes);
   /// Rank of j within the sorted A_k ids; throws if not abnormal.
   [[nodiscard]] std::size_t rank_of(DeviceId j) const;

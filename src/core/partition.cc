@@ -104,8 +104,8 @@ bool is_valid_anomaly_partition(const StatePair& state, Params params,
   if (!sparse_union.empty()) {
     // Pure pool enumeration — no plane build, the pool is the input.
     std::vector<DeviceId> pool(sparse_union.begin(), sparse_union.end());
-    for (const DeviceSet& motion : enumerate_maximal_windows(
-             state, params, std::move(pool), std::nullopt)) {
+    for (const DeviceSet& motion :
+         maximal_motions(state, params, std::move(pool), std::nullopt)) {
       if (is_dense(motion, params.tau)) {
         return fail("C1 violated: dense motion " + motion.to_string() +
                     " inside the sparse union");
@@ -143,8 +143,7 @@ AnomalyPartition greedy_pass(const StatePair& state, const Params& params, Rng& 
     if (dense_first) {
       // Extract a maximum-cardinality maximal motion of the remaining pool;
       // ties broken uniformly at random.
-      std::vector<DeviceSet> all =
-          enumerate_maximal_windows(state, params, pool, std::nullopt);
+      std::vector<DeviceSet> all = maximal_motions(state, params, pool, std::nullopt);
       std::size_t best = 0;
       for (const DeviceSet& motion : all) best = std::max(best, motion.size());
       std::vector<const DeviceSet*> best_sets;
@@ -154,7 +153,7 @@ AnomalyPartition greedy_pass(const StatePair& state, const Params& params, Rng& 
       chosen = *best_sets[rng.uniform_int(best_sets.size())];
     } else {
       const DeviceId j = pool[rng.uniform_int(pool.size())];
-      std::vector<DeviceSet> motions = enumerate_maximal_windows(state, params, pool, j);
+      std::vector<DeviceSet> motions = maximal_motions(state, params, pool, j);
       chosen = motions[rng.uniform_int(motions.size())];
     }
     classes.push_back(chosen);

@@ -112,7 +112,7 @@ bool PartitionEnumerator::component_partition_valid(
     }
   }
   // C2 first: no sparse-union device can join a dense class. Cheap (box
-  // fits), so it gates the window slide below.
+  // fits), so it gates the clique search below.
   for (const auto* cls : dense) {
     JointBox box(state_.joint_dim());
     for (const DeviceId id : *cls) box.add(state_.joint(id));
@@ -120,11 +120,11 @@ bool PartitionEnumerator::component_partition_valid(
       if (box.would_fit(state_.joint(ell), params_.window())) return false;
     }
   }
-  // C1: no dense motion within the sparse union, checked by an unanchored
-  // early-exit window slide. (The maximal-motion formulation of
-  // partition.hpp is equivalent but materializes whole families; this check
-  // runs once per enumerated partition and must stay cheap.)
-  return !exists_dense_window_cover(state_, params_, sparse_union);
+  // C1: no dense motion within the sparse union, checked by the early-exit
+  // clique search. (The maximal-motion formulation of partition.hpp is
+  // equivalent but materializes whole families; this check runs once per
+  // enumerated partition and must stay cheap.)
+  return !has_dense_motion(state_, params_, sparse_union);
 }
 
 PartitionEnumerator::ComponentScan PartitionEnumerator::scan_component(

@@ -111,9 +111,6 @@ StatePair::StatePair(const Snapshot& prev, const Snapshot& curr, DeviceSet abnor
       }
     }
   }
-  qcols_.resize(joint_cols_.size());
-  std::transform(joint_cols_.begin(), joint_cols_.end(), qcols_.begin(),
-                 kernels::quantize);
 }
 
 Point StatePair::gather(std::size_t first, std::size_t count, DeviceId j) const {
@@ -150,16 +147,12 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
   if (lane_ms != nullptr) lane_ms->clear();
 
   // The halves differ only at the ids the last roll moved: the S_{k-1}
-  // half catches up with the S_k half there, its quantized value included.
+  // half catches up with the S_k half there.
   const std::size_t d = dim_;
   const std::size_t count = n_;
   double* const cols = joint_cols_.data();
-  std::uint32_t* const qcols = qcols_.data();
   for (const DeviceId j : moved_) {
-    for (std::size_t t = 0; t < d; ++t) {
-      cols[t * count + j] = cols[(d + t) * count + j];
-      qcols[t * count + j] = qcols[(d + t) * count + j];
-    }
+    for (std::size_t t = 0; t < d; ++t) cols[t * count + j] = cols[(d + t) * count + j];
   }
   // Then the S_k half takes `next` where they differ, listing the ids
   // that moved in THIS interval. Each block of ids is compared column by
@@ -180,14 +173,7 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
       for (DeviceId i = 0; i < width; ++i) {
         if (differs[i] == 0) continue;
         const DeviceId j = lo + i;
-        for (std::size_t t = 0; t < d; ++t) {
-          const std::size_t at = (d + t) * count + j;
-          const double y = next.col(t)[j];
-          if (cols[at] != y) {
-            cols[at] = y;
-            qcols[at] = kernels::quantize(y);
-          }
-        }
+        for (std::size_t t = 0; t < d; ++t) cols[(d + t) * count + j] = next.col(t)[j];
         moved.push_back(j);
       }
     }

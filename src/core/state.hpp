@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/device_set.hpp"
-#include "core/kernels/quantize.hpp"
 #include "core/point.hpp"
 
 namespace acn {
@@ -75,8 +74,8 @@ class Snapshot {
 
 /// Two successive system states plus the abnormal set A_k, held as the
 /// joint-space columns alone: joint_col(t) for t < dim() is S_{k-1}, for
-/// t >= dim() it is S_k, with a quantized mirror of each. Positions,
-/// joints and snapshots are gathered from those columns on request.
+/// t >= dim() it is S_k. Positions, joints and snapshots are gathered from
+/// those columns on request.
 class StatePair {
  public:
   /// Throws std::invalid_argument if the snapshots disagree in size or
@@ -88,8 +87,7 @@ class StatePair {
   /// takes the old S_k half, the S_k half takes `next`, A_k becomes
   /// `abnormal`. The two halves differ only at the ids the previous roll
   /// moved (the constructor lists the ids where its snapshots differ), so
-  /// the S_{k-1} half copies the S_k half, quantized mirror included, at
-  /// those ids alone: O(|moved|). The S_k half is then compared with
+  /// the S_{k-1} half copies the S_k half at those ids alone: O(|moved|). The S_k half is then compared with
   /// `next`, in blocks of ids scanned column by column, and rewritten only
   /// where a position changed, which lists this roll's moved ids for the
   /// next one — a device untouched by both intervals costs one comparison
@@ -133,21 +131,11 @@ class StatePair {
   [[nodiscard]] Point joint(DeviceId j) const { return gather(0, joint_dim(), j); }
 
   /// Structure-of-arrays view of one joint dimension: joint_col(t)[j] ==
-  /// joint(j)[t], one contiguous double row per dimension. The canonical
-  /// window slides scan one dimension across many devices; the columnar
+  /// joint(j)[t], one contiguous double row per dimension. The bounding-box
+  /// reductions scan one dimension across many devices; the columnar
   /// layout turns those inner loops into flat-array scans.
   [[nodiscard]] const double* joint_col(std::size_t dim) const noexcept {
     return joint_cols_.data() + dim * n_;
-  }
-
-  /// Fixed-point mirror of joint_col: qcol(t)[j] == kernels::quantize of
-  /// joint_col(t)[j], maintained incrementally by advance() (only entries
-  /// whose double changed are rewritten — O(|moved|) per roll). The SIMD
-  /// window kernels compare these 8 lanes at a time and fall back to the
-  /// doubles only on quantization-boundary ties (see
-  /// core/kernels/quantize.hpp for the byte-identity argument).
-  [[nodiscard]] const std::uint32_t* qcol(std::size_t dim) const noexcept {
-    return qcols_.data() + dim * n_;
   }
 
   /// A_k: devices with an abnormal trajectory in [k-1, k].
@@ -179,8 +167,7 @@ class StatePair {
   std::size_t n_ = 0;
   std::size_t dim_ = 0;
   DeviceSet abnormal_;
-  std::vector<double> joint_cols_;    ///< [joint dim][device], row stride n_
-  std::vector<std::uint32_t> qcols_;  ///< quantized mirror of joint_cols_
+  std::vector<double> joint_cols_;  ///< [joint dim][device], row stride n_
   /// Ascending ids whose S_k entry changed in the last roll (after the
   /// constructor: the ids where its snapshots differ); the halves agree
   /// everywhere else.

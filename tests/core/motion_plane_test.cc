@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "common/rng.hpp"
+#include "core/characterizer.hpp"
 #include "core/partition_enumerator.hpp"
 #include "support/test_util.hpp"
 
@@ -252,40 +253,111 @@ TEST(PlaneComponentTest, ChainJustUnderTwoRAcrossManyCellsIsOneComponent) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool queries: the canonical-window enumeration over an arbitrary pool.
+// Pool queries: the clique search over an arbitrary pool.
 // ---------------------------------------------------------------------------
 
-TEST(WindowEnumerationTest, AnchoredEnumerationExcludesRemovedDevices) {
+TEST(PoolMotionTest, AnchoredEnumerationExcludesRemovedDevices) {
   // Removing {1, 2} from the pool leaves device 0 one maximal motion, {0, 3}.
   const StatePair state = test::make_static_1d({0.10, 0.12, 0.14, 0.16});
   const auto restricted =
-      enumerate_maximal_windows(state, {.r = 0.05, .tau = 1}, {0, 3}, DeviceId{0});
+      maximal_motions(state, {.r = 0.05, .tau = 1}, {0, 3}, DeviceId{0});
   ASSERT_EQ(restricted.size(), 1u);
   EXPECT_EQ(restricted[0], DeviceSet({0, 3}));
 }
 
-TEST(WindowEnumerationTest, PoolEnumerationFindsAllMaximalMotions) {
+TEST(PoolMotionTest, PoolEnumerationFindsAllMaximalMotions) {
   // Same geometry as the greedy counterexample in partition.hpp.
   const StatePair state = test::make_static_1d({0.0, 0.225, 0.3, 0.325});
-  const auto motions = enumerate_maximal_windows(state, {.r = 0.125, .tau = 2},
+  const auto motions = maximal_motions(state, {.r = 0.125, .tau = 2},
                                                  {0, 1, 2, 3}, std::nullopt);
   ASSERT_EQ(motions.size(), 2u);
   EXPECT_EQ(motions[0], DeviceSet({0, 1}));
   EXPECT_EQ(motions[1], DeviceSet({1, 2, 3}));
 }
 
-TEST(WindowEnumerationTest, PoolEnumerationRespectsPoolRestriction) {
+TEST(PoolMotionTest, PoolEnumerationRespectsPoolRestriction) {
   const StatePair state = test::make_static_1d({0.0, 0.225, 0.3, 0.325});
   const auto motions =
-      enumerate_maximal_windows(state, {.r = 0.125, .tau = 2}, {1, 2}, DeviceId{1});
+      maximal_motions(state, {.r = 0.125, .tau = 2}, {1, 2}, DeviceId{1});
   ASSERT_EQ(motions.size(), 1u);
   EXPECT_EQ(motions[0], DeviceSet({1, 2}));
 }
 
 // ---------------------------------------------------------------------------
-// Property: the plane's families, the anchored slide and the early-exit
-// dense-cover slide all agree with brute-force subset search, and N(j) with
-// an all-pairs scan. Randomized over geometry, dimension, radius and
+// Rounding at the window's edge. A set is a motion iff the computed side of
+// its joint box, hi - lo, is at most 2r (has_consistent_motion), and every
+// path decides membership by that one subtraction. A sum bound x <= lo + 2r
+// rounds differently in both directions; these fixtures sit on either side.
+// ---------------------------------------------------------------------------
+
+/// Every pool query and both characterizations on one fixture.
+void expect_edge_fixture(const StatePair& state, const Params& params,
+                         const std::vector<DeviceSet>& families, bool dense,
+                         const std::vector<DeviceSet>& anchored_at_0,
+                         const CharacterizationSets& verdicts) {
+  std::vector<DeviceId> all(state.abnormal().begin(), state.abnormal().end());
+  std::vector<DeviceSet> brute;
+  for (const DeviceId j : all) {
+    for (DeviceSet& motion : test::brute_force_maximal_motions(state, params.r, all, j)) {
+      brute.push_back(std::move(motion));
+    }
+  }
+  std::sort(brute.begin(), brute.end());
+  brute.erase(std::unique(brute.begin(), brute.end()), brute.end());
+  EXPECT_EQ(brute, families);
+
+  const MotionPlane plane(state, params);
+  std::vector<DeviceSet> from_plane;
+  for (MotionPlane::MotionId m = 0; m < plane.motion_count(); ++m) {
+    from_plane.emplace_back(plane.members(m));
+  }
+  EXPECT_EQ(from_plane, families);
+  EXPECT_EQ(maximal_motions(state, params, all, std::nullopt), families);
+  EXPECT_EQ(maximal_motions(state, params, all, DeviceId{0}), anchored_at_0);
+  EXPECT_EQ(has_dense_motion(state, params, all), dense);
+
+  Characterizer characterizer(state, params);
+  const CharacterizationSets local = characterizer.characterize_all();
+  const CharacterizationSets observer = PartitionEnumerator(state, params).characterize_all();
+  EXPECT_EQ(local.isolated, observer.isolated);
+  EXPECT_EQ(local.massive, observer.massive);
+  EXPECT_EQ(local.unresolved, observer.unresolved);
+  EXPECT_EQ(local.isolated, verdicts.isolated);
+  EXPECT_EQ(local.massive, verdicts.massive);
+  EXPECT_EQ(local.unresolved, verdicts.unresolved);
+}
+
+TEST(WindowEdgeTest, OneUlpWiderThanTwoRIsNoMotion) {
+  // 0.30000000000000004 - 0.1 = 0.20000000000000004 > 2r = 0.2, yet
+  // 0.30000000000000004 <= 0.1 + 0.2: a sum bound admits {0, 1, 2}.
+  const Params params{.r = 0.1, .tau = 2};
+  const StatePair state =
+      test::make_state_1d({{0.1, 0.5}, {0.30000000000000004, 0.5}, {0.2, 0.5}});
+  ASSERT_GT(state.joint_distance(0, 1), params.window());
+  expect_edge_fixture(state, params, {DeviceSet({0, 2}), DeviceSet({1, 2})},
+                      /*dense=*/false, {DeviceSet({0, 2})},
+                      {.massive = {}, .isolated = DeviceSet({0, 1, 2}), .unresolved = {}});
+}
+
+TEST(WindowEdgeTest, ExactlyTwoRByTheSubtractionIsAMotion) {
+  // The opposite rounding: b - a computes to exactly 2r = 0.2, but b is
+  // above a + 0.2 as computed, so a sum bound splits the pair the
+  // definition joins. Device 2 keeps the component from fitting one window.
+  const Params params{.r = 0.1, .tau = 1};
+  const double a = 0.01932051252169327;
+  const double b = 0.2193205125216933;
+  ASSERT_EQ(b - a, params.window());
+  ASSERT_GT(b, a + params.window());
+  const StatePair state = test::make_state_1d({{a, 0.5}, {b, 0.5}, {0.35, 0.5}});
+  expect_edge_fixture(state, params, {DeviceSet({0, 1}), DeviceSet({1, 2})},
+                      /*dense=*/true, {DeviceSet({0, 1})},
+                      {.massive = DeviceSet({1}), .isolated = {}, .unresolved = DeviceSet({0, 2})});
+}
+
+// ---------------------------------------------------------------------------
+// Property: the plane's families, the anchored search and the early-exit
+// dense-motion check all agree with brute-force subset search, and N(j)
+// with an all-pairs scan. Randomized over geometry, dimension, radius and
 // density.
 // ---------------------------------------------------------------------------
 
@@ -323,12 +395,12 @@ TEST_P(PlaneBruteForceSweep, MatchesBruteForce) {
     std::sort(expected.begin(), expected.end());
     for (const DeviceSet& motion : expected) largest = std::max(largest, motion.size());
 
-    // The plane's per-component unanchored slide, read per device.
+    // The plane's per-component search, read per device.
     const auto from_plane = members_of(plane, plane.maximal(j));
     EXPECT_EQ(from_plane, expected) << "plane, device " << j << " seed " << param.seed;
 
-    // The anchored slide (Algorithm 1's extraction step).
-    const auto anchored = enumerate_maximal_windows(state, params, all, j);
+    // The anchored search (Algorithm 1's extraction step).
+    const auto anchored = maximal_motions(state, params, all, j);
     EXPECT_EQ(anchored, expected) << "anchored, device " << j << " seed " << param.seed;
 
     // N(j), scanned on request from j's component, against all pairs.
@@ -371,10 +443,10 @@ TEST_P(PlaneBruteForceSweep, MatchesBruteForce) {
         << "family bits, device " << a << " seed " << param.seed;
   }
 
-  // The early-exit slide (condition C1): a tau-dense motion exists iff the
+  // The early-exit check (condition C1): a tau-dense motion exists iff the
   // largest maximal motion has more than tau members.
   for (std::uint32_t tau = 1; tau <= largest + 1; ++tau) {
-    EXPECT_EQ(exists_dense_window_cover(state, {.r = param.r, .tau = tau}, all),
+    EXPECT_EQ(has_dense_motion(state, {.r = param.r, .tau = tau}, all),
               largest > tau)
         << "tau " << tau << " largest " << largest << " seed " << param.seed;
   }

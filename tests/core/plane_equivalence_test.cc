@@ -280,14 +280,17 @@ std::size_t expect_family_decisions_match_reference(const StatePair& state, Para
 /// every coordinate, each with `per_blob` members jittered within `jitter`
 /// of its centre at both instants. With step below the window, neighbouring
 /// blobs share members: one component then holds several maximal motions,
-/// and its devices split into several dense families.
+/// and its devices split into several dense families. `groups` repeats the
+/// chain 0.35 further along the diagonal each time, a component apiece.
 StatePair overlapping_blobs(std::uint64_t seed, std::size_t d, std::size_t blobs,
-                            std::size_t per_blob, double step, double jitter) {
+                            std::size_t per_blob, double step, double jitter,
+                            std::size_t groups = 1) {
   Rng rng(seed);
   std::vector<std::vector<double>> prev;
   std::vector<std::vector<double>> curr;
-  for (std::size_t b = 0; b < blobs; ++b) {
-    const double centre = 0.2 + step * static_cast<double>(b);
+  for (std::size_t b = 0; b < groups * blobs; ++b) {
+    const double centre = 0.2 + 0.35 * static_cast<double>(b / blobs) +
+                          step * static_cast<double>(b % blobs);
     for (std::size_t i = 0; i < per_blob; ++i) {
       std::vector<double> p(d);
       std::vector<double> c(d);
@@ -370,6 +373,60 @@ TEST(PerFamilyReferenceTest, Figure5FixtureReachesTheorem7) {
   const Params params{.r = 0.075, .tau = 3};
   EXPECT_EQ(expect_family_decisions_match_reference(state, params, "fig5"), 8u);
   EXPECT_EQ(MotionPlane(state, params).family_count(), 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Pooled plane build: the clique search fans each loose component's
+// per-vertex subproblems out as tasks. Whatever order they finish in, the
+// plane must be the serial build's, byte for byte.
+// ---------------------------------------------------------------------------
+
+void expect_same_plane(const MotionPlane& a, const MotionPlane& b) {
+  ASSERT_EQ(a.motion_count(), b.motion_count());
+  for (MotionPlane::MotionId m = 0; m < a.motion_count(); ++m) {
+    ASSERT_TRUE(std::ranges::equal(a.members(m), b.members(m))) << "motion " << m;
+    ASSERT_TRUE(std::ranges::equal(a.motion_bits(m), b.motion_bits(m))) << "motion " << m;
+  }
+  ASSERT_EQ(a.component_count(), b.component_count());
+  for (std::uint32_t c = 0; c < a.component_count(); ++c) {
+    EXPECT_TRUE(std::ranges::equal(a.component_members(c), b.component_members(c)));
+    EXPECT_EQ(a.component_motions(c), b.component_motions(c)) << "component " << c;
+  }
+  ASSERT_EQ(a.family_count(), b.family_count());
+  for (const DeviceId j : a.state().abnormal()) {
+    EXPECT_TRUE(std::ranges::equal(a.maximal(j), b.maximal(j))) << "device " << j;
+    EXPECT_TRUE(std::ranges::equal(a.dense(j), b.dense(j))) << "device " << j;
+    EXPECT_EQ(a.family(j), b.family(j)) << "device " << j;
+  }
+  const OracleCounters& ca = a.counters();
+  const OracleCounters& cb = b.counters();
+  EXPECT_EQ(ca.windows_explored, cb.windows_explored);
+  EXPECT_EQ(ca.covers_generated, cb.covers_generated);
+  EXPECT_EQ(ca.enumeration_calls, cb.enumeration_calls);
+  EXPECT_EQ(ca.motions_stored, cb.motions_stored);
+  EXPECT_EQ(ca.motions_shared, cb.motions_shared);
+  EXPECT_EQ(a.arena_bytes(), b.arena_bytes());
+}
+
+TEST(PooledPlaneBuildTest, FourLanesMatchTheSerialBuild) {
+  // Two chains of overlapping blobs, 180 members each: two components, no
+  // one fitting a window, and each one's outer loop splits into many tasks
+  // that lanes finish in any order.
+  for (const std::uint64_t seed : {401u, 402u}) {
+    SCOPED_TRACE(seed);
+    const StatePair state = overlapping_blobs(seed, 2, 3, 60, 0.06, 0.03, 2);
+    const Params params{.r = 0.05, .tau = 3};
+    const MotionPlane serial(state, params);
+    ASSERT_EQ(serial.component_count(), 2u);
+    ASSERT_GT(serial.counters().windows_explored, 1000u);
+    WorkerPool pool(4);
+    for (int run = 0; run < 2; ++run) {
+      PlaneBuildLanes lanes;
+      const MotionPlane pooled(state, params, MotionPlane::index_for(state, params), &pool,
+                               /*component_fanout=*/1, &lanes);
+      expect_same_plane(serial, pooled);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Shared builders for tests: compact construction of StatePairs from
 // coordinate lists, a brute-force motion enumerator used as ground truth
-// against the canonical-window enumeration, and a reader that turns a
-// MotionPlane family into sets.
+// against the clique search, and a reader that turns a MotionPlane family
+// into sets.
 #pragma once
 
 #include <span>
