@@ -20,8 +20,8 @@
 //     (offset, length) run of sorted DeviceIds in one contiguous buffer,
 //     stored exactly once and shared by every member's family (the common
 //     case inside a blob: all members of a dense cluster see the same
-//     maximal motions). One enumeration per interaction component makes
-//     the runs distinct by construction, so no dedup pass is needed;
+//     maximal motions). One search per interaction component emits each
+//     maximal motion once, so no dedup pass is needed;
 //   * maximal families are per-device slices of one MotionId array; each
 //     distinct dense family is one MotionId run and one bitset, per device
 //     a family id.
@@ -112,7 +112,7 @@ struct OracleCounters {
   /// Maximal cliques emitted: one per maximal motion, so the plane's count
   /// equals motions_stored, and covers per motion reads 1.
   std::uint64_t covers_generated = 0;
-  std::uint64_t enumeration_calls = 0;      ///< components searched
+  std::uint64_t enumeration_calls = 0;      ///< components, tight ones included
   std::uint64_t motions_stored = 0;         ///< distinct motions in the arena
   std::uint64_t motions_shared = 0;  ///< family references beyond the first
                                      ///< to an interned motion (arena reuse)
