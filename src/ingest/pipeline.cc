@@ -73,83 +73,106 @@ void IngestPipeline::prime(const Snapshot& initial) {
   primed_ = true;
 }
 
-void IngestPipeline::push(const QosReport& report) {
+void IngestPipeline::push(const QosReport& report) { push_all({&report, 1}); }
+
+void IngestPipeline::push_all(std::span<const QosReport> reports) {
   if (!primed_) {
     throw std::logic_error("IngestPipeline::push: prime() first");
   }
+  std::size_t next = 0;
+  while (next < reports.size()) {
+    const QosReport& head = reports[next++];
+    StagingFrame* frame = open_frame(head);
+    if (frame == nullptr) continue;
+    // Overload shed: past the volume threshold, non-flagged claim updates
+    // are sampled by content hash — the flagged ones always land. It reads
+    // the frame's volume before each report, so it runs report by report.
+    if (shed_possible_ && !head.abnormal &&
+        overload_.shed_claim(head.device, head.interval, frame->volume())) {
+      ++counters_.shed_claims;
+      frame->shed_engaged = true;
+    } else {
+      count(frame->apply(head), 1);
+    }
+    if (shed_possible_) continue;
+    // The rest of the run can move neither the watermark nor the frame; it
+    // stages in one loop, up to the next interval or slow report.
+    const StagingFrame::RunTally run =
+        frame->stage_run(reports.subspan(next), head.interval);
+    next += run.staged;
+    for (std::size_t outcome = 0; outcome < run.outcomes.size(); ++outcome) {
+      count(static_cast<StagingFrame::Apply>(outcome), run.outcomes[outcome]);
+    }
+  }
+}
+
+StagingFrame* IngestPipeline::open_frame(const QosReport& report) {
   const std::uint64_t k = report.interval;
   if (k < next_to_seal_) {
     // The interval is sealed; its snapshot already replayed this device's
     // last claim (the hostile layer's self-consistency rule). Retroactive
     // application would fork the published history, so: counted, dropped.
     ++counters_.late_sealed;
-    return;
+    return nullptr;
   }
-  if (k > max_seen_ + config_.watermark.max_future_skip) {
-    ++counters_.future_rejected;
-    return;
+  if (k > max_seen_) {
+    // By subtraction: max_seen_ + max_future_skip wraps for a skip near
+    // UINT64_MAX.
+    if (k - max_seen_ > config_.watermark.max_future_skip) {
+      ++counters_.future_rejected;
+      return nullptr;
+    }
+    max_seen_ = k;  // the event time counts even if shed
+    // Seal before staging: the lanes of the intervals this event time
+    // closes return to the pool before the report picks one. Interval k
+    // itself has no frame yet, and none of these seals can close it.
+    seal_ready(/*opening=*/1);
   }
 
-  StagingFrame* frame = hot_frame_;
-  if (frame == nullptr || hot_interval_ != k) {
-    auto it = frames_.find(k);
-    if (it == frames_.end()) {
-      StagingFrame fresh;
-      if (frame_pool_.empty()) {
-        fresh.configure(config_.capacity, config_.dim);
-      } else {
-        fresh = std::move(frame_pool_.back());
-        frame_pool_.pop_back();
-      }
-      fresh.first_seen_tick = tick_;
-      it = frames_.emplace(k, std::move(fresh)).first;
+  if (hot_frame_ != nullptr && hot_interval_ == k) return hot_frame_;
+  auto it = frames_.find(k);
+  if (it == frames_.end()) {
+    StagingFrame fresh;
+    if (frame_pool_.empty()) {
+      fresh.configure(config_.capacity, config_.dim);
+    } else {
+      fresh = std::move(frame_pool_.back());
+      frame_pool_.pop_back();
     }
-    frame = &it->second;  // map nodes are stable until erased
-    hot_frame_ = frame;
-    hot_interval_ = k;
+    fresh.first_seen_tick = tick_;
+    it = frames_.emplace(k, std::move(fresh)).first;
   }
-  if (k > max_seen_) max_seen_ = k;  // the event time counts even if shed
-
-  // Overload shed: past the volume threshold, non-flagged claim updates
-  // are sampled by content hash — the flagged ones always land.
-  if (shed_possible_ && !report.abnormal &&
-      overload_.shed_claim(report.device, k, frame->volume())) {
-    ++counters_.shed_claims;
-    frame->shed_engaged = true;
-  } else {
-    switch (frame->apply(report)) {
-      case StagingFrame::Apply::kAccepted:
-        ++counters_.accepted;
-        break;
-      case StagingFrame::Apply::kSuperseded:
-      case StagingFrame::Apply::kStale:
-        ++counters_.superseded;
-        break;
-      case StagingFrame::Apply::kDuplicate:
-        ++counters_.duplicates;
-        break;
-    }
-  }
-  seal_ready();
+  hot_frame_ = &it->second;  // map nodes are stable until erased
+  hot_interval_ = k;
+  return hot_frame_;
 }
 
-void IngestPipeline::push_all(std::span<const QosReport> reports) {
-  if (!primed_) {
-    throw std::logic_error("IngestPipeline::push: prime() first");
+void IngestPipeline::count(StagingFrame::Apply outcome, std::uint64_t reports) {
+  switch (outcome) {
+    case StagingFrame::Apply::kAccepted:
+      counters_.accepted += reports;
+      break;
+    case StagingFrame::Apply::kSuperseded:
+    case StagingFrame::Apply::kStale:
+      counters_.superseded += reports;
+      break;
+    case StagingFrame::Apply::kDuplicate:
+      counters_.duplicates += reports;
+      break;
   }
-  for (const QosReport& report : reports) push(report);
 }
 
-void IngestPipeline::seal_ready() {
-  // Watermark rule: k seals once max_seen - k >= allowed_lag. When one
+void IngestPipeline::seal_ready(std::size_t opening) {
+  // Watermark rule: k seals once max_seen - k >= allowed_lag, compared by
+  // subtraction so an allowed_lag near UINT64_MAX cannot wrap. When one
   // advance flushes more than max_watermark_jump intervals (an interval
   // flood slammed the watermark forward), the excess — the oldest ones,
   // flushed furthest from their lateness window — seal forced/degraded.
-  while (max_seen_ >= next_to_seal_ + config_.watermark.allowed_lag) {
-    const std::uint64_t pending =
-        max_seen_ - config_.watermark.allowed_lag - next_to_seal_ + 1;
+  const std::uint64_t lag = config_.watermark.allowed_lag;
+  while (max_seen_ >= next_to_seal_ && max_seen_ - next_to_seal_ >= lag) {
+    const std::uint64_t pending = max_seen_ - next_to_seal_ - lag + 1;
     seal(next_to_seal_,
-         /*forced=*/pending > config_.watermark.max_watermark_jump);
+         /*forced=*/pending > config_.watermark.max_watermark_jump, opening);
   }
 }
 
@@ -167,7 +190,7 @@ void IngestPipeline::tick() {
     }
     const std::uint64_t blocked_through = oldest->first;
     while (next_to_seal_ <= blocked_through) {
-      seal(next_to_seal_, /*forced=*/true);
+      seal(next_to_seal_, /*forced=*/true, /*opening=*/0);
     }
   }
 }
@@ -177,7 +200,7 @@ void IngestPipeline::finish() {
   while (next_to_seal_ <= max_seen_) {
     // End of stream: nothing further can arrive, so these frames are as
     // complete as they will ever be — a normal close, not a forced one.
-    seal(next_to_seal_, /*forced=*/false);
+    seal(next_to_seal_, /*forced=*/false, /*opening=*/0);
   }
 }
 
@@ -185,7 +208,8 @@ std::vector<ClosedInterval> IngestPipeline::drain_ready() {
   return std::exchange(ready_, {});
 }
 
-void IngestPipeline::seal(std::uint64_t interval, bool forced) {
+void IngestPipeline::seal(std::uint64_t interval, bool forced,
+                          std::size_t opening) {
   ClosedInterval closed;
   closed.interval = interval;
   closed.forced = forced;
@@ -277,7 +301,8 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
 
   // Telemetry: annotate the interval the monitor just recorded with what
   // ingestion did to it — the per-seal deltas of the cumulative counters
-  // plus the watermark distance and queue depth at the seal.
+  // plus the watermark distance and queue depth at the seal. The queue
+  // depth counts the interval of a report waiting on this seal to stage.
   if (obs::TelemetryHub* hub = monitor_.telemetry()) {
     obs::IngestSample sample;
     sample.seal_lag = max_seen_ > interval ? max_seen_ - interval : 0;
@@ -289,7 +314,7 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced) {
     sample.late_sealed = counters_.late_sealed - telemetry_baseline_.late_sealed;
     sample.duplicates = counters_.duplicates - telemetry_baseline_.duplicates;
     sample.shed_claims = counters_.shed_claims - telemetry_baseline_.shed_claims;
-    sample.open_intervals = frames_.size();
+    sample.open_intervals = frames_.size() + opening;
     telemetry_baseline_ = counters_;
     hub->annotate_ingest(closed.report.interval, sample);
   }

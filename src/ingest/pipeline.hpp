@@ -39,6 +39,13 @@
 //     Degraded intervals are explicitly marked, never silently wrong and
 //     never a stall.
 //
+// Within one report the seals come first: the seals its event time
+// triggers run, and only then does it stage. A sealed interval's lane is
+// reset and pooled before the report picks a frame, so a stream keeps one
+// lane per open interval (one in all for an in-order lag-1 stream), and a
+// report whose triggered seal throws is not staged. push_all() stages each
+// same-interval run after its head in one loop (see push_all()).
+//
 // Sources on other threads hand reports over through a BoundedReportQueue
 // (block = lossless backpressure, reject = shed at the edge); the pipeline
 // itself is single-threaded — sealing order is the stream's order.
@@ -120,14 +127,25 @@ class IngestPipeline {
   /// Convenience: devices 0..n-1 at the snapshot's positions.
   void prime(const Snapshot& initial);
 
-  /// Ingests one report: dedups/stages it, advances the watermark, seals
-  /// every interval the watermark (or the flood bound) passed. Sealed
+  /// Ingests one report. A report first runs the seals its event time
+  /// triggers (every interval the watermark or the flood bound passed),
+  /// then stages into its interval's frame under the dedup rule. Sealed
   /// results accumulate for drain_ready(). Requires prime().
+  ///
+  /// If a triggered seal throws (a malformed claim staged earlier), the
+  /// exception propagates and this report is not staged; its event time
+  /// has already moved the watermark. The interval that threw stays next
+  /// to seal, without the reports it had staged, and the next seal — on a
+  /// watermark advance, a stall timeout or finish() — retries it.
   void push(const QosReport& report);
 
-  /// push() for a delivery burst. Semantically identical to pushing each
-  /// report in order; keeps the per-report loop inside the pipeline so a
-  /// high-volume source does not pay a library call per report.
+  /// push() for a delivery burst: the same counters, seals and frames as
+  /// pushing each report in order. Only the head of each same-interval run
+  /// takes the late, future, watermark and frame checks; the rest of the
+  /// run can move neither the watermark nor the frame, so it stages in one
+  /// StagingFrame::stage_run() loop. Shedding, spill keys and odd-dimension
+  /// claims are staged report by report. A throwing seal aborts the burst
+  /// at the report that triggered it, which stays unstaged.
   void push_all(std::span<const QosReport> reports);
 
   /// Advances the stall clock by one tick; may force-close the oldest
@@ -164,9 +182,18 @@ class IngestPipeline {
   }
 
  private:
-  void seal(std::uint64_t interval, bool forced);
+  /// The head-of-run code: the late and future checks, the seals the
+  /// report's event time triggers, then its frame. Returns nullptr for a
+  /// dropped report (counted).
+  StagingFrame* open_frame(const QosReport& report);
+  /// Adds `reports` reports that ended in `outcome` to the counters.
+  void count(StagingFrame::Apply outcome, std::uint64_t reports);
+  /// Seals `interval`. `opening` is 1 when a report waits on this seal to
+  /// stage into an interval with no frame yet: the telemetry sample counts
+  /// that interval open.
+  void seal(std::uint64_t interval, bool forced, std::size_t opening);
   /// Seals every interval the watermark or the flood bound has passed.
-  void seal_ready();
+  void seal_ready(std::size_t opening);
 
   Config config_;
   OnlineMonitor monitor_;
@@ -180,7 +207,8 @@ class IngestPipeline {
   std::uint64_t hot_interval_ = 0;
   /// Sealed frames, reset and reused: frame storage (the dense staging
   /// lane is capacity-sized) is allocated at most open-span times, not
-  /// once per interval.
+  /// once per interval. A seal pools its lane before the report that
+  /// triggered it picks one, so an in-order lag-1 stream cycles one lane.
   std::vector<StagingFrame> frame_pool_;
   /// Precomputed "shedding can ever engage" — keeps the overload check
   /// off the per-report hot path in the (default) disabled configuration.

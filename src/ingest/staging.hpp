@@ -10,7 +10,7 @@
 // and exact redeliveries are counted, not re-applied.
 //
 // Layout: a frame sits on the per-report hot path (every report of every
-// interval passes through apply()), so staging is split into a dense lane —
+// interval passes through it), so staging is split into a dense lane —
 // keys below a configured limit index flat structure-of-arrays storage
 // directly: seq, flag, and exactly dim() claim coordinates per cell, no
 // hashing, no per-seal sort, no unused claim capacity — and a spill map
@@ -21,10 +21,15 @@
 // pipeline sets the lane to the roster capacity and pools sealed frames,
 // so in the steady state a report costs one bounds check and a few
 // indexed stores, and the seal hands each claim to the roster as a span
-// of the lane's own coordinates.
+// of the lane's own coordinates. Two entry points share one dense-cell
+// update: apply() stages one report, and stage_run() stages a run of
+// same-interval lane reports in one loop with the lane pointers in
+// locals, stopping at the first report that is not one. reset() keeps the
+// lane but not the bucket array a spill spike grew (see reset()).
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -59,46 +64,32 @@ class StagingFrame {
   /// semantically identical.
   void configure(std::size_t dense_limit, std::size_t dim);
 
+  /// What stage_run() did: how many leading reports it staged, and how
+  /// many of those ended in each Apply outcome (indexed by the enum).
+  struct RunTally {
+    std::size_t staged = 0;
+    std::array<std::size_t, 4> outcomes{};
+  };
+
   /// Stages `report` under the last-write-wins-by-seq rule. Inline: this
   /// is the per-report hot path, called once per delivered report.
   Apply apply(const QosReport& report) {
     ++volume_;
-    if (report.device >= present_.size()) {
-      const auto [it, inserted] = spill_.try_emplace(report.device);
-      if (inserted) {
-        stage_fat(it->second, report);
-        return Apply::kAccepted;
-      }
-      return resolve_fat(it->second, report);
+    const GatewayKey key = report.device;
+    if (key < present_.size() && report.claim.dim() == dim_ &&
+        present_[key] != kOdd) {
+      const Apply outcome = stage_dense(lane(), key, report);
+      if (outcome == Apply::kAccepted) ++dense_count_;
+      return outcome;
     }
-    const std::size_t key = report.device;
-    const std::uint8_t state = present_[key];
-    if (state == 0) {
-      ++dense_count_;
-      if (report.claim.dim() == dim_) {
-        present_[key] = 1;
-        store_lane(key, report);
-      } else {
-        present_[key] = 2;
-        stage_fat(odd_[key], report);
-      }
-      return Apply::kAccepted;
-    }
-    const std::uint64_t have = state == 1 ? seq_[key] : odd_[key].seq;
-    if (report.arrival_seq == have) return Apply::kDuplicate;
-    if (report.arrival_seq < have) return Apply::kStale;
-    if (report.claim.dim() == dim_) {
-      if (state == 2) {
-        odd_.erase(key);
-        present_[key] = 1;
-      }
-      store_lane(key, report);
-    } else {
-      if (state == 1) present_[key] = 2;
-      stage_fat(odd_[key], report);
-    }
-    return Apply::kSuperseded;
+    return apply_slow(report);
   }
+
+  /// Stages the leading reports of `reports` that belong to `interval` and
+  /// take the dense lane, exactly as apply() would one by one, and stops at
+  /// the first report that does not: another interval, a spill key, or a
+  /// claim or staged cell of another dimension than the lane.
+  RunTally stage_run(std::span<const QosReport> reports, std::uint64_t interval);
 
   /// The staged cell for `key`, or nullopt if nothing staged.
   [[nodiscard]] std::optional<Staged> find(GatewayKey key) const;
@@ -107,8 +98,9 @@ class StagingFrame {
   [[nodiscard]] std::size_t device_count() const noexcept {
     return dense_count_ + spill_.size();
   }
-  /// Total apply() attempts, duplicates and stale deliveries included —
-  /// the overload controller's per-interval volume signal.
+  /// Reports offered to apply() and stage_run(), duplicates and stale
+  /// deliveries included — the overload controller's per-interval volume
+  /// signal.
   [[nodiscard]] std::size_t volume() const noexcept { return volume_; }
 
   /// Visits every staged entry in ascending key order — the deterministic
@@ -119,8 +111,8 @@ class StagingFrame {
   template <typename Fn>
   void for_each_sorted(Fn&& fn) const {
     for (std::size_t key = 0; key < present_.size(); ++key) {
-      if (present_[key] == 0) continue;
-      if (present_[key] == 1) {
+      if (present_[key] == kEmpty) continue;
+      if (present_[key] == kLane) {
         fn(static_cast<GatewayKey>(key), lane_claim(key), flag_[key] != 0);
       } else {
         const Staged& odd = odd_.at(key);
@@ -144,8 +136,14 @@ class StagingFrame {
 
   /// Returns the frame to its post-configure() state, keeping the dense
   /// lane's storage — the pipeline pools sealed frames to keep frame
-  /// creation off the per-interval path.
+  /// creation off the per-interval path. clear() walks a map's whole
+  /// bucket array, so a spike of spilled keys would slow every later reset
+  /// of the pooled frame: a spill or odd map with more than kKeptBuckets
+  /// buckets, less than an eighth of them used, is released instead.
   void reset();
+
+  /// The bucket count past which reset() may release a map.
+  static constexpr std::size_t kKeptBuckets = std::size_t{1} << 16;
 
   /// Set once by the pipeline when the frame is created (its age drives
   /// the stall-timeout close) and when shedding engages on it.
@@ -153,31 +151,57 @@ class StagingFrame {
   bool shed_engaged = false;
 
  private:
-  void store_lane(std::size_t key, const QosReport& report) noexcept {
-    seq_[key] = report.arrival_seq;
-    flag_[key] = report.abnormal ? 1 : 0;
-    std::ranges::copy(report.claim.coords(), coords_.data() + key * dim_);
+  // present_[key]: the cell is empty, staged in the lane, or staged in odd_
+  // (claim dim != dim_).
+  enum : std::uint8_t { kEmpty, kLane, kOdd };
+
+  /// The dense lane's storage as raw pointers, so a run loop holds them in
+  /// locals: its byte stores may alias the vectors' own pointers, which
+  /// would otherwise be reloaded through `this` for every report.
+  struct Lane {
+    std::uint8_t* present;
+    std::uint64_t* seq;
+    std::uint8_t* flag;
+    double* coords;
+    std::size_t dim;
+  };
+
+  [[nodiscard]] Lane lane() noexcept {
+    return {present_.data(), seq_.data(), flag_.data(), coords_.data(), dim_};
   }
 
   [[nodiscard]] std::span<const double> lane_claim(std::size_t key) const noexcept {
     return {coords_.data() + key * dim_, dim_};
   }
 
-  static void stage_fat(Staged& cell, const QosReport& report) {
-    cell.seq = report.arrival_seq;
-    cell.claim = report.claim;
-    cell.flagged = report.abnormal;
+  /// The one dense-cell update: stages a lane-dimension claim of a key whose
+  /// cell is empty or in the lane (never kOdd), under last-write-wins.
+  static Apply stage_dense(const Lane& lane, std::size_t key,
+                           const QosReport& report) noexcept {
+    Apply outcome = Apply::kAccepted;
+    if (lane.present[key] == kLane) {
+      if (report.arrival_seq == lane.seq[key]) return Apply::kDuplicate;
+      if (report.arrival_seq < lane.seq[key]) return Apply::kStale;
+      outcome = Apply::kSuperseded;
+    }
+    store_lane(lane, key, report);
+    return outcome;
   }
 
-  static Apply resolve_fat(Staged& cell, const QosReport& report) {
-    if (report.arrival_seq == cell.seq) return Apply::kDuplicate;
-    if (report.arrival_seq < cell.seq) return Apply::kStale;
-    stage_fat(cell, report);
-    return Apply::kSuperseded;
+  static void store_lane(const Lane& lane, std::size_t key,
+                         const QosReport& report) noexcept {
+    lane.present[key] = kLane;
+    lane.seq[key] = report.arrival_seq;
+    lane.flag[key] = report.abnormal ? 1 : 0;
+    std::copy_n(report.claim.coords().data(), lane.dim,
+                lane.coords + key * lane.dim);
   }
 
-  // Dense lane, structure-of-arrays; present_[key]: 0 = empty, 1 = staged
-  // in the lane, 2 = staged in odd_ (claim dim != dim_).
+  /// apply() for a spill key, or a dense key whose claim or staged cell is
+  /// of another dimension than the lane.
+  Apply apply_slow(const QosReport& report);
+
+  // Dense lane, structure-of-arrays.
   std::vector<std::uint8_t> present_;
   std::vector<std::uint64_t> seq_;
   std::vector<std::uint8_t> flag_;

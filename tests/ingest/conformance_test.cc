@@ -5,16 +5,21 @@
 // alike — and no interval may be marked degraded. The in-order pipeline is
 // itself pinned against the fixed-fleet monitor fed the observed snapshots
 // directly, so the roster path cannot silently diverge from the engine.
+// The schedules go in report by report through push(), and as push_all()
+// bursts: the whole schedule at once, and cut at random points.
 //
 // Failures print a REPRO line naming the family, suite seed, interval, and
 // path. ACN_CONFORMANCE_SEED_BUDGET / ACN_CONFORMANCE_BASE_SEED work as in
 // tests/conformance.
+#include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "ingest/pipeline.hpp"
 #include "sim/hostile.hpp"
 #include "sim/report_source.hpp"
@@ -46,9 +51,16 @@ Materialized materialize(const HostileSpec& spec, int intervals) {
   return m;
 }
 
+/// How a schedule enters the pipeline.
+enum class Feed {
+  kPerReport,  ///< push(), one report at a time
+  kWhole,      ///< one push_all() of the whole schedule
+  kBursts,     ///< push_all() of bursts cut at random, 1 to 2n reports
+};
+
 void run_pipeline(const Params& model, const Materialized& m,
-                  const DeliveryFaults& faults, unsigned threads,
-                  std::vector<IntervalReport>& out) {
+                  const DeliveryFaults& faults, unsigned threads, Feed feed,
+                  std::uint64_t seed, std::vector<IntervalReport>& out) {
   IngestPipeline::Config config;
   config.monitor.model = model;
   config.monitor.characterize = CharacterizeOptions{.parallel_grain = 1};
@@ -58,8 +70,24 @@ void run_pipeline(const Params& model, const Materialized& m,
   config.watermark.allowed_lag = 2;
   IngestPipeline pipeline(config);
   pipeline.prime(m.initial);
-  for (const QosReport& report : delivery_schedule(m.intervals, faults)) {
-    pipeline.push(report);
+  const std::vector<QosReport> schedule = delivery_schedule(m.intervals, faults);
+  switch (feed) {
+    case Feed::kPerReport:
+      for (const QosReport& report : schedule) pipeline.push(report);
+      break;
+    case Feed::kWhole:
+      pipeline.push_all(schedule);
+      break;
+    case Feed::kBursts: {
+      Rng rng(seed);
+      for (std::size_t begin = 0; begin < schedule.size();) {
+        const std::size_t size = std::min<std::size_t>(
+            schedule.size() - begin, 1 + rng.uniform_int(2 * m.initial.size()));
+        pipeline.push_all(std::span(schedule).subspan(begin, size));
+        begin += size;
+      }
+      break;
+    }
   }
   pipeline.finish();
   const std::vector<ClosedInterval> closed = pipeline.drain_ready();
@@ -108,7 +136,8 @@ void run_family(const HostileSpec& spec, std::uint64_t seed, int intervals,
 
   // In-order exactly-once through the pipeline, serial: the reference.
   std::vector<IntervalReport> reference;
-  run_pipeline(model, m, DeliveryFaults{}, /*threads=*/1, reference);
+  run_pipeline(model, m, DeliveryFaults{}, /*threads=*/1, Feed::kPerReport,
+               seed, reference);
   if (testing::Test::HasFatalFailure()) return;
   for (const IntervalReport& report : reference) {
     decisions_seen += report.decisions.size();
@@ -145,16 +174,20 @@ void run_family(const HostileSpec& spec, std::uint64_t seed, int intervals,
     const char* name;
     const DeliveryFaults* faults;
     unsigned threads;
+    Feed feed;
   } paths[] = {
-      {"reorder-serial", &reorder, 1},
-      {"reorder-dup-serial", &reorder_dup, 1},
-      {"in-order-pooled", nullptr, 4},
-      {"reorder-dup-pooled", &reorder_dup, 4},
+      {"reorder-serial", &reorder, 1, Feed::kPerReport},
+      {"reorder-dup-serial", &reorder_dup, 1, Feed::kPerReport},
+      {"in-order-pooled", nullptr, 4, Feed::kPerReport},
+      {"reorder-dup-pooled", &reorder_dup, 4, Feed::kPerReport},
+      {"in-order-push-all", nullptr, 1, Feed::kWhole},
+      {"reorder-dup-push-all", &reorder_dup, 1, Feed::kWhole},
+      {"reorder-dup-bursts", &reorder_dup, 1, Feed::kBursts},
   };
   for (const auto& path : paths) {
     std::vector<IntervalReport> got;
     run_pipeline(model, m, path.faults ? *path.faults : DeliveryFaults{},
-                 path.threads, got);
+                 path.threads, path.feed, seed + 3, got);
     if (testing::Test::HasFatalFailure()) return;
     for (std::size_t k = 0; k < reference.size(); ++k) {
       expect_identical(got[k].decisions, reference[k].decisions, path.name,

@@ -1,17 +1,22 @@
 // IngestPipeline behaviour: watermark seal timing, late/duplicate/future
 // handling, stall timeout, interval-flood marking, overload sheds, the
-// liveness retire path, and alignment with the monitor it feeds.
+// liveness retire path, alignment with the monitor it feeds, and push_all()
+// against per-report push() on the same schedules.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "ingest/pipeline.hpp"
+#include "obs/telemetry.hpp"
 
 namespace acn {
 namespace {
@@ -427,6 +432,100 @@ TEST(IngestPipeline, LivenessRetiresSilentDeviceAndReadmitsOnReturn) {
   EXPECT_TRUE(pipeline.monitor().roster().active(0));
 }
 
+TEST(IngestPipeline, FutureSkipOfUint64MaxRejectsNothing) {
+  // max_future_skip near UINT64_MAX must not wrap max_seen + skip.
+  IngestPipeline::Config config = base_config();
+  config.watermark.max_future_skip = std::numeric_limits<std::uint64_t>::max();
+  IngestPipeline pipeline(config);
+  pipeline.prime(Snapshot(fleet_positions()));
+  for (GatewayKey d = 0; d < 4; ++d) {
+    pipeline.push(make_report(d, 1, fleet_positions()[d]));
+  }
+  EXPECT_EQ(pipeline.counters().future_rejected, 0u);
+  EXPECT_EQ(pipeline.counters().accepted, 4u);
+  EXPECT_EQ(pipeline.max_seen_interval(), 1u);
+}
+
+TEST(IngestPipeline, AllowedLagOfUint64MaxNeverSealsOnTheWatermark) {
+  // next_to_seal + allowed_lag must not wrap either.
+  IngestPipeline::Config config = base_config();
+  config.watermark.allowed_lag = std::numeric_limits<std::uint64_t>::max();
+  IngestPipeline pipeline(config);
+  pipeline.prime(Snapshot(fleet_positions()));
+  pipeline.push(make_report(0, 1, fleet_positions()[0]));
+  EXPECT_TRUE(pipeline.drain_ready().empty());
+  EXPECT_EQ(pipeline.next_to_seal(), 1u);
+  EXPECT_EQ(pipeline.open_intervals(), 1u);
+  pipeline.finish();
+  const std::vector<ClosedInterval> closed = pipeline.drain_ready();
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed.front().reported, 1u);
+  EXPECT_FALSE(closed.front().forced);
+}
+
+TEST(IngestPipeline, ReportWhoseSealThrowsIsNotStaged) {
+  // Interval 1 stages an out-of-box claim, so sealing it throws. The report
+  // whose event time triggers that seal is not staged, through push() and
+  // through push_all(); its event time has moved the watermark. The next
+  // advance retries the seal of interval 1.
+  for (const bool burst : {false, true}) {
+    SCOPED_TRACE(burst ? "push_all" : "push");
+    IngestPipeline::Config config = base_config();
+    config.watermark.allowed_lag = 1;
+    IngestPipeline pipeline(config);
+    pipeline.prime(Snapshot(fleet_positions()));
+    push_interval(pipeline, 1);
+    pipeline.push(make_report(3, 1, Point{1.5, 0.5}, /*abnormal=*/false, 2));
+    ASSERT_EQ(pipeline.counters().superseded, 1u);
+
+    const std::vector<QosReport> trigger{make_report(0, 2, fleet_positions()[0]),
+                                         make_report(1, 2, fleet_positions()[1])};
+    if (burst) {
+      EXPECT_THROW(pipeline.push_all(trigger), std::invalid_argument);
+    } else {
+      EXPECT_THROW(pipeline.push(trigger[0]), std::invalid_argument);
+    }
+    EXPECT_EQ(pipeline.counters().accepted, 8u);  // interval 1's alone
+    EXPECT_EQ(pipeline.open_intervals(), 0u);
+    EXPECT_EQ(pipeline.next_to_seal(), 1u);
+    EXPECT_EQ(pipeline.max_seen_interval(), 2u);
+    EXPECT_TRUE(pipeline.drain_ready().empty());
+
+    push_interval(pipeline, 2);
+    pipeline.push(make_report(0, 3, fleet_positions()[0]));
+    const std::vector<ClosedInterval> closed = pipeline.drain_ready();
+    ASSERT_EQ(closed.size(), 2u);
+    EXPECT_EQ(closed[0].interval, 1u);
+    EXPECT_EQ(closed[0].reported, 0u);  // its staged claims went with the throw
+    EXPECT_EQ(closed[1].interval, 2u);
+    EXPECT_EQ(closed[1].reported, 8u);
+    EXPECT_EQ(pipeline.monitor().roster().snapshot()[3], fleet_positions()[3]);
+  }
+}
+
+TEST(IngestPipeline, SealSampleCountsTheTriggeringIntervalOpen) {
+  // The report that triggers a seal stages after it, but the seal's
+  // telemetry sample counts its interval among the open ones.
+  IngestPipeline::Config config = base_config();
+  config.watermark.allowed_lag = 2;
+  config.monitor.telemetry = obs::TelemetryConfig{.history = 8, .regions = 2};
+  IngestPipeline pipeline(config);
+  pipeline.prime(Snapshot(fleet_positions()));
+  push_interval(pipeline, 1);
+  push_interval(pipeline, 2);
+  pipeline.push(make_report(0, 3, fleet_positions()[0]));  // seals 1
+  pipeline.finish();                                       // seals 2, 3
+  ASSERT_EQ(pipeline.drain_ready().size(), 3u);
+  obs::TelemetryStore& store = pipeline.monitor().telemetry()->store();
+  const std::uint64_t open_after[] = {2, 1, 0};  // {2, 3}, {3}, {}
+  for (std::uint64_t k = 1; k <= 3; ++k) {
+    const obs::IntervalTelemetry* record = store.find(k);
+    ASSERT_NE(record, nullptr);
+    ASSERT_TRUE(record->ingest.has_value());
+    EXPECT_EQ(record->ingest->open_intervals, open_after[k - 1]) << "interval " << k;
+  }
+}
+
 TEST(IngestPipeline, FinishSealsEveryOpenInterval) {
   IngestPipeline::Config config = base_config();
   config.watermark.allowed_lag = 5;
@@ -441,6 +540,290 @@ TEST(IngestPipeline, FinishSealsEveryOpenInterval) {
     EXPECT_FALSE(c.forced);  // end of stream is a complete close
     EXPECT_FALSE(c.degraded);
     EXPECT_EQ(c.reported, 8u);
+  }
+}
+
+// --- push() and push_all() on the same schedules ---------------------------
+
+/// What a schedule throws at the staging path besides reorder, duplicates,
+/// corrections and stale stragglers, which every schedule carries.
+struct Hazards {
+  bool shedding = false;       ///< claim sampling engaged past 6 per frame
+  bool spill_keys = false;     ///< keys past the dense lane, auto-admitted
+  bool odd_dimension = false;  ///< 3-d claims for 2-d lanes, then corrected
+  bool late_and_future = false;
+  bool flood = false;          ///< a watermark jump past max_watermark_jump
+};
+
+constexpr std::size_t kDevices = 24;
+constexpr std::uint64_t kIntervals = 9;
+
+IngestPipeline::Config equivalence_config(const Hazards& hazards) {
+  IngestPipeline::Config config = base_config(/*capacity=*/32);
+  config.watermark.allowed_lag = 2;
+  config.watermark.max_future_skip = 40;
+  config.watermark.max_watermark_jump = 3;
+  config.monitor.model = Params{.r = 0.05, .tau = 2};
+  config.monitor.telemetry = obs::TelemetryConfig{.history = 256, .regions = 2};
+  config.liveness = LivenessConfig{
+      .silent_intervals = 2, .retry_backoff = 1, .max_retries = 1};
+  if (hazards.shedding) {
+    config.overload.shed_claim_threshold = 6;
+    config.overload.shed_sample_stride = 3;
+  }
+  return config;
+}
+
+std::vector<Point> random_fleet(Rng& rng) {
+  std::vector<Point> fleet;
+  for (std::size_t d = 0; d < kDevices; ++d) {
+    fleet.push_back(Point{rng.uniform(0.2, 0.8), rng.uniform(0.2, 0.8)});
+  }
+  return fleet;
+}
+
+/// kIntervals intervals of reports from kDevices keys. Devices drift, a
+/// few jump together (so verdicts are not all trivial), and each interval's
+/// reports are shuffled within windows of six and interleaved with the next
+/// interval's head, so runs of every length occur.
+std::vector<QosReport> hazard_schedule(const Hazards& hazards,
+                                       const std::vector<Point>& fleet,
+                                       std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> at = fleet;
+  std::vector<QosReport> schedule;
+  std::vector<QosReport> carry;  // the previous interval's tail
+  for (std::uint64_t k = 1; k <= kIntervals; ++k) {
+    std::vector<QosReport> interval;
+    const double dx = rng.uniform(-0.1, 0.1);
+    for (GatewayKey d = 0; d < kDevices; ++d) {
+      if (rng.bernoulli(0.1)) continue;  // silent this interval
+      const bool jumps = d % 6 == k % 6 || d % 6 == (k + 1) % 6;
+      if (jumps) {
+        at[d] = Point{std::clamp(at[d][0] + dx, 0.0, 1.0), at[d][1]};
+      } else {
+        at[d] = Point{std::clamp(at[d][0] + rng.uniform(-0.002, 0.002), 0.0, 1.0),
+                      at[d][1]};
+      }
+      QosReport report = make_report(d, k, at[d], jumps, 10 * k);
+      interval.push_back(report);
+      if (rng.bernoulli(0.3)) interval.push_back(report);  // retransmission
+      if (rng.bernoulli(0.1)) {                            // stale straggler
+        QosReport stale = report;
+        stale.arrival_seq = 10 * k - 1;
+        stale.claim = Point{0.5, 0.5};
+        interval.push_back(stale);
+      }
+      if (rng.bernoulli(0.1)) {  // correction
+        QosReport correction = report;
+        correction.arrival_seq = 10 * k + 1;
+        interval.push_back(correction);
+      }
+    }
+    if (hazards.spill_keys) {
+      for (const GatewayKey key : {GatewayKey{40}, GatewayKey{41}, GatewayKey{977}}) {
+        interval.push_back(make_report(key, k, Point{0.9, 0.1}, false, 10 * k));
+      }
+    }
+    if (hazards.odd_dimension) {
+      // Keys 5 and 7 get a 3-d claim and a later 2-d correction, key 7 also
+      // a stale 3-d claim: odd cells form and return to the lane in every
+      // delivery order, and no 3-d claim reaches a seal.
+      QosReport odd = make_report(5, k, Point{0.5, 0.5, 0.5}, false, 10 * k + 2);
+      interval.push_back(odd);
+      interval.push_back(make_report(5, k, at[5], false, 10 * k + 3));
+      odd.device = 7;
+      interval.push_back(odd);
+      interval.push_back(make_report(7, k, at[7], false, 10 * k + 3));
+      odd.arrival_seq = 1;
+      interval.push_back(odd);
+    }
+    for (std::size_t i = 0; i + 1 < interval.size(); ++i) {
+      const std::size_t j =
+          i + static_cast<std::size_t>(rng.uniform_int(
+                  std::min<std::uint64_t>(6, interval.size() - i)));
+      std::swap(interval[i], interval[j]);
+    }
+    // The first third of this interval goes out ahead of the previous
+    // interval's tail: reorder across one boundary, within allowed_lag.
+    const std::size_t head = interval.size() / 3;
+    schedule.insert(schedule.end(), interval.begin(), interval.begin() + head);
+    schedule.insert(schedule.end(), carry.begin(), carry.end());
+    carry.assign(interval.begin() + head, interval.end());
+    if (hazards.late_and_future && k >= 4) {
+      schedule.push_back(make_report(2, k - 3, fleet[2], false, 10 * k));  // late
+      schedule.push_back(make_report(3, k + 100, fleet[3]));               // future
+    }
+  }
+  schedule.insert(schedule.end(), carry.begin(), carry.end());
+  if (hazards.flood) {
+    // Jump the watermark past max_watermark_jump, then trail a few reports.
+    schedule.push_back(make_report(4, kIntervals + 9, fleet[4]));
+    for (GatewayKey d = 0; d < 6; ++d) {
+      schedule.push_back(make_report(d, kIntervals + 9, fleet[d], false, 2));
+    }
+  }
+  return schedule;
+}
+
+void expect_same_counters(const IngestCounters& a, const IngestCounters& b) {
+  EXPECT_EQ(a.accepted, b.accepted);
+  EXPECT_EQ(a.duplicates, b.duplicates);
+  EXPECT_EQ(a.superseded, b.superseded);
+  EXPECT_EQ(a.late_sealed, b.late_sealed);
+  EXPECT_EQ(a.future_rejected, b.future_rejected);
+  EXPECT_EQ(a.shed_claims, b.shed_claims);
+  EXPECT_EQ(a.deferred_devices, b.deferred_devices);
+  EXPECT_EQ(a.forced_closes, b.forced_closes);
+  EXPECT_EQ(a.replayed_claims, b.replayed_claims);
+  EXPECT_EQ(a.retired_devices, b.retired_devices);
+  EXPECT_EQ(a.revived_devices, b.revived_devices);
+  EXPECT_EQ(a.admitted_devices, b.admitted_devices);
+  EXPECT_EQ(a.admit_rejected, b.admit_rejected);
+}
+
+void expect_same_state(const IngestPipeline& a, const IngestPipeline& b) {
+  expect_same_counters(a.counters(), b.counters());
+  EXPECT_EQ(a.open_intervals(), b.open_intervals());
+  EXPECT_EQ(a.next_to_seal(), b.next_to_seal());
+  EXPECT_EQ(a.max_seen_interval(), b.max_seen_interval());
+}
+
+void expect_same_closed(const ClosedInterval& a, const ClosedInterval& b) {
+  SCOPED_TRACE(testing::Message() << "interval " << a.interval);
+  EXPECT_EQ(a.interval, b.interval);
+  EXPECT_EQ(a.forced, b.forced);
+  EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.reported, b.reported);
+  EXPECT_EQ(a.replayed, b.replayed);
+  EXPECT_EQ(a.deferred, b.deferred);
+  EXPECT_EQ(a.retired, b.retired);
+  EXPECT_EQ(a.report.interval, b.report.interval);
+  EXPECT_EQ(a.report.degraded, b.report.degraded);
+  EXPECT_TRUE(a.report.abnormal == b.report.abnormal);
+  EXPECT_TRUE(a.report.isolated == b.report.isolated);
+  EXPECT_TRUE(a.report.massive == b.report.massive);
+  EXPECT_TRUE(a.report.unresolved == b.report.unresolved);
+  ASSERT_EQ(a.report.decisions.size(), b.report.decisions.size());
+  auto it = b.report.decisions.begin();
+  for (const auto& [device, x] : a.report.decisions) {
+    const Decision& y = it->second;
+    EXPECT_EQ(device, it->first);
+    EXPECT_TRUE(x.cls == y.cls && x.rule == y.rule && x.exact == y.exact &&
+                x.maximal_motion_count == y.maximal_motion_count &&
+                x.dense_motion_count == y.dense_motion_count &&
+                x.collections_tested == y.collections_tested)
+        << "device " << device;
+    ++it;
+  }
+}
+
+void expect_same_samples(IngestPipeline& a, IngestPipeline& b,
+                         std::uint64_t intervals) {
+  obs::TelemetryStore& sa = a.monitor().telemetry()->store();
+  obs::TelemetryStore& sb = b.monitor().telemetry()->store();
+  for (std::uint64_t k = 1; k <= intervals; ++k) {
+    SCOPED_TRACE(testing::Message() << "sample of interval " << k);
+    const obs::IntervalTelemetry* ra = sa.find(k);
+    const obs::IntervalTelemetry* rb = sb.find(k);
+    ASSERT_NE(ra, nullptr);
+    ASSERT_NE(rb, nullptr);
+    ASSERT_TRUE(ra->ingest.has_value());
+    ASSERT_TRUE(rb->ingest.has_value());
+    const obs::IngestSample& x = *ra->ingest;
+    const obs::IngestSample& y = *rb->ingest;
+    EXPECT_EQ(x.seal_lag, y.seal_lag);
+    EXPECT_EQ(x.forced, y.forced);
+    EXPECT_EQ(x.reported, y.reported);
+    EXPECT_EQ(x.replayed, y.replayed);
+    EXPECT_EQ(x.deferred, y.deferred);
+    EXPECT_EQ(x.retired, y.retired);
+    EXPECT_EQ(x.late_sealed, y.late_sealed);
+    EXPECT_EQ(x.duplicates, y.duplicates);
+    EXPECT_EQ(x.shed_claims, y.shed_claims);
+    EXPECT_EQ(x.open_intervals, y.open_intervals);
+  }
+}
+
+/// Feeds `schedule` report by report to one pipeline and as push_all()
+/// bursts ending at `cuts` to another, comparing them at every cut, every
+/// sealed interval and every telemetry sample. Returns the counters.
+IngestCounters expect_push_all_matches_push(const Hazards& hazards,
+                                            const std::vector<Point>& fleet,
+                                            const std::vector<QosReport>& schedule,
+                                            const std::vector<std::size_t>& cuts) {
+  IngestPipeline by_report(equivalence_config(hazards));
+  IngestPipeline by_burst(equivalence_config(hazards));
+  by_report.prime(Snapshot(fleet));
+  by_burst.prime(Snapshot(fleet));
+  std::vector<ClosedInterval> sealed_by_report;
+  std::vector<ClosedInterval> sealed_by_burst;
+  std::size_t begin = 0;
+  for (const std::size_t end : cuts) {
+    for (std::size_t i = begin; i < end; ++i) by_report.push(schedule[i]);
+    by_burst.push_all(std::span(schedule).subspan(begin, end - begin));
+    SCOPED_TRACE(testing::Message() << "after the burst ending at " << end);
+    expect_same_state(by_report, by_burst);
+    for (ClosedInterval& c : by_report.drain_ready()) sealed_by_report.push_back(std::move(c));
+    for (ClosedInterval& c : by_burst.drain_ready()) sealed_by_burst.push_back(std::move(c));
+    begin = end;
+  }
+  by_report.finish();
+  by_burst.finish();
+  for (ClosedInterval& c : by_report.drain_ready()) sealed_by_report.push_back(std::move(c));
+  for (ClosedInterval& c : by_burst.drain_ready()) sealed_by_burst.push_back(std::move(c));
+  expect_same_state(by_report, by_burst);
+  EXPECT_EQ(sealed_by_report.size(), by_report.next_to_seal() - 1);
+  EXPECT_EQ(sealed_by_report.size(), sealed_by_burst.size());
+  for (std::size_t i = 0; i < sealed_by_report.size() && i < sealed_by_burst.size(); ++i) {
+    expect_same_closed(sealed_by_report[i], sealed_by_burst[i]);
+  }
+  expect_same_samples(by_report, by_burst, by_report.next_to_seal() - 1);
+  return by_report.counters();
+}
+
+TEST(IngestPipeline, PushAllMatchesPushOnEverySchedule) {
+  const struct {
+    const char* name;
+    Hazards hazards;
+  } cases[] = {
+      {"dedup-reorder", {}},
+      {"shedding", {.shedding = true}},
+      {"spill-keys", {.spill_keys = true}},
+      {"odd-dimension", {.odd_dimension = true}},
+      {"late-and-future", {.late_and_future = true}},
+      {"flood", {.flood = true}},
+      {"all", {true, true, true, true, true}},
+  };
+  for (const auto& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message() << c.name << " seed " << seed);
+      Rng rng(seed);
+      const std::vector<Point> fleet = random_fleet(rng);
+      const std::vector<QosReport> schedule = hazard_schedule(c.hazards, fleet, seed);
+      // The whole schedule as one burst, then random cuts of 1 to 40.
+      const IngestCounters counters =
+          expect_push_all_matches_push(c.hazards, fleet, schedule, {schedule.size()});
+      if (HasFatalFailure()) return;
+      std::vector<std::size_t> cuts;
+      for (std::size_t at = 0; at < schedule.size();) {
+        at = std::min(schedule.size(), at + 1 + rng.uniform_int(std::uint64_t{40}));
+        cuts.push_back(at);
+      }
+      (void)expect_push_all_matches_push(c.hazards, fleet, schedule, cuts);
+      if (HasFatalFailure()) return;
+
+      // Each hazard fired.
+      EXPECT_GT(counters.duplicates, 0u);
+      EXPECT_GT(counters.superseded, 0u);
+      EXPECT_EQ(counters.shed_claims > 0, c.hazards.shedding);
+      if (c.hazards.spill_keys) {
+        EXPECT_GE(counters.admitted_devices, 3u);
+      }
+      EXPECT_EQ(counters.late_sealed > 0, c.hazards.late_and_future);
+      EXPECT_EQ(counters.future_rejected > 0, c.hazards.late_and_future);
+      EXPECT_EQ(counters.forced_closes > 0, c.hazards.flood);
+    }
   }
 }
 

@@ -1,7 +1,8 @@
 // Unit tests for the ingest building blocks: StagingFrame's commutative
-// last-write-wins rule, the LivenessTracker retry ladder, and the
-// OverloadController's two verdict-safety-aware sheds.
+// last-write-wins rule and its run loop, the LivenessTracker retry ladder,
+// and the OverloadController's two verdict-safety-aware sheds.
 #include <algorithm>
+#include <array>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -120,6 +121,90 @@ TEST(StagingFrame, DenseLaneSpillAndResetKeepSemantics) {
   EXPECT_EQ(frame.apply(make_report(5, 2, 0.1, 1)),
             StagingFrame::Apply::kAccepted);
   EXPECT_EQ(frame.device_count(), 1u);
+
+  // A spike of spilled keys grows the spill map past the buckets reset()
+  // keeps: the reset after the spike keeps them, the next one releases
+  // them. Through both the frame behaves like a fresh one.
+  const GatewayKey spike = 2 * StagingFrame::kKeptBuckets;
+  for (GatewayKey key = 8; key < 8 + spike; ++key) {
+    (void)frame.apply(make_report(key, 3, 0.3, 1));
+  }
+  EXPECT_EQ(frame.device_count(), 1u + spike);
+  for (std::uint64_t interval = 4; interval <= 5; ++interval) {
+    SCOPED_TRACE(testing::Message() << "interval " << interval);
+    frame.reset();
+    EXPECT_EQ(frame.device_count(), 0u);
+    EXPECT_EQ(frame.volume(), 0u);
+    EXPECT_FALSE(frame.find(8).has_value());
+    EXPECT_FALSE(frame.find(7 + spike).has_value());
+    EXPECT_EQ(frame.apply(make_report(41, interval, 0.4, 2)),
+              StagingFrame::Apply::kAccepted);
+    EXPECT_EQ(frame.apply(make_report(41, interval, 0.4, 2)),
+              StagingFrame::Apply::kDuplicate);
+    EXPECT_EQ(frame.apply(make_report(2, interval, 0.2, 1)),
+              StagingFrame::Apply::kAccepted);
+    const auto after = frame.sorted();
+    ASSERT_EQ(after.size(), 2u);
+    EXPECT_EQ(after[0].first, 2u);
+    EXPECT_EQ(after[1].first, 41u);
+  }
+}
+
+TEST(StagingFrame, StageRunMatchesApplyAndStopsAtTheFirstSlowReport) {
+  // Interval 4's run: a first report, a duplicate, a correction, a stale
+  // straggler and a flagged one, then the reports that end the run.
+  std::vector<QosReport> reports{
+      make_report(1, 4, 0.1, 4),       make_report(6, 4, 0.6, 4),
+      make_report(1, 4, 0.1, 4),       make_report(6, 4, 0.7, 5),
+      make_report(6, 4, 0.5, 3),       make_report(2, 4, 0.2, 4, true),
+  };
+  QosReport odd = make_report(3, 4, 0.3, 4);
+  odd.claim = Point{0.3, 0.3, 0.3};
+  const std::vector<QosReport> stoppers{
+      make_report(0, 5, 0.0, 5),  // another interval
+      make_report(9, 4, 0.9, 4),  // a spill key
+      odd,                        // a claim of another dimension
+  };
+  for (const QosReport& stopper : stoppers) {
+    SCOPED_TRACE(testing::Message() << "stopper key " << stopper.device);
+    std::vector<QosReport> batch = reports;
+    batch.push_back(stopper);
+    batch.push_back(make_report(4, 4, 0.4, 4));
+
+    StagingFrame by_run;
+    by_run.configure(8, 2);
+    const StagingFrame::RunTally tally = by_run.stage_run(batch, 4);
+    EXPECT_EQ(tally.staged, reports.size());
+    EXPECT_EQ(tally.outcomes, (std::array<std::size_t, 4>{3, 1, 1, 1}));
+
+    StagingFrame by_apply;
+    by_apply.configure(8, 2);
+    for (const QosReport& report : reports) (void)by_apply.apply(report);
+    EXPECT_EQ(by_run.volume(), by_apply.volume());
+    EXPECT_EQ(by_run.device_count(), by_apply.device_count());
+    const auto a = by_run.sorted();
+    const auto b = by_apply.sorted();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].first, b[i].first);
+      EXPECT_EQ(a[i].second.seq, b[i].second.seq);
+      EXPECT_EQ(a[i].second.flagged, b[i].second.flagged);
+      EXPECT_TRUE(a[i].second.claim == b[i].second.claim);
+    }
+  }
+
+  // A lane-dimension claim for a cell parked in the odd map also ends the
+  // run: apply() moves it back into the lane.
+  StagingFrame frame;
+  frame.configure(8, 2);
+  (void)frame.apply(odd);
+  const std::vector<QosReport> back{make_report(1, 4, 0.1, 4),
+                                    make_report(3, 4, 0.3, 5)};
+  EXPECT_EQ(frame.stage_run(back, 4).staged, 1u);
+  EXPECT_EQ(frame.apply(back[1]), StagingFrame::Apply::kSuperseded);
+  EXPECT_TRUE(frame.find(3)->claim == (Point{0.3, 0.3}));
+  EXPECT_EQ(frame.device_count(), 2u);
+  EXPECT_EQ(frame.volume(), 3u);
 }
 
 TEST(Claim, HoldsUpToTheRosterDimensionLimit) {
