@@ -1,6 +1,8 @@
 #include "core/frame.hpp"
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 namespace acn {
 namespace {
@@ -17,8 +19,14 @@ FrameEngine::FrameEngine(Config config) : config_(config), pool_(config.threads)
   config_.model.validate();
 }
 
-std::optional<FrameEngine::Result> FrameEngine::observe(const Snapshot& positions,
-                                                        DeviceSet abnormal) {
+std::optional<FrameEngine::Result> FrameEngine::observe(
+    const Snapshot& positions, DeviceSet abnormal,
+    std::span<const std::uint8_t> changed) {
+  if (!changed.empty() && changed.size() != positions.size()) {
+    throw std::invalid_argument("FrameEngine::observe: " +
+                                std::to_string(changed.size()) + " change marks for " +
+                                std::to_string(positions.size()) + " devices");
+  }
   stats_ = {};
   std::vector<double> lane_scratch;
   if (!state_.has_value()) {
@@ -34,7 +42,10 @@ std::optional<FrameEngine::Result> FrameEngine::observe(const Snapshot& position
 
   // Roll the state in place (validates shape; strong guarantee).
   auto t0 = Clock::now();
-  stats_.moved = state_->advance(positions, std::move(abnormal), &pool_, &lane_scratch);
+  stats_.moved = changed.empty()
+                     ? state_->advance(positions, std::move(abnormal), &pool_,
+                                       &lane_scratch)
+                     : state_->advance(positions, changed, std::move(abnormal));
   const StatePair& state = *state_;
   stats_.state_ms = ms_since(t0);
   stats_.state_lanes = LaneBreakdown::of(lane_scratch);

@@ -8,7 +8,9 @@
 //      columns catches up with the current half at the ids the last roll
 //      moved (O(|moved|)), then the new snapshot's columns are compared into
 //      the current half; entries are rewritten only where a position
-//      changed (StatePair::advance);
+//      changed (StatePair::advance). A snapshot fed with change marks
+//      (FleetRoster's, through OnlineMonitor::close_interval) is compared
+//      at the marked ids alone; one fed bare is compared at every id;
 //   2. A_k index — one GridIndex over the abnormal devices, cell
 //      max(2r, kMinGridCell): the only spatial index, sized by |A_k|, not n;
 //   3. plane — the MotionPlane built over that index, through the same path
@@ -107,8 +109,9 @@ class FrameEngine {
     /// bitsets). An adversarial
     /// placement can make the motion-family arenas combinatorially large;
     /// the cap turns that from an OOM kill into an ArenaBudgetExceeded
-    /// thrown out of observe() with the engine state untouched — the next
-    /// interval proceeds normally. 0 disables the cap.
+    /// thrown out of observe() after the state roll: the state holds the
+    /// new snapshot, the interval has no verdicts, and the next interval
+    /// proceeds normally. 0 disables the cap.
     std::uint64_t plane_arena_budget = 8ULL << 30;
   };
 
@@ -128,7 +131,17 @@ class FrameEngine {
   /// engine's device universe is fixed (StatePair::advance precondition);
   /// deployments with churn feed it through FleetRoster, which recycles
   /// slots inside a fixed capacity instead of resizing the snapshot.
-  std::optional<Result> observe(const Snapshot& positions, DeviceSet abnormal);
+  ///
+  /// `changed`, when not empty, marks where the snapshot may differ from
+  /// the state's S_k half: changed[j] != 0 for every device j whose
+  /// position may have changed since the last roll (see the
+  /// StatePair::advance overload). The roll then compares the marked ids
+  /// alone, and the state, its moved() list and FrameStats::moved are the
+  /// full compare's. The priming snapshot reads no marks. Throws
+  /// std::invalid_argument unless `changed` is empty or holds one mark per
+  /// device.
+  std::optional<Result> observe(const Snapshot& positions, DeviceSet abnormal,
+                                std::span<const std::uint8_t> changed = {});
 
   /// The rolling state (requires at least one observe()).
   [[nodiscard]] const StatePair& state() const { return *state_; }

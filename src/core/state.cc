@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -126,8 +127,7 @@ Snapshot StatePair::half(std::size_t first) const {
 Snapshot StatePair::prev() const { return half(0); }
 Snapshot StatePair::curr() const { return half(dim_); }
 
-std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
-                               WorkerPool* pool, std::vector<double>* lane_ms) {
+void StatePair::begin_roll(const Snapshot& next, DeviceSet& abnormal) {
   if (next.size() != n_) {
     throw std::invalid_argument(
         "StatePair::advance: fleet size changed (the device universe is "
@@ -142,10 +142,6 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
         "StatePair::advance: abnormal set references unknown device");
   }
   abnormal_ = std::move(abnormal);
-  // Cleared up front so a serial roll reports "no lanes ran" instead of
-  // leaving a previous phase's numbers in a caller-reused buffer.
-  if (lane_ms != nullptr) lane_ms->clear();
-
   // The halves differ only at the ids the last roll moved: the S_{k-1}
   // half catches up with the S_k half there.
   const std::size_t d = dim_;
@@ -154,6 +150,19 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
   for (const DeviceId j : moved_) {
     for (std::size_t t = 0; t < d; ++t) cols[t * count + j] = cols[(d + t) * count + j];
   }
+  moved_.clear();
+}
+
+std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
+                               WorkerPool* pool, std::vector<double>* lane_ms) {
+  begin_roll(next, abnormal);
+  // Cleared up front so a serial roll reports "no lanes ran" instead of
+  // leaving a previous phase's numbers in a caller-reused buffer.
+  if (lane_ms != nullptr) lane_ms->clear();
+
+  const std::size_t d = dim_;
+  const std::size_t count = n_;
+  double* const cols = joint_cols_.data();
   // Then the S_k half takes `next` where they differ, listing the ids
   // that moved in THIS interval. Each block of ids is compared column by
   // column first, a branch-free pass that flags the devices that differ;
@@ -178,7 +187,6 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
       }
     }
   };
-  moved_.clear();
 
   // The fan-out pays off only when the id scan dwarfs the section setup;
   // below the grain (or without a pool) the roll stays a plain loop.
@@ -199,6 +207,43 @@ std::size_t StatePair::advance(const Snapshot& next, DeviceSet abnormal,
       lane_ms);
   for (const std::vector<DeviceId>& part : chunk_moved_) {
     moved_.insert(moved_.end(), part.begin(), part.end());
+  }
+  return moved_.size();
+}
+
+std::size_t StatePair::advance(const Snapshot& next,
+                               std::span<const std::uint8_t> changed,
+                               DeviceSet abnormal) {
+  if (changed.size() != n_) {
+    throw std::invalid_argument("StatePair::advance: " + std::to_string(changed.size()) +
+                                " change marks for " + std::to_string(n_) + " devices");
+  }
+  begin_roll(next, abnormal);
+  const std::size_t d = dim_;
+  const std::size_t count = n_;
+  double* const cols = joint_cols_.data();
+  // The full compare's test and write, at one marked id.
+  const auto roll_one = [&](DeviceId j) {
+    bool differs = false;
+    for (std::size_t t = 0; t < d; ++t) differs |= cols[(d + t) * count + j] != next.col(t)[j];
+    if (!differs) return;
+    for (std::size_t t = 0; t < d; ++t) cols[(d + t) * count + j] = next.col(t)[j];
+    moved_.push_back(j);
+  };
+  // Few ids are marked, so the marks are read eight at a time and the
+  // all-clear words skipped; ids stay ascending.
+  const std::uint8_t* const marks = changed.data();
+  const std::size_t whole = count - count % 8;
+  for (std::size_t lo = 0; lo < whole; lo += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, marks + lo, sizeof word);
+    if (word == 0) continue;
+    for (std::size_t j = lo; j < lo + 8; ++j) {
+      if (marks[j] != 0) roll_one(static_cast<DeviceId>(j));
+    }
+  }
+  for (std::size_t j = whole; j < count; ++j) {
+    if (marks[j] != 0) roll_one(static_cast<DeviceId>(j));
   }
   return moved_.size();
 }

@@ -48,20 +48,25 @@ class Snapshot {
   /// Every position, gathered from the columns.
   [[nodiscard]] std::vector<Point> positions() const;
 
-  /// Moves device j to `position` (dim() coordinates). Throws
+  /// Moves device j to `position` (dim() coordinates) and returns whether
+  /// it moved under the state roll's test: some coordinate compares != to
+  /// the one it replaced (so -0.0 over 0.0 is no move). Throws
   /// std::invalid_argument, leaving the snapshot unchanged, unless j <
   /// size(), position.size() == dim() and every coordinate lies in [0, 1]
   /// (NaN fails). Inline: FleetRoster writes every report through it.
-  void set(DeviceId j, std::span<const double> position) {
+  bool set(DeviceId j, std::span<const double> position) {
     if (j >= n_ || position.size() != dim_ ||
         !std::all_of(position.begin(), position.end(), in_unit_interval)) {
       reject(j, position);
     }
     double* at = cols_.data() + j;
+    bool differs = false;
     for (const double x : position) {
+      differs |= *at != x;
       *at = x;
       at += n_;
     }
+    return differs;
   }
 
  private:
@@ -87,12 +92,14 @@ class StatePair {
   /// takes the old S_k half, the S_k half takes `next`, A_k becomes
   /// `abnormal`. The two halves differ only at the ids the previous roll
   /// moved (the constructor lists the ids where its snapshots differ), so
-  /// the S_{k-1} half copies the S_k half at those ids alone: O(|moved|). The S_k half is then compared with
-  /// `next`, in blocks of ids scanned column by column, and rewritten only
-  /// where a position changed, which lists this roll's moved ids for the
-  /// next one — a device untouched by both intervals costs one comparison
-  /// per dimension and zero writes. Returns the number of devices whose
-  /// CURRENT position changed in this roll.
+  /// the S_{k-1} half copies the S_k half at those ids alone: O(|moved|).
+  /// The S_k half is then compared with `next`, in blocks of ids scanned
+  /// column by column, and rewritten only where a position changed, which
+  /// lists this roll's moved ids for the next one — a device untouched by
+  /// both intervals costs one comparison per dimension and zero writes.
+  /// This full compare is for snapshots that carry no change information;
+  /// the overload below compares only the ids a caller marks. Returns the
+  /// number of devices whose CURRENT position changed in this roll.
   /// Throws std::invalid_argument (state unchanged) if `next` disagrees in
   /// size or dimension or `abnormal` is out of range.
   ///
@@ -115,6 +122,24 @@ class StatePair {
   std::size_t advance(const Snapshot& next, DeviceSet abnormal,
                       WorkerPool* pool = nullptr,
                       std::vector<double>* lane_ms = nullptr);
+
+  /// advance() for a `next` that says where it may differ from the S_k
+  /// half: changed[j] != 0 for every id whose position may have changed.
+  /// The S_{k-1} half catches up as above; then only the marked ids are
+  /// compared, with the same != test and in ascending id order, so the
+  /// state, moved() and the count equal advance(next, abnormal)'s whenever
+  /// every unmarked id of `next` equals its S_k entry. Over-marking costs
+  /// one compare per id; a missing mark leaves S_k stale at that id.
+  /// O(n / 8 + |marked| + |moved|): the marks are scanned a word at a time.
+  /// Throws std::invalid_argument (state unchanged) as advance() does, or
+  /// if changed.size() != n().
+  std::size_t advance(const Snapshot& next, std::span<const std::uint8_t> changed,
+                      DeviceSet abnormal);
+
+  /// Ascending ids whose S_k position changed in the last roll (after the
+  /// constructor: the ids where its snapshots differ). The S_{k-1} half
+  /// holds their previous S_k position.
+  [[nodiscard]] std::span<const DeviceId> moved() const noexcept { return moved_; }
 
   [[nodiscard]] std::size_t n() const noexcept { return n_; }
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
@@ -159,6 +184,11 @@ class StatePair {
   }
 
  private:
+  /// advance()'s shared head: validates `next` and `abnormal` (throwing
+  /// with the state unchanged), installs A_k, and catches the S_{k-1} half
+  /// up with the S_k half at the last roll's moved ids.
+  void begin_roll(const Snapshot& next, DeviceSet& abnormal);
+
   /// Point of joint columns [first, first + count) at device j.
   [[nodiscard]] Point gather(std::size_t first, std::size_t count, DeviceId j) const;
   /// Snapshot of joint columns [first, first + dim()).

@@ -82,6 +82,12 @@ void IngestPipeline::push_all(std::span<const QosReport> reports) {
   std::size_t next = 0;
   while (next < reports.size()) {
     const QosReport& head = reports[next++];
+    // A claim the roster would refuse is refused here, before its event
+    // time counts for anything: staged, it would throw at the seal.
+    if (!head.claim.fits(config_.dim)) {
+      ++counters_.malformed_rejected;
+      continue;
+    }
     StagingFrame* frame = open_frame(head);
     if (frame == nullptr) continue;
     // Overload shed: past the volume threshold, non-flagged claim updates
@@ -96,7 +102,8 @@ void IngestPipeline::push_all(std::span<const QosReport> reports) {
     }
     if (shed_possible_) continue;
     // The rest of the run can move neither the watermark nor the frame; it
-    // stages in one loop, up to the next interval or slow report.
+    // stages in one loop, up to the next interval, spill key or malformed
+    // claim.
     const StagingFrame::RunTally run =
         frame->stage_run(reports.subspan(next), head.interval);
     next += run.staged;

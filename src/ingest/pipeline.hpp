@@ -39,6 +39,13 @@
 //     Degraded intervals are explicitly marked, never silently wrong and
 //     never a stall.
 //
+//   * Malformed claims — a claim that is not a point of [0,1]^dim (another
+//     dimension, a coordinate outside [0, 1], NaN) is counted
+//     (malformed_rejected) and dropped when it is pushed, before its event
+//     time moves the watermark. Nothing staged can then make the roster
+//     throw at the seal, so one bad report never costs its interval the
+//     other claims.
+//
 // Within one report the seals come first: the seals its event time
 // triggers run, and only then does it stage. A sealed interval's lane is
 // reset and pooled before the report picks a frame, so a stream keeps one
@@ -127,25 +134,28 @@ class IngestPipeline {
   /// Convenience: devices 0..n-1 at the snapshot's positions.
   void prime(const Snapshot& initial);
 
-  /// Ingests one report. A report first runs the seals its event time
-  /// triggers (every interval the watermark or the flood bound passed),
-  /// then stages into its interval's frame under the dedup rule. Sealed
-  /// results accumulate for drain_ready(). Requires prime().
+  /// Ingests one report. A malformed claim (not a point of [0,1]^dim) is
+  /// counted and dropped first. Otherwise the report runs the seals its
+  /// event time triggers (every interval the watermark or the flood bound
+  /// passed), then stages into its interval's frame under the dedup rule.
+  /// Sealed results accumulate for drain_ready(). Requires prime().
   ///
-  /// If a triggered seal throws (a malformed claim staged earlier), the
-  /// exception propagates and this report is not staged; its event time
-  /// has already moved the watermark. The interval that threw stays next
-  /// to seal, without the reports it had staged, and the next seal — on a
-  /// watermark advance, a stall timeout or finish() — retries it.
+  /// A staged claim cannot make a seal throw; the engine still can (its
+  /// plane arena budget, memory). Then the exception propagates and this
+  /// report is not staged; its event time has already moved the
+  /// watermark. The interval that threw stays next to seal, without the
+  /// reports it had staged, and the next seal — on a watermark advance, a
+  /// stall timeout or finish() — retries it.
   void push(const QosReport& report);
 
   /// push() for a delivery burst: the same counters, seals and frames as
   /// pushing each report in order. Only the head of each same-interval run
-  /// takes the late, future, watermark and frame checks; the rest of the
-  /// run can move neither the watermark nor the frame, so it stages in one
-  /// StagingFrame::stage_run() loop. Shedding, spill keys and odd-dimension
-  /// claims are staged report by report. A throwing seal aborts the burst
-  /// at the report that triggered it, which stays unstaged.
+  /// takes the claim, late, future, watermark and frame checks; the rest of
+  /// the run can move neither the watermark nor the frame, so it stages in
+  /// one StagingFrame::stage_run() loop, which checks each claim and stops
+  /// at a malformed one. Shedding and spill keys are staged report by
+  /// report. A throwing seal aborts the burst at the report that triggered
+  /// it, which stays unstaged.
   void push_all(std::span<const QosReport> reports);
 
   /// Advances the stall clock by one tick; may force-close the oldest

@@ -33,8 +33,8 @@ using GatewayKey = std::uint64_t;
 
 /// A claimed QoS position: up to kMaxDim coordinates held inline, the
 /// roster's dimension limit (a joint position of 2d coordinates must fit a
-/// Point). Range is not checked here; the roster refuses a claim outside
-/// [0,1]^d, or of the wrong dimension, when its interval seals.
+/// Point). Range is not checked here; IngestPipeline refuses a claim that
+/// is not a point of its [0,1]^d (fits()) when the report is pushed.
 class Claim {
  public:
   static constexpr std::size_t kMaxDim = Point::kMaxDim / 2;
@@ -53,6 +53,13 @@ class Claim {
   Claim(const Point& point) : Claim(point.coords()) {}
 
   [[nodiscard]] std::size_t dim() const noexcept { return dim_; }
+  /// True iff the claim is a point of [0,1]^dim — `dim` coordinates, each
+  /// in [0, 1], NaN failing — which is exactly what a roster of dimension
+  /// `dim` accepts (Snapshot::set).
+  [[nodiscard]] bool fits(std::size_t dim) const noexcept {
+    return dim_ == dim && std::all_of(coords_.begin(), coords_.begin() + dim_,
+                                      in_unit_interval);
+  }
   [[nodiscard]] double operator[](std::size_t i) const noexcept { return coords_[i]; }
   [[nodiscard]] std::span<const double> coords() const noexcept {
     return {coords_.data(), dim_};
@@ -94,6 +101,7 @@ struct IngestCounters {
   std::uint64_t superseded = 0;       ///< lost the per-cell seq race (either side)
   std::uint64_t late_sealed = 0;      ///< interval already sealed; claim replayed
   std::uint64_t future_rejected = 0;  ///< event time implausibly far ahead
+  std::uint64_t malformed_rejected = 0;  ///< claim not a point of [0,1]^dim
   std::uint64_t shed_claims = 0;      ///< overload: sampled-out claim updates
   std::uint64_t deferred_devices = 0; ///< overload: characterization deferred
   std::uint64_t forced_closes = 0;    ///< timeout / interval-flood seals

@@ -1,5 +1,10 @@
 #include "ingest/staging.hpp"
 
+#include <array>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 namespace acn {
 
 namespace {
@@ -41,43 +46,40 @@ void StagingFrame::configure(std::size_t dense_limit, std::size_t dim) {
   // semantically identical (just slower).
   dim_ = (dim == 0 || dim > Claim::kMaxDim) ? 0 : dim;
   if (dim_ == 0) dense_limit = 0;
-  present_.assign(dense_limit, kEmpty);
+  present_.assign(dense_limit, 0);
   seq_.assign(dense_limit, 0);
   flag_.assign(dense_limit, 0);
   coords_.assign(dense_limit * dim_, 0.0);
 }
 
-StagingFrame::Apply StagingFrame::apply_slow(const QosReport& report) {
-  const GatewayKey key = report.device;
-  if (key >= present_.size()) {
-    const auto [it, inserted] = spill_.try_emplace(key);
-    if (!inserted) return resolve_fat(it->second, report);
-    stage_fat(it->second, report);
-    return Apply::kAccepted;
-  }
-  std::uint8_t& state = present_[key];
-  if (state == kEmpty) {
-    ++dense_count_;
-    state = kOdd;
-    stage_fat(odd_[key], report);
-    return Apply::kAccepted;
-  }
-  // A lane cell offered an odd claim, or an odd cell offered any claim.
-  const std::uint64_t have = state == kLane ? seq_[key] : odd_.at(key).seq;
-  if (report.arrival_seq == have) return Apply::kDuplicate;
-  if (report.arrival_seq < have) return Apply::kStale;
-  if (report.claim.dim() == dim_) {
-    odd_.erase(key);
-    store_lane(lane(), key, report);
-  } else {
-    state = kOdd;
-    stage_fat(odd_[key], report);
-  }
-  return Apply::kSuperseded;
+StagingFrame::Apply StagingFrame::apply_spill(const QosReport& report) {
+  const auto [it, inserted] = spill_.try_emplace(report.device);
+  if (!inserted) return resolve_fat(it->second, report);
+  stage_fat(it->second, report);
+  return Apply::kAccepted;
+}
+
+void StagingFrame::reject_dimension(const QosReport& report) const {
+  throw std::invalid_argument("StagingFrame::apply: key " + std::to_string(report.device) +
+                              " claims " + std::to_string(report.claim.dim()) +
+                              " coordinates for a lane of " + std::to_string(dim_));
 }
 
 StagingFrame::RunTally StagingFrame::stage_run(std::span<const QosReport> reports,
                                                std::uint64_t interval) {
+  if (present_.empty()) return {};  // no lane: every key spills
+  // One loop per lane dimension: with D a constant, the claim test and the
+  // copy are straight-line code, where a runtime d costs a loop and a
+  // memmove call per report.
+  static constexpr auto kRuns = []<std::size_t... D>(std::index_sequence<D...>) {
+    return std::array{&StagingFrame::stage_run_of<D + 1>...};
+  }(std::make_index_sequence<Claim::kMaxDim>{});
+  return (this->*kRuns[dim_ - 1])(reports, interval);
+}
+
+template <std::size_t D>
+StagingFrame::RunTally StagingFrame::stage_run_of(std::span<const QosReport> reports,
+                                                  std::uint64_t interval) {
   const Lane lane = this->lane();
   const std::size_t limit = present_.size();
   RunTally tally;
@@ -85,11 +87,14 @@ StagingFrame::RunTally StagingFrame::stage_run(std::span<const QosReport> report
   for (; i < reports.size(); ++i) {
     const QosReport& report = reports[i];
     const GatewayKey key = report.device;
-    if (report.interval != interval || key >= limit ||
-        report.claim.dim() != lane.dim || lane.present[key] == kOdd) {
-      break;
+    // Claim::fits(D), without a branch per coordinate.
+    bool fits = report.claim.dim() == D;
+    for (std::size_t t = 0; t < D; ++t) {
+      const double x = report.claim[t];
+      fits &= (x >= 0.0) & (x <= 1.0);
     }
-    ++tally.outcomes[static_cast<std::size_t>(stage_dense(lane, key, report))];
+    if (report.interval != interval || key >= limit || !fits) break;
+    ++tally.outcomes[static_cast<std::size_t>(stage_dense<D>(lane, key, report))];
   }
   tally.staged = i;
   volume_ += i;
@@ -99,14 +104,8 @@ StagingFrame::RunTally StagingFrame::stage_run(std::span<const QosReport> report
 
 std::optional<StagingFrame::Staged> StagingFrame::find(GatewayKey key) const {
   if (key < present_.size()) {
-    switch (present_[key]) {
-      case kEmpty:
-        return std::nullopt;
-      case kLane:
-        return Staged{seq_[key], Claim(lane_claim(key)), flag_[key] != 0};
-      default:
-        return odd_.at(key);
-    }
+    if (present_[key] == 0) return std::nullopt;
+    return Staged{seq_[key], Claim(lane_claim(key)), flag_[key] != 0};
   }
   const auto it = spill_.find(key);
   if (it == spill_.end()) return std::nullopt;
@@ -124,9 +123,8 @@ std::vector<std::pair<GatewayKey, StagingFrame::Staged>> StagingFrame::sorted()
 }
 
 void StagingFrame::reset() {
-  std::fill(present_.begin(), present_.end(), kEmpty);
+  std::fill(present_.begin(), present_.end(), std::uint8_t{0});
   dense_count_ = 0;
-  release_or_clear(odd_);
   release_or_clear(spill_);
   volume_ = 0;
   first_seen_tick = 0;

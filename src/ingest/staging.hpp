@@ -14,17 +14,17 @@
 // keys below a configured limit index flat structure-of-arrays storage
 // directly: seq, flag, and exactly dim() claim coordinates per cell, no
 // hashing, no per-seal sort, no unused claim capacity — and a spill map
-// for out-of-range keys. Claims whose dimension does not match the
-// configured one cannot pack into the lane stride; they park in a cold
-// side map so they still seal in key order and still explode at the
-// roster boundary exactly as an unstaged malformed claim would. The
-// pipeline sets the lane to the roster capacity and pools sealed frames,
-// so in the steady state a report costs one bounds check and a few
-// indexed stores, and the seal hands each claim to the roster as a span
-// of the lane's own coordinates. Two entry points share one dense-cell
-// update: apply() stages one report, and stage_run() stages a run of
-// same-interval lane reports in one loop with the lane pointers in
-// locals, stopping at the first report that is not one. reset() keeps the
+// for out-of-range keys. Only well-formed claims are staged: the pipeline
+// refuses, at push, any claim that is not a point of its [0,1]^dim (see
+// Claim::fits), so every lane claim packs into the lane stride and every
+// staged claim is one the roster accepts at the seal. The pipeline sets
+// the lane to the roster capacity and pools sealed frames, so in the
+// steady state a report costs one bounds check and a few indexed stores,
+// and the seal hands each claim to the roster as a span of the lane's own
+// coordinates. Two entry points share one dense-cell update: apply()
+// stages one report, and stage_run() stages a run of same-interval lane
+// reports in one loop with the lane pointers in locals, checking each
+// claim, and stops at the first report that is not one. reset() keeps the
 // lane but not the bucket array a spill spike grew (see reset()).
 #pragma once
 
@@ -43,8 +43,8 @@ namespace acn {
 
 class StagingFrame {
  public:
-  /// Winning report of one (device, interval) cell: how the spill and
-  /// odd-dimension maps store it, and what find() copies out of the lane.
+  /// Winning report of one (device, interval) cell: how the spill map
+  /// stores it, and what find() copies out of the lane.
   struct Staged {
     std::uint64_t seq = 0;
     Claim claim;
@@ -72,23 +72,28 @@ class StagingFrame {
   };
 
   /// Stages `report` under the last-write-wins-by-seq rule. Inline: this
-  /// is the per-report hot path, called once per delivered report.
+  /// is the per-report hot path, called once per delivered report. Throws
+  /// std::invalid_argument, staging nothing, if a lane key's claim is not
+  /// of the lane's dimension: it cannot pack into the lane stride (the
+  /// pipeline refuses such claims before staging them).
   Apply apply(const QosReport& report) {
-    ++volume_;
     const GatewayKey key = report.device;
-    if (key < present_.size() && report.claim.dim() == dim_ &&
-        present_[key] != kOdd) {
+    if (key < present_.size()) {
+      if (report.claim.dim() != dim_) reject_dimension(report);
+      ++volume_;
       const Apply outcome = stage_dense(lane(), key, report);
       if (outcome == Apply::kAccepted) ++dense_count_;
       return outcome;
     }
-    return apply_slow(report);
+    ++volume_;
+    return apply_spill(report);
   }
 
   /// Stages the leading reports of `reports` that belong to `interval` and
   /// take the dense lane, exactly as apply() would one by one, and stops at
   /// the first report that does not: another interval, a spill key, or a
-  /// claim or staged cell of another dimension than the lane.
+  /// claim that does not fit the lane's [0,1]^dim (which the pipeline then
+  /// refuses).
   RunTally stage_run(std::span<const QosReport> reports, std::uint64_t interval);
 
   /// The staged cell for `key`, or nullopt if nothing staged.
@@ -111,13 +116,8 @@ class StagingFrame {
   template <typename Fn>
   void for_each_sorted(Fn&& fn) const {
     for (std::size_t key = 0; key < present_.size(); ++key) {
-      if (present_[key] == kEmpty) continue;
-      if (present_[key] == kLane) {
-        fn(static_cast<GatewayKey>(key), lane_claim(key), flag_[key] != 0);
-      } else {
-        const Staged& odd = odd_.at(key);
-        fn(static_cast<GatewayKey>(key), odd.claim.coords(), odd.flagged);
-      }
+      if (present_[key] == 0) continue;
+      fn(static_cast<GatewayKey>(key), lane_claim(key), flag_[key] != 0);
     }
     if (spill_.empty()) return;
     std::vector<GatewayKey> keys;
@@ -138,8 +138,8 @@ class StagingFrame {
   /// lane's storage — the pipeline pools sealed frames to keep frame
   /// creation off the per-interval path. clear() walks a map's whole
   /// bucket array, so a spike of spilled keys would slow every later reset
-  /// of the pooled frame: a spill or odd map with more than kKeptBuckets
-  /// buckets, less than an eighth of them used, is released instead.
+  /// of the pooled frame: a spill map with more than kKeptBuckets buckets,
+  /// less than an eighth of them used, is released instead.
   void reset();
 
   /// The bucket count past which reset() may release a map.
@@ -151,10 +151,6 @@ class StagingFrame {
   bool shed_engaged = false;
 
  private:
-  // present_[key]: the cell is empty, staged in the lane, or staged in odd_
-  // (claim dim != dim_).
-  enum : std::uint8_t { kEmpty, kLane, kOdd };
-
   /// The dense lane's storage as raw pointers, so a run loop holds them in
   /// locals: its byte stores may alias the vectors' own pointers, which
   /// would otherwise be reloaded through `this` for every report.
@@ -174,41 +170,42 @@ class StagingFrame {
     return {coords_.data() + key * dim_, dim_};
   }
 
-  /// The one dense-cell update: stages a lane-dimension claim of a key whose
-  /// cell is empty or in the lane (never kOdd), under last-write-wins.
+  /// The one dense-cell update: stages a lane-dimension claim under
+  /// last-write-wins. `D` is the lane dimension when the caller knows it
+  /// at compile time (the run loop), which turns the claim copy into
+  /// straight-line stores; 0 reads it from the lane.
+  template <std::size_t D = 0>
   static Apply stage_dense(const Lane& lane, std::size_t key,
                            const QosReport& report) noexcept {
     Apply outcome = Apply::kAccepted;
-    if (lane.present[key] == kLane) {
+    if (lane.present[key] != 0) {
       if (report.arrival_seq == lane.seq[key]) return Apply::kDuplicate;
       if (report.arrival_seq < lane.seq[key]) return Apply::kStale;
       outcome = Apply::kSuperseded;
     }
-    store_lane(lane, key, report);
+    const std::size_t dim = D == 0 ? lane.dim : D;
+    lane.present[key] = 1;
+    lane.seq[key] = report.arrival_seq;
+    lane.flag[key] = report.abnormal ? 1 : 0;
+    std::copy_n(report.claim.coords().data(), dim, lane.coords + key * dim);
     return outcome;
   }
 
-  static void store_lane(const Lane& lane, std::size_t key,
-                         const QosReport& report) noexcept {
-    lane.present[key] = kLane;
-    lane.seq[key] = report.arrival_seq;
-    lane.flag[key] = report.abnormal ? 1 : 0;
-    std::copy_n(report.claim.coords().data(), lane.dim,
-                lane.coords + key * lane.dim);
-  }
+  /// stage_run() for a lane of dimension D.
+  template <std::size_t D>
+  RunTally stage_run_of(std::span<const QosReport> reports, std::uint64_t interval);
 
-  /// apply() for a spill key, or a dense key whose claim or staged cell is
-  /// of another dimension than the lane.
-  Apply apply_slow(const QosReport& report);
+  /// apply() for a key past the lane.
+  Apply apply_spill(const QosReport& report);
+  [[noreturn]] void reject_dimension(const QosReport& report) const;
 
   // Dense lane, structure-of-arrays.
-  std::vector<std::uint8_t> present_;
+  std::vector<std::uint8_t> present_;  ///< 1 = the cell is staged
   std::vector<std::uint64_t> seq_;
   std::vector<std::uint8_t> flag_;
   std::vector<double> coords_;  ///< dim_ doubles per dense cell
   std::size_t dim_ = 0;
   std::size_t dense_count_ = 0;
-  std::unordered_map<GatewayKey, Staged> odd_;    ///< dense keys, odd dim
   std::unordered_map<GatewayKey, Staged> spill_;  ///< keys >= lane limit
   std::size_t volume_ = 0;
 };

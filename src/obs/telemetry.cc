@@ -88,12 +88,12 @@ std::uint32_t TelemetryHub::region_of(double x0) const noexcept {
   return std::min(region, config_.regions - 1);
 }
 
-std::vector<RegionStats> TelemetryHub::tally_regions(
-    std::span<const double> x0, const DeviceSet& abnormal,
-    const DeviceSet& isolated, const DeviceSet& massive,
-    const DeviceSet& unresolved) const {
+std::vector<RegionStats> TelemetryHub::regions_with(
+    std::span<const std::uint32_t> devices, std::span<const double> x0,
+    const DeviceSet& abnormal, const DeviceSet& isolated,
+    const DeviceSet& massive, const DeviceSet& unresolved) const {
   std::vector<RegionStats> regions(config_.regions);
-  for (const double x : x0) ++regions[region_of(x)].devices;
+  for (std::size_t r = 0; r < regions.size(); ++r) regions[r].devices = devices[r];
   const auto tally = [&](const DeviceSet& set, std::uint32_t RegionStats::*member) {
     for (const DeviceId j : set.ids()) regions[region_of(x0[j])].*member += 1;
   };
@@ -102,6 +102,33 @@ std::vector<RegionStats> TelemetryHub::tally_regions(
   tally(massive, &RegionStats::massive);
   tally(unresolved, &RegionStats::unresolved);
   return regions;
+}
+
+std::vector<RegionStats> TelemetryHub::tally_regions(
+    std::span<const double> x0, const DeviceSet& abnormal,
+    const DeviceSet& isolated, const DeviceSet& massive,
+    const DeviceSet& unresolved) const {
+  std::vector<std::uint32_t> devices(config_.regions, 0);
+  for (const double x : x0) ++devices[region_of(x)];
+  return regions_with(devices, x0, abnormal, isolated, massive, unresolved);
+}
+
+std::vector<RegionStats> TelemetryHub::tally_rolled(
+    std::span<const double> prev_x0, std::span<const double> x0,
+    std::span<const DeviceId> moved, bool recount, const DeviceSet& abnormal,
+    const DeviceSet& isolated, const DeviceSet& massive,
+    const DeviceSet& unresolved) {
+  if (recount || devices_in_region_.empty()) {
+    devices_in_region_.assign(config_.regions, 0);
+    for (const double x : x0) ++devices_in_region_[region_of(x)];
+  } else {
+    for (const DeviceId j : moved) {
+      --devices_in_region_[region_of(prev_x0[j])];
+      ++devices_in_region_[region_of(x0[j])];
+    }
+  }
+  return regions_with(devices_in_region_, x0, abnormal, isolated, massive,
+                      unresolved);
 }
 
 void TelemetryHub::record(IntervalTelemetry record) {

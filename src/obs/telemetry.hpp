@@ -11,6 +11,9 @@
 // seal. Everything here reads pipeline OUTPUTS (FrameStats, verdict sets,
 // episode tallies) — by construction telemetry cannot change a Decision
 // byte, and tests/obs/telemetry_conformance_test.cc pins that end to end.
+// The per-region device counts are kept between intervals and moved with
+// each state roll's moved list (tally_rolled()), so a record costs
+// O(|moved| + |A_k|), not a pass over the fleet.
 #pragma once
 
 #include <cstdint>
@@ -72,6 +75,20 @@ class TelemetryHub {
       const DeviceSet& isolated, const DeviceSet& massive,
       const DeviceSet& unresolved) const;
 
+  /// tally_regions() of a rolled state, with the per-region device counts
+  /// kept from the previous call: each id of `moved` leaves the region of
+  /// prev_x0[id] and joins the region of x0[id]. That is exact when the
+  /// kept counts were taken on the column prev_x0 now holds — the state
+  /// rolled once since the last call, and `moved` is that roll's list
+  /// (StatePair::moved(), with prev_x0 the S_{k-1} half's dim-0 column).
+  /// Otherwise pass `recount`: the whole column x0 is counted again, as it
+  /// is on the first call. O(|moved| + |A_k|) without a recount.
+  [[nodiscard]] std::vector<RegionStats> tally_rolled(
+      std::span<const double> prev_x0, std::span<const double> x0,
+      std::span<const DeviceId> moved, bool recount, const DeviceSet& abnormal,
+      const DeviceSet& isolated, const DeviceSet& massive,
+      const DeviceSet& unresolved);
+
   /// Stores the record and folds it into the registry's standard metric
   /// set (intervals/decisions/degraded counters, the step-latency
   /// histogram, level gauges).
@@ -83,9 +100,19 @@ class TelemetryHub {
   void annotate_ingest(std::uint64_t interval, const IngestSample& sample);
 
  private:
+  /// Per-region device counts and verdict sets of one interval, given the
+  /// column the sets are placed by.
+  [[nodiscard]] std::vector<RegionStats> regions_with(
+      std::span<const std::uint32_t> devices, std::span<const double> x0,
+      const DeviceSet& abnormal, const DeviceSet& isolated,
+      const DeviceSet& massive, const DeviceSet& unresolved) const;
+
   TelemetryConfig config_;
   MetricsRegistry registry_;
   TelemetryStore store_;
+  /// tally_rolled()'s kept device count per region; empty until its first
+  /// call.
+  std::vector<std::uint32_t> devices_in_region_;
 
   struct StandardIds {
     MetricId intervals_total;

@@ -1,6 +1,8 @@
 #include "online/episode.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace acn {
 
@@ -40,47 +42,55 @@ EpisodeTracker::EpisodeTracker(std::uint64_t quiet_intervals)
   }
 }
 
-void EpisodeTracker::observe(std::uint64_t interval,
-                             const std::map<DeviceId, AnomalyClass>& verdict_of) {
-  // Update or open episodes for abnormal devices.
-  for (const auto& [device, verdict] : verdict_of) {
-    auto [it, inserted] = open_.try_emplace(device);
-    OpenEpisode& open = it->second;
-    if (inserted) {
-      open.episode.device = device;
-      open.episode.first_interval = interval;
-    }
+void EpisodeTracker::observe(std::uint64_t interval, std::span<const DeviceId> ids,
+                             std::span<const AnomalyClass> verdicts) {
+  if (ids.size() != verdicts.size()) {
+    throw std::invalid_argument("EpisodeTracker::observe: " + std::to_string(ids.size()) +
+                                " devices, " + std::to_string(verdicts.size()) +
+                                " verdicts");
+  }
+  // One pass over both ascending sequences: a listed device extends its
+  // episode or opens one, an unlisted open episode ages and may close.
+  merged_.clear();
+  std::size_t i = 0;
+  const auto extend = [&](OpenEpisode& open) {
     open.episode.last_interval = interval;
-    open.episode.verdicts.push_back(verdict);
+    open.episode.verdicts.push_back(verdicts[i++]);
     open.quiet_streak = 0;
-  }
-  // Age quiet devices and close episodes whose streak expired.
-  for (auto it = open_.begin(); it != open_.end();) {
-    if (verdict_of.contains(it->first)) {
-      ++it;
-      continue;
-    }
-    if (++it->second.quiet_streak >= quiet_intervals_) {
-      closed_.push_back(std::move(it->second.episode));
-      it = open_.erase(it);
+  };
+  const auto open_next = [&] {
+    OpenEpisode& fresh = merged_.emplace_back();
+    fresh.episode.device = ids[i];
+    fresh.episode.first_interval = interval;
+    extend(fresh);
+  };
+  for (OpenEpisode& open : open_) {
+    const DeviceId device = open.episode.device;
+    while (i < ids.size() && ids[i] < device) open_next();
+    if (i < ids.size() && ids[i] == device) {
+      extend(open);
+      merged_.push_back(std::move(open));
+    } else if (++open.quiet_streak >= quiet_intervals_) {
+      closed_.push_back(std::move(open.episode));
     } else {
-      ++it;
+      merged_.push_back(std::move(open));
     }
   }
+  while (i < ids.size()) open_next();
+  open_.swap(merged_);
 }
 
 void EpisodeTracker::close(DeviceId device) {
-  const auto it = open_.find(device);
-  if (it == open_.end()) return;
-  closed_.push_back(std::move(it->second.episode));
+  const auto it = std::lower_bound(
+      open_.begin(), open_.end(), device,
+      [](const OpenEpisode& open, DeviceId id) { return open.episode.device < id; });
+  if (it == open_.end() || it->episode.device != device) return;
+  closed_.push_back(std::move(it->episode));
   open_.erase(it);
 }
 
 void EpisodeTracker::flush() {
-  for (auto& [device, open] : open_) {
-    (void)device;
-    closed_.push_back(std::move(open.episode));
-  }
+  for (OpenEpisode& open : open_) closed_.push_back(std::move(open.episode));
   open_.clear();
 }
 

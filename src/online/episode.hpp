@@ -5,10 +5,14 @@
 // device, the verdict evolution inside it (unresolved verdicts frequently
 // sharpen into massive/isolated as the superposed errors drift apart), and
 // fleet-level statistics (episode durations, verdict stability).
+//
+// The open episodes are a vector sorted by device, and each interval merges
+// it with the interval's ascending A_k in one linear pass: O(open + |A_k|)
+// with no per-interval tree.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "common/device_set.hpp"
@@ -41,10 +45,13 @@ class EpisodeTracker {
  public:
   explicit EpisodeTracker(std::uint64_t quiet_intervals = 1);
 
-  /// Records interval k: `verdict_of` maps each abnormal device to its
-  /// verdict. Devices absent from the map are considered quiet.
-  void observe(std::uint64_t interval,
-               const std::map<DeviceId, AnomalyClass>& verdict_of);
+  /// Records interval k: `ids` are its abnormal devices in ascending
+  /// order (A_k), verdicts[i] the verdict of ids[i]. Devices not listed are
+  /// quiet; an episode quiet for quiet_intervals closes, and the episodes
+  /// one interval closes join closed() in ascending device order. Throws
+  /// std::invalid_argument if the spans differ in length.
+  void observe(std::uint64_t interval, std::span<const DeviceId> ids,
+               std::span<const AnomalyClass> verdicts);
 
   /// Episodes closed so far (quiet for >= quiet_intervals).
   [[nodiscard]] const std::vector<Episode>& closed() const noexcept {
@@ -69,7 +76,8 @@ class EpisodeTracker {
   };
 
   std::uint64_t quiet_intervals_;
-  std::map<DeviceId, OpenEpisode> open_;
+  std::vector<OpenEpisode> open_;    ///< ascending by device
+  std::vector<OpenEpisode> merged_;  ///< observe()'s output, swapped with open_
   std::vector<Episode> closed_;
 };
 

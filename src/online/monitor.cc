@@ -11,7 +11,8 @@ OnlineMonitor::OnlineMonitor(Config config)
     : config_(config),
       engine_(FrameEngine::Config{.model = config.model,
                                   .characterize = config.characterize,
-                                  .threads = config.characterize_threads}),
+                                  .threads = config.characterize_threads,
+                                  .plane_arena_budget = config.plane_arena_budget}),
       episodes_(config.episode_quiet_intervals) {
   if (config_.adaptive.has_value()) sampler_.emplace(*config_.adaptive);
   if (config_.roster_capacity > 0) {
@@ -44,7 +45,14 @@ IntervalReport OnlineMonitor::close_interval(
   FleetRoster& roster = roster_or_throw("OnlineMonitor::close_interval");
   const DeviceSet abnormal = roster.abnormal_slots(abnormal_keys);
   roster.end_interval();
-  return observe(roster.snapshot(), abnormal, degraded);
+  IntervalReport report =
+      step(roster.snapshot(), abnormal, degraded,
+           marks_cover_state_ ? roster.changes() : std::span<const std::uint8_t>{});
+  // The engine's S_k is the roster's snapshot now. Only here, after the
+  // close returned, may the marks go.
+  roster.clear_changes();
+  marks_cover_state_ = true;
+  return report;
 }
 
 const FleetRoster& OnlineMonitor::roster() const {
@@ -55,6 +63,15 @@ const FleetRoster& OnlineMonitor::roster() const {
 IntervalReport OnlineMonitor::observe(const Snapshot& positions,
                                       const DeviceSet& abnormal,
                                       bool degraded) {
+  // The engine's S_k becomes `positions`, which may differ from the
+  // roster's snapshot at slots the roster never marked.
+  marks_cover_state_ = false;
+  return step(positions, abnormal, degraded, {});
+}
+
+IntervalReport OnlineMonitor::step(const Snapshot& positions,
+                                   const DeviceSet& abnormal, bool degraded,
+                                   std::span<const std::uint8_t> changed) {
   using Clock = std::chrono::steady_clock;
   const Clock::time_point start = hub_ ? Clock::now() : Clock::time_point{};
   // Episode-transition baselines: open + closed only ever grows by one per
@@ -69,15 +86,22 @@ IntervalReport OnlineMonitor::observe(const Snapshot& positions,
   report.degraded = degraded;
 
   // The engine rolls its state in place (the snapshot's columns are
-  // compared into the current half; the snapshot is not kept), indexes
-  // A_k, and characterizes it over the shared motion plane — serially or
-  // across its worker pool. `degraded` never reaches it: it is metadata.
+  // compared into the current half, at the marked ids alone when `changed`
+  // is given; the snapshot is not kept), indexes A_k, and characterizes it
+  // over the shared motion plane — serially or across its worker pool.
+  // `degraded` never reaches it: it is metadata. A throw from here on
+  // leaves the hub's region counts behind the rolled state.
+  const bool regions_current = std::exchange(regions_current_, false);
   const std::optional<FrameEngine::Result> result =
-      engine_.observe(positions, abnormal);
+      engine_.observe(positions, abnormal, changed);
+  const std::span<const DeviceId> ordered = engine_.state().abnormal().ids();
+  verdicts_.clear();
   if (result.has_value() && !abnormal.empty()) {
-    const DeviceSet& ordered = engine_.state().abnormal();
+    // A_k is ascending, so every decision lands at the map's end.
     for (std::size_t i = 0; i < result->decisions.size(); ++i) {
-      report.decisions.emplace(ordered[i], result->decisions[i]);
+      report.decisions.emplace_hint(report.decisions.end(), ordered[i],
+                                    result->decisions[i]);
+      verdicts_.push_back(result->decisions[i].cls);
     }
     report.isolated = result->sets.isolated;
     report.massive = result->sets.massive;
@@ -86,11 +110,7 @@ IntervalReport OnlineMonitor::observe(const Snapshot& positions,
 
   // Episode bookkeeping and the adaptive controller run on every interval,
   // including quiet ones.
-  std::map<DeviceId, AnomalyClass> verdict_of;
-  for (const auto& [device, decision] : report.decisions) {
-    verdict_of.emplace(device, decision.cls);
-  }
-  episodes_.observe(interval_, verdict_of);
+  episodes_.observe(interval_, ordered.first(verdicts_.size()), verdicts_);
   if (sampler_.has_value()) {
     (void)sampler_->next_interval(!report.abnormal.empty());
   }
@@ -109,9 +129,11 @@ IntervalReport OnlineMonitor::observe(const Snapshot& positions,
     record.isolated = static_cast<std::uint32_t>(report.isolated.size());
     record.massive = static_cast<std::uint32_t>(report.massive.size());
     record.unresolved = static_cast<std::uint32_t>(report.unresolved.size());
-    for (const auto& [device, decision] : report.decisions) {
-      if (decision.rule == DecisionRule::kBudgetExhausted) {
-        ++record.budget_exhausted;
+    if (result.has_value()) {
+      for (const Decision& decision : result->decisions) {
+        if (decision.rule == DecisionRule::kBudgetExhausted) {
+          ++record.budget_exhausted;
+        }
       }
     }
     record.degraded = degraded;
@@ -121,11 +143,15 @@ IntervalReport OnlineMonitor::observe(const Snapshot& positions,
         episodes_.closed().size() + episodes_.open_count() -
         episodes_started_before);
     record.episodes_open = episodes_.open_count();
-    // Regions are dim-0 stripes of S_k: the curr half's first column.
-    record.regions = hub_->tally_regions(
-        {state.joint_col(state.dim()), state.n()}, report.abnormal,
-        report.isolated, report.massive, report.unresolved);
+    // Regions are dim-0 stripes of S_k: the curr half's first column. The
+    // kept device counts follow this roll's moved devices from their
+    // S_{k-1} stripe, unless another roll came between.
+    record.regions = hub_->tally_rolled(
+        {state.joint_col(0), state.n()}, {state.joint_col(state.dim()), state.n()},
+        state.moved(), !regions_current, report.abnormal, report.isolated,
+        report.massive, report.unresolved);
     hub_->record(std::move(record));
+    regions_current_ = true;
   }
 
   ++interval_;

@@ -10,6 +10,12 @@
 // Each snapshot's columns are compared into the current half of the
 // engine's state, then dropped — the monitor retains no per-interval copy
 // of the fleet positions of its own.
+//
+// Closing an interval costs work in proportion to the devices that moved
+// and to |A_k|, not to the fleet: in roster mode the roll compares only
+// the slots the roster marked as changed, the telemetry tally moves only
+// the rolled devices between regions, and the episode merge and the
+// decision map walk A_k in ascending order.
 #pragma once
 
 #include <cstdint>
@@ -74,6 +80,11 @@ class OnlineMonitor {
     /// byte-identical with it on or off (pinned by the conformance test).
     /// nullopt (default) compiles the hot path down to a null check.
     std::optional<obs::TelemetryConfig> telemetry;
+    /// The engine's byte cap on its motion-plane arenas
+    /// (FrameEngine::Config::plane_arena_budget): past it observe() and
+    /// close_interval() throw ArenaBudgetExceeded after the state roll,
+    /// and the stream goes on with the next interval.
+    std::uint64_t plane_arena_budget = FrameEngine::Config{}.plane_arena_budget;
   };
 
   explicit OnlineMonitor(Config config);
@@ -83,6 +94,10 @@ class OnlineMonitor {
   /// motion to characterize yet). `degraded` marks an interval the
   /// ingestion layer sealed under shed/defer/forced-close policy; it is
   /// carried through to the report, never interpreted.
+  /// The snapshot carries no change marks, so the roll compares every
+  /// device; in roster mode it also leaves the engine's state apart from
+  /// the roster's snapshot, so the next close_interval() compares every
+  /// slot too.
   /// Throws std::invalid_argument if the fleet size or dimension changes.
   IntervalReport observe(const Snapshot& positions, const DeviceSet& abnormal,
                          bool degraded = false);
@@ -118,7 +133,10 @@ class OnlineMonitor {
   }
   /// Closes the interval: maps the abnormal gateway keys to slots
   /// (dropping retired and just-admitted gateways) and feeds the engine the
-  /// roster's snapshot by reference — the churn-tolerant observe().
+  /// roster's snapshot by reference — the churn-tolerant observe() — with
+  /// the roster's change marks, so the roll compares the changed slots
+  /// alone. The marks are cleared once the engine returned; after a throw
+  /// they stay, and the next close compares them again.
   /// `degraded` is the ingestion layer's quality marker (see observe()).
   IntervalReport close_interval(std::span<const GatewayKey> abnormal_keys,
                                 bool degraded = false);
@@ -142,6 +160,8 @@ class OnlineMonitor {
   [[nodiscard]] const FrameStats& last_stats() const noexcept {
     return engine_.last_stats();
   }
+  /// The engine below: its rolling state and last plane, read-only.
+  [[nodiscard]] const FrameEngine& engine() const noexcept { return engine_; }
 
   /// The embedded telemetry hub, or nullptr when Config::telemetry was
   /// nullopt. The ingestion layer uses this to annotate sealed intervals;
@@ -160,6 +180,11 @@ class OnlineMonitor {
   }
   [[noreturn]] static void roster_mode_off(const char* caller);
 
+  /// Both front doors: one engine interval, then episodes, the sampler and
+  /// telemetry. `changed` empty = the engine compares every device.
+  IntervalReport step(const Snapshot& positions, const DeviceSet& abnormal,
+                      bool degraded, std::span<const std::uint8_t> changed);
+
   Config config_;
   FrameEngine engine_;
   std::optional<AdaptiveSampler> sampler_;
@@ -167,6 +192,15 @@ class OnlineMonitor {
   std::optional<FleetRoster> roster_;  ///< engaged iff roster_capacity > 0
   std::unique_ptr<obs::TelemetryHub> hub_;  ///< engaged iff Config::telemetry
   std::uint64_t interval_ = 0;
+  /// The roster's change marks cover the engine's state: every slot whose
+  /// roster position differs from the S_k half is marked. False until a
+  /// close_interval() returns, and again after a direct observe().
+  bool marks_cover_state_ = false;
+  /// The hub's kept region counts were taken on the engine's current S_k:
+  /// the next roll's moved list is all that changed them. False until the
+  /// first record, and after a step that threw.
+  bool regions_current_ = false;
+  std::vector<AnomalyClass> verdicts_;  ///< step()'s per-interval A_k verdicts
 };
 
 }  // namespace acn

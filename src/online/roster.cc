@@ -21,7 +21,7 @@ Snapshot parked_at_origin(std::size_t capacity, std::size_t dim) {
 
 FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim)
     : positions_(parked_at_origin(capacity, dim)) {
-  just_assigned_.assign(capacity, 0);
+  flags_.assign(capacity, 0);
   slot_lane_.assign(capacity, kNoSlot);
   key_of_.assign(capacity, 0);
   occupied_.assign(capacity, 0);
@@ -57,7 +57,7 @@ DeviceId FleetRoster::admit(GatewayKey key, std::span<const double> position) {
   const DeviceId slot = free_.front();
   positions_.set(slot, position);  // validates before anything changes
   free_.pop_front();
-  just_assigned_[slot] = 1;
+  flags_[slot] = kChanged | kJustAssigned;
   key_of_[slot] = key;
   occupied_[slot] = 1;
   slot_insert(key, slot);
@@ -92,14 +92,18 @@ DeviceSet FleetRoster::abnormal_slots(std::span<const GatewayKey> keys) const {
   for (const GatewayKey key : keys) {
     const DeviceId slot = slot_lookup(key);
     if (slot == kNoSlot) continue;        // retired or unknown
-    if (just_assigned_[slot] != 0) continue;  // no trajectory yet
+    if ((flags_[slot] & kJustAssigned) != 0) continue;  // no trajectory yet
     slots.push_back(slot);
   }
   return DeviceSet(std::move(slots));
 }
 
 void FleetRoster::end_interval() {
-  just_assigned_.assign(just_assigned_.size(), 0);
+  for (std::uint8_t& flags : flags_) flags &= ~kJustAssigned;
+}
+
+void FleetRoster::clear_changes() {
+  for (std::uint8_t& flags : flags_) flags &= ~kChanged;
 }
 
 }  // namespace acn

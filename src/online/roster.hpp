@@ -23,6 +23,15 @@
 // else), so a parked slot — present in the snapshot but never abnormal —
 // is never indexed, cannot join any motion, and cannot influence any
 // verdict. The conformance harness exercises exactly this.
+//
+// Change marks: the roster also keeps one byte per slot, set when a write
+// changes the slot's position under the state roll's own != test, and
+// always by admit(). OnlineMonitor::close_interval hands them to the
+// engine, whose roll then compares the marked slots alone. The marks only
+// ever over-report — a slot written back to where it was stays marked and
+// the roll finds it unmoved — and the monitor clears them only after a
+// close returned, so an exception anywhere leaves extra marks, never a
+// missing one.
 #pragma once
 
 #include <cstdint>
@@ -72,11 +81,12 @@ class FleetRoster {
   /// report() for the ingestion hot path: updates the position and returns
   /// true iff the key is active — one lookup instead of an active() check
   /// followed by report(). Still throws on a malformed position (a bad
-  /// claim is a caller bug, not churn), with the snapshot unchanged.
+  /// claim is a caller bug, not churn), with the snapshot unchanged. A
+  /// changed position marks the slot (branch-free: `|=` of the test).
   bool try_report(GatewayKey key, std::span<const double> position) {
     const DeviceId slot = slot_lookup(key);
     if (slot == kNoSlot) return false;
-    positions_.set(slot, position);
+    flags_[slot] |= static_cast<std::uint8_t>(positions_.set(slot, position));  // kChanged
     return true;
   }
   bool try_report(GatewayKey key, const Point& position) {
@@ -110,8 +120,23 @@ class FleetRoster {
   /// after abnormal_slots().
   void end_interval();
 
+  /// One byte per slot, nonzero where a write since the last
+  /// clear_changes() changed the slot's position (every admit() counts):
+  /// the change marks FrameEngine::observe takes with snapshot(). The
+  /// byte also carries the just-assigned flag until end_interval(), which
+  /// only ever adds marks an admit() made anyway.
+  [[nodiscard]] std::span<const std::uint8_t> changes() const noexcept {
+    return flags_;
+  }
+  /// Clears the change marks: call once the engine's S_k equals snapshot().
+  void clear_changes();
+
  private:
   static constexpr DeviceId kNoSlot = ~DeviceId{0};
+  // Per-slot flag bits. One byte array holds both, so the marks cost the
+  // roster no allocation of their own.
+  static constexpr std::uint8_t kChanged = 1;       ///< cleared by clear_changes
+  static constexpr std::uint8_t kJustAssigned = 2;  ///< cleared by end_interval
 
   // Key -> slot resolution sits on the ingestion layer's per-report hot
   // path, so it is split like the staging lane: keys below capacity (the
@@ -126,7 +151,7 @@ class FleetRoster {
   void slot_erase(GatewayKey key);
 
   Snapshot positions_;                      ///< per slot, active or parked
-  std::vector<std::uint8_t> just_assigned_; ///< per slot, reset by end_interval
+  std::vector<std::uint8_t> flags_;         ///< per slot, kChanged | kJustAssigned
   std::vector<DeviceId> slot_lane_;         ///< key < capacity; kNoSlot = absent
   std::unordered_map<GatewayKey, DeviceId> slot_spill_;  ///< key >= capacity
   std::size_t active_ = 0;

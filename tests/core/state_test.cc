@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -245,6 +247,80 @@ TEST(StatePairTest, MovedListRollMatchesFreshStateAtEveryStep) {
   for (Point& p : teleported) p = Point{rng.uniform(), rng.uniform()};
   roll("every device teleports", teleported);
   roll("random moves after a teleport", move_some(curr));
+}
+
+TEST(StatePairTest, MarkedRollEqualsTheFullRoll) {
+  // The marked roll compares only the ids `changed` marks; when every
+  // unmarked id of `next` equals S_k it must leave the state, the moved
+  // list and the count exactly as the full compare does. The marks here
+  // over-report at random, cover ids moved and moved back and -0.0 over
+  // 0.0, and fall on both sides of every eight-id word; n = 1003 leaves a
+  // partial word.
+  const std::size_t n = 1003;
+  Rng rng(41);
+  std::vector<Point> curr(n);
+  for (Point& p : curr) p = Point{rng.uniform(), rng.uniform()};
+  StatePair full{Snapshot(curr), Snapshot(curr), DeviceSet{}};
+  StatePair marked{Snapshot(curr), Snapshot(curr), DeviceSet{}};
+  std::vector<std::uint8_t> changed(n);
+  for (int step = 0; step < 12; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    std::vector<Point> next = curr;
+    std::fill(changed.begin(), changed.end(), std::uint8_t{0});
+    for (std::size_t j = 0; j < n; ++j) {
+      const double draw = rng.uniform();
+      if (draw < 0.05) {
+        next[j] = Point{rng.uniform(), next[j][1]};
+        changed[j] = 1;
+      } else if (draw < 0.08) {
+        changed[j] = 1;  // over-reported: written back where it was
+      } else if (draw < 0.12) {
+        if (next[j][0] == 0.0) {
+          // Equal under !=: unmarked, or marked and found unmoved.
+          next[j] = Point{-0.0, next[j][1]};
+          changed[j] = rng.bernoulli(0.5) ? 1 : 0;
+        } else {
+          next[j] = Point{0.0, next[j][1]};
+          changed[j] = 1;
+        }
+      }
+    }
+    if (step % 4 == 3) {  // the last, partial word and the first id
+      next[0] = Point{rng.uniform(), rng.uniform()};
+      next[n - 1] = Point{rng.uniform(), rng.uniform()};
+      changed[0] = changed[n - 1] = 1;
+    }
+    const Snapshot next_snapshot(next);
+    const DeviceSet abnormal({3, 500});
+    const std::size_t want = full.advance(next_snapshot, abnormal);
+    EXPECT_EQ(marked.advance(next_snapshot, changed, abnormal), want);
+    EXPECT_TRUE(std::ranges::equal(marked.moved(), full.moved()));
+    EXPECT_TRUE(std::ranges::is_sorted(marked.moved()));
+    EXPECT_EQ(marked.abnormal(), full.abnormal());
+    for (std::size_t t = 0; t < full.joint_dim(); ++t) {
+      ASSERT_TRUE(std::equal(full.joint_col(t), full.joint_col(t) + n, marked.joint_col(t)))
+          << "dim " << t;
+    }
+    curr = std::move(next);
+  }
+  // Marks of the wrong length are refused with the state unchanged.
+  const std::vector<double> before(marked.joint_col(0), marked.joint_col(0) + 4 * n);
+  changed.pop_back();
+  EXPECT_THROW((void)marked.advance(Snapshot(curr), changed, DeviceSet{}),
+               std::invalid_argument);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), marked.joint_col(0)));
+}
+
+TEST(SnapshotTest, SetReportsAMoveUnderTheRollsTest) {
+  Snapshot s(2, {0.0, 0.5, 0.25, 1.0});  // device 0 (0.0, 0.25), device 1 (0.5, 1.0)
+  const std::vector<double> same{0.0, 0.25};
+  const std::vector<double> negative_zero{-0.0, 0.25};
+  const std::vector<double> second_moves{0.0, 0.3};
+  EXPECT_FALSE(s.set(0, same));
+  EXPECT_FALSE(s.set(0, negative_zero));  // -0.0 != 0.0 is false
+  EXPECT_TRUE(std::signbit(s.col(0)[0]));  // but the write happened
+  EXPECT_TRUE(s.set(0, second_moves));
+  EXPECT_FALSE(s.set(0, second_moves));
 }
 
 }  // namespace

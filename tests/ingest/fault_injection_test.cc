@@ -5,6 +5,7 @@
 // crash), every pushed report lands in exactly one counter, degradation is
 // explicitly marked, and silent sources retire through the roster path.
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <unordered_set>
 #include <vector>
@@ -48,7 +49,29 @@ IngestPipeline::Config pipeline_config(const Materialized& m) {
 
 std::uint64_t counted_total(const IngestCounters& c) {
   return c.accepted + c.duplicates + c.superseded + c.late_sealed +
-         c.future_rejected + c.shed_claims;
+         c.future_rejected + c.malformed_rejected + c.shed_claims;
+}
+
+/// Copies of every `stride`-th report with a claim no roster accepts
+/// (another dimension, out of the box, NaN), spliced in after the
+/// original; returns how many.
+std::size_t splice_malformed(std::vector<QosReport>& schedule, std::size_t stride) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<QosReport> out;
+  std::size_t spliced = 0;
+  for (std::size_t i = 0; i < schedule.size(); ++i) {
+    out.push_back(schedule[i]);
+    if (i % stride != 0) continue;
+    QosReport bad = schedule[i];
+    bad.claim = spliced % 3 == 0   ? Claim(Point{0.5, 0.5, 0.5})
+                : spliced % 3 == 1 ? Claim(Point{1.5, 0.5})
+                                   : Claim(Point{nan, 0.5});
+    ++bad.arrival_seq;  // would supersede the original if it were staged
+    out.push_back(bad);
+    ++spliced;
+  }
+  schedule = std::move(out);
+  return spliced;
 }
 
 TEST(FaultInjection, SourceStallsAreAbsorbedWithoutDeadlock) {
@@ -57,7 +80,8 @@ TEST(FaultInjection, SourceStallsAreAbsorbedWithoutDeadlock) {
   faults.stall_rate = 0.15;
   faults.stall_intervals = 4;  // stalls outlast the lateness budget
   faults.seed = 5;
-  const std::vector<QosReport> schedule = delivery_schedule(m.intervals, faults);
+  std::vector<QosReport> schedule = delivery_schedule(m.intervals, faults);
+  const std::size_t malformed = splice_malformed(schedule, 37);
 
   IngestPipeline::Config config = pipeline_config(m);
   config.watermark.timeout_ticks = 5;
@@ -75,6 +99,7 @@ TEST(FaultInjection, SourceStallsAreAbsorbedWithoutDeadlock) {
   const IngestCounters& counters = pipeline.counters();
   // Every push landed in exactly one bucket.
   EXPECT_EQ(counted_total(counters), schedule.size());
+  EXPECT_EQ(counters.malformed_rejected, malformed);
   // A 4-interval stall against a 2-interval budget: some reports burst out
   // after their interval sealed, and those seals replayed the last claim.
   EXPECT_GT(counters.late_sealed, 0u);
@@ -268,7 +293,8 @@ TEST(FaultInjection, ThreadedSourcesThroughBoundedQueue) {
   faults.stall_rate = 0.1;
   faults.stall_intervals = 3;
   faults.seed = 41;
-  const std::vector<QosReport> schedule = delivery_schedule(m.intervals, faults);
+  std::vector<QosReport> schedule = delivery_schedule(m.intervals, faults);
+  const std::size_t malformed = splice_malformed(schedule, 29);
 
   BoundedReportQueue queue(32, BoundedReportQueue::Policy::kBlock);
   constexpr std::size_t kProducers = 3;
@@ -306,6 +332,7 @@ TEST(FaultInjection, ThreadedSourcesThroughBoundedQueue) {
   EXPECT_EQ(closed.size(), m.intervals.size());
   EXPECT_EQ(pumped, schedule.size());
   EXPECT_EQ(counted_total(pipeline.counters()), schedule.size());
+  EXPECT_EQ(pipeline.counters().malformed_rejected, malformed);
   EXPECT_EQ(queue.rejected(), 0u);
   EXPECT_LE(queue.peak_depth(), 32u);
 }

@@ -75,10 +75,9 @@ TEST(IngestPipeline, ConfigAndPrimeGuards) {
 }
 
 TEST(IngestPipeline, NaNClaimIsRefusedLikeAnOutOfBoxClaim) {
-  // A claim outside [0,1]^d throws when its interval seals and never reaches
-  // the roster or the engine. A NaN coordinate lies outside too, through
-  // both roster paths: the report of an active device and the admission of
-  // a first-seen key.
+  // A claim outside [0,1]^d is counted and dropped when it is pushed, and
+  // never reaches the roster or the engine. A NaN coordinate lies outside
+  // too, for the key of an active device and for a first-seen key.
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const GatewayKey key : {GatewayKey{3}, GatewayKey{100}}) {
     for (const Point& bad : {Point{1.5, 0.5}, Point{nan, 0.5}, Point{0.5, nan}}) {
@@ -87,8 +86,13 @@ TEST(IngestPipeline, NaNClaimIsRefusedLikeAnOutOfBoxClaim) {
       pipeline.prime(Snapshot(fleet_positions()));
       push_interval(pipeline, 1);
       pipeline.push(make_report(key, 1, bad, /*abnormal=*/true, /*seq=*/2));
-      EXPECT_THROW(pipeline.finish(), std::invalid_argument);  // seals interval 1
-      EXPECT_EQ(pipeline.monitor().intervals_seen(), 1u);  // only the prime
+      EXPECT_EQ(pipeline.counters().malformed_rejected, 1u);
+      pipeline.finish();  // seals interval 1
+      const std::vector<ClosedInterval> closed = pipeline.drain_ready();
+      ASSERT_EQ(closed.size(), 1u);
+      EXPECT_EQ(closed[0].reported, 8u);
+      EXPECT_TRUE(closed[0].report.abnormal.empty());
+      EXPECT_EQ(pipeline.monitor().intervals_seen(), 2u);
       EXPECT_FALSE(pipeline.monitor().roster().active(100));
       EXPECT_EQ(pipeline.monitor().roster().snapshot()[3], fleet_positions()[3]);
     }
@@ -142,19 +146,26 @@ TEST(IngestPipeline, ClaimsOfEveryRosterDimensionRoundTripBitExact) {
   }
 }
 
-TEST(IngestPipeline, OddDimensionDenseClaimThrowsAtTheRoster) {
-  // A dense key's claim of the wrong dimension parks beside the staging
-  // lane, then seals in key order: keys before it are applied, and the
-  // roster refuses it without touching its slot.
+TEST(IngestPipeline, OddDimensionClaimIsRefusedAtPush) {
+  // A dense key's claim of another dimension than the roster's cannot be
+  // staged: it is counted and dropped at push, and its interval seals with
+  // every other claim.
   IngestPipeline pipeline(base_config());
   pipeline.prime(Snapshot(fleet_positions()));
   const Point moved{0.15, 0.15};
   pipeline.push(make_report(2, 1, moved));
   pipeline.push(make_report(3, 1, Point{0.5, 0.5, 0.5}, /*abnormal=*/true));
-  EXPECT_THROW(pipeline.finish(), std::invalid_argument);
-  EXPECT_EQ(pipeline.monitor().intervals_seen(), 1u);  // only the prime
+  pipeline.push(make_report(4, 1, Point{0.5}, /*abnormal=*/true));
+  EXPECT_EQ(pipeline.counters().malformed_rejected, 2u);
+  EXPECT_EQ(pipeline.counters().accepted, 1u);
+  pipeline.finish();
+  const std::vector<ClosedInterval> closed = pipeline.drain_ready();
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(closed[0].reported, 1u);
+  EXPECT_TRUE(closed[0].report.abnormal.empty());
   EXPECT_EQ(pipeline.monitor().roster().snapshot()[2], moved);
   EXPECT_EQ(pipeline.monitor().roster().snapshot()[3], fleet_positions()[3]);
+  EXPECT_EQ(pipeline.monitor().roster().snapshot()[4], fleet_positions()[4]);
 }
 
 TEST(IngestPipeline, WatermarkSealsAtAllowedLag) {
@@ -463,43 +474,55 @@ TEST(IngestPipeline, AllowedLagOfUint64MaxNeverSealsOnTheWatermark) {
   EXPECT_FALSE(closed.front().forced);
 }
 
-TEST(IngestPipeline, ReportWhoseSealThrowsIsNotStaged) {
-  // Interval 1 stages an out-of-box claim, so sealing it throws. The report
-  // whose event time triggers that seal is not staged, through push() and
-  // through push_all(); its event time has moved the watermark. The next
-  // advance retries the seal of interval 1.
+TEST(IngestPipeline, MalformedClaimIsCountedAndItsIntervalSealsTheRest) {
+  // A malformed claim — out of the box, NaN, or of another dimension — is
+  // counted and dropped at push, at the head of a run and in its middle,
+  // through push() and through push_all(). Its event time moves no
+  // watermark, the stream goes on, and its interval seals with every other
+  // claim.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const bool burst : {false, true}) {
-    SCOPED_TRACE(burst ? "push_all" : "push");
-    IngestPipeline::Config config = base_config();
-    config.watermark.allowed_lag = 1;
-    IngestPipeline pipeline(config);
-    pipeline.prime(Snapshot(fleet_positions()));
-    push_interval(pipeline, 1);
-    pipeline.push(make_report(3, 1, Point{1.5, 0.5}, /*abnormal=*/false, 2));
-    ASSERT_EQ(pipeline.counters().superseded, 1u);
+    for (const Point& bad : {Point{1.5, 0.5}, Point{nan, 0.5}, Point{0.5, 0.5, 0.5}}) {
+      SCOPED_TRACE(testing::Message() << (burst ? "push_all " : "push ") << bad.to_string());
+      IngestPipeline::Config config = base_config();
+      config.watermark.allowed_lag = 1;
+      IngestPipeline pipeline(config);
+      pipeline.prime(Snapshot(fleet_positions()));
 
-    const std::vector<QosReport> trigger{make_report(0, 2, fleet_positions()[0]),
-                                         make_report(1, 2, fleet_positions()[1])};
-    if (burst) {
-      EXPECT_THROW(pipeline.push_all(trigger), std::invalid_argument);
-    } else {
-      EXPECT_THROW(pipeline.push(trigger[0]), std::invalid_argument);
+      // A malformed head whose event time would seal intervals 1 to 4,
+      // then interval 1 with every device moved and a malformed, flagged
+      // correction of device 3 in the middle of the run.
+      std::vector<QosReport> schedule{make_report(0, 6, bad)};
+      std::vector<Point> moved = fleet_positions();
+      for (GatewayKey d = 0; d < moved.size(); ++d) {
+        moved[d] = Point{moved[d][0] + 0.01, moved[d][1]};
+        schedule.push_back(make_report(d, 1, moved[d]));
+        if (d == 3) schedule.push_back(make_report(3, 1, bad, /*abnormal=*/true, 2));
+      }
+      if (burst) {
+        pipeline.push_all(schedule);
+      } else {
+        for (const QosReport& report : schedule) pipeline.push(report);
+      }
+      EXPECT_EQ(pipeline.counters().malformed_rejected, 2u);
+      EXPECT_EQ(pipeline.counters().accepted, 8u);
+      EXPECT_EQ(pipeline.counters().superseded, 0u);
+      EXPECT_EQ(pipeline.max_seen_interval(), 1u);
+      EXPECT_EQ(pipeline.next_to_seal(), 1u);
+      EXPECT_EQ(pipeline.open_intervals(), 1u);
+
+      push_interval(pipeline, 2);  // seals interval 1
+      const std::vector<ClosedInterval> closed = pipeline.drain_ready();
+      ASSERT_EQ(closed.size(), 1u);
+      EXPECT_EQ(closed[0].interval, 1u);
+      EXPECT_EQ(closed[0].reported, 8u);
+      EXPECT_EQ(closed[0].replayed, 0u);
+      EXPECT_TRUE(closed[0].report.abnormal.empty());
+      for (GatewayKey d = 0; d < moved.size(); ++d) {
+        EXPECT_EQ(pipeline.monitor().roster().snapshot()[static_cast<DeviceId>(d)], moved[d])
+            << "device " << d;
+      }
     }
-    EXPECT_EQ(pipeline.counters().accepted, 8u);  // interval 1's alone
-    EXPECT_EQ(pipeline.open_intervals(), 0u);
-    EXPECT_EQ(pipeline.next_to_seal(), 1u);
-    EXPECT_EQ(pipeline.max_seen_interval(), 2u);
-    EXPECT_TRUE(pipeline.drain_ready().empty());
-
-    push_interval(pipeline, 2);
-    pipeline.push(make_report(0, 3, fleet_positions()[0]));
-    const std::vector<ClosedInterval> closed = pipeline.drain_ready();
-    ASSERT_EQ(closed.size(), 2u);
-    EXPECT_EQ(closed[0].interval, 1u);
-    EXPECT_EQ(closed[0].reported, 0u);  // its staged claims went with the throw
-    EXPECT_EQ(closed[1].interval, 2u);
-    EXPECT_EQ(closed[1].reported, 8u);
-    EXPECT_EQ(pipeline.monitor().roster().snapshot()[3], fleet_positions()[3]);
   }
 }
 
@@ -550,7 +573,7 @@ TEST(IngestPipeline, FinishSealsEveryOpenInterval) {
 struct Hazards {
   bool shedding = false;       ///< claim sampling engaged past 6 per frame
   bool spill_keys = false;     ///< keys past the dense lane, auto-admitted
-  bool odd_dimension = false;  ///< 3-d claims for 2-d lanes, then corrected
+  bool malformed = false;      ///< claims off [0,1]^2, then corrected
   bool late_and_future = false;
   bool flood = false;          ///< a watermark jump past max_watermark_jump
 };
@@ -625,18 +648,18 @@ std::vector<QosReport> hazard_schedule(const Hazards& hazards,
         interval.push_back(make_report(key, k, Point{0.9, 0.1}, false, 10 * k));
       }
     }
-    if (hazards.odd_dimension) {
-      // Keys 5 and 7 get a 3-d claim and a later 2-d correction, key 7 also
-      // a stale 3-d claim: odd cells form and return to the lane in every
-      // delivery order, and no 3-d claim reaches a seal.
-      QosReport odd = make_report(5, k, Point{0.5, 0.5, 0.5}, false, 10 * k + 2);
-      interval.push_back(odd);
+    if (hazards.malformed) {
+      // Keys 5 and 7 get a claim the roster would refuse (3-d, out of the
+      // box, NaN) before their well-formed one, key 7 also a stale 3-d
+      // claim: every delivery order puts some at the head of a run and
+      // some in its middle, and none reaches a seal.
+      const Point bad[] = {Point{0.5, 0.5, 0.5}, Point{0.5, 1.5},
+                           Point{std::numeric_limits<double>::quiet_NaN(), 0.5}};
+      interval.push_back(make_report(5, k, bad[k % 3], false, 10 * k + 2));
       interval.push_back(make_report(5, k, at[5], false, 10 * k + 3));
-      odd.device = 7;
-      interval.push_back(odd);
+      interval.push_back(make_report(7, k, bad[(k + 1) % 3], true, 10 * k + 2));
       interval.push_back(make_report(7, k, at[7], false, 10 * k + 3));
-      odd.arrival_seq = 1;
-      interval.push_back(odd);
+      interval.push_back(make_report(7, k, bad[0], false, 1));
     }
     for (std::size_t i = 0; i + 1 < interval.size(); ++i) {
       const std::size_t j =
@@ -672,6 +695,7 @@ void expect_same_counters(const IngestCounters& a, const IngestCounters& b) {
   EXPECT_EQ(a.superseded, b.superseded);
   EXPECT_EQ(a.late_sealed, b.late_sealed);
   EXPECT_EQ(a.future_rejected, b.future_rejected);
+  EXPECT_EQ(a.malformed_rejected, b.malformed_rejected);
   EXPECT_EQ(a.shed_claims, b.shed_claims);
   EXPECT_EQ(a.deferred_devices, b.deferred_devices);
   EXPECT_EQ(a.forced_closes, b.forced_closes);
@@ -790,7 +814,7 @@ TEST(IngestPipeline, PushAllMatchesPushOnEverySchedule) {
       {"dedup-reorder", {}},
       {"shedding", {.shedding = true}},
       {"spill-keys", {.spill_keys = true}},
-      {"odd-dimension", {.odd_dimension = true}},
+      {"malformed", {.malformed = true}},
       {"late-and-future", {.late_and_future = true}},
       {"flood", {.flood = true}},
       {"all", {true, true, true, true, true}},
@@ -823,6 +847,7 @@ TEST(IngestPipeline, PushAllMatchesPushOnEverySchedule) {
       EXPECT_EQ(counters.late_sealed > 0, c.hazards.late_and_future);
       EXPECT_EQ(counters.future_rejected > 0, c.hazards.late_and_future);
       EXPECT_EQ(counters.forced_closes > 0, c.hazards.flood);
+      EXPECT_EQ(counters.malformed_rejected > 0, c.hazards.malformed);
     }
   }
 }

@@ -3,6 +3,7 @@
 // and the OverloadController's two verdict-safety-aware sheds.
 #include <algorithm>
 #include <array>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -11,6 +12,7 @@
 
 #include "ingest/liveness.hpp"
 #include "ingest/overload.hpp"
+#include "core/state.hpp"
 #include "ingest/staging.hpp"
 
 namespace acn {
@@ -158,12 +160,18 @@ TEST(StagingFrame, StageRunMatchesApplyAndStopsAtTheFirstSlowReport) {
       make_report(1, 4, 0.1, 4),       make_report(6, 4, 0.7, 5),
       make_report(6, 4, 0.5, 3),       make_report(2, 4, 0.2, 4, true),
   };
-  QosReport odd = make_report(3, 4, 0.3, 4);
-  odd.claim = Point{0.3, 0.3, 0.3};
+  QosReport wide = make_report(3, 4, 0.3, 4);
+  wide.claim = Point{0.3, 0.3, 0.3};
+  QosReport outside = make_report(3, 4, 0.3, 4);
+  outside.claim = Point{0.3, 1.5};
+  QosReport not_a_number = make_report(3, 4, 0.3, 4);
+  not_a_number.claim = Point{std::numeric_limits<double>::quiet_NaN(), 0.3};
   const std::vector<QosReport> stoppers{
       make_report(0, 5, 0.0, 5),  // another interval
       make_report(9, 4, 0.9, 4),  // a spill key
-      odd,                        // a claim of another dimension
+      wide,                       // a claim of another dimension
+      outside,                    // a coordinate outside [0, 1]
+      not_a_number,               // a NaN coordinate
   };
   for (const QosReport& stopper : stoppers) {
     SCOPED_TRACE(testing::Message() << "stopper key " << stopper.device);
@@ -193,18 +201,6 @@ TEST(StagingFrame, StageRunMatchesApplyAndStopsAtTheFirstSlowReport) {
     }
   }
 
-  // A lane-dimension claim for a cell parked in the odd map also ends the
-  // run: apply() moves it back into the lane.
-  StagingFrame frame;
-  frame.configure(8, 2);
-  (void)frame.apply(odd);
-  const std::vector<QosReport> back{make_report(1, 4, 0.1, 4),
-                                    make_report(3, 4, 0.3, 5)};
-  EXPECT_EQ(frame.stage_run(back, 4).staged, 1u);
-  EXPECT_EQ(frame.apply(back[1]), StagingFrame::Apply::kSuperseded);
-  EXPECT_TRUE(frame.find(3)->claim == (Point{0.3, 0.3}));
-  EXPECT_EQ(frame.device_count(), 2u);
-  EXPECT_EQ(frame.volume(), 3u);
 }
 
 TEST(Claim, HoldsUpToTheRosterDimensionLimit) {
@@ -228,38 +224,34 @@ TEST(Claim, HoldsUpToTheRosterDimensionLimit) {
   EXPECT_EQ(report.claim.dim(), 0u);
 }
 
-TEST(StagingFrame, OddDimensionDenseClaimParksAndSealsInKeyOrder) {
+TEST(StagingFrame, ApplyRefusesALaneClaimOfAnotherDimension) {
   StagingFrame frame;
   frame.configure(8, 2);
-  (void)frame.apply(make_report(5, 1, 0.5, 1));
-  QosReport odd = make_report(3, 1, 0.3, 1, /*abnormal=*/true);
-  odd.claim = Point{0.3, 0.3, 0.3};  // a dense key, but not the lane's dim
-  (void)frame.apply(odd);
-  (void)frame.apply(make_report(1, 1, 0.1, 1));
-  (void)frame.apply(make_report(20, 1, 0.9, 1));  // spill key
-  EXPECT_EQ(frame.device_count(), 4u);
+  QosReport wide = make_report(3, 1, 0.3, 1);
+  wide.claim = Point{0.3, 0.3, 0.3};
+  EXPECT_THROW((void)frame.apply(wide), std::invalid_argument);
+  EXPECT_EQ(frame.volume(), 0u);
+  EXPECT_EQ(frame.device_count(), 0u);
+  wide.device = 20;  // a spill key holds any claim; the pipeline checks it
+  EXPECT_EQ(frame.apply(wide), StagingFrame::Apply::kAccepted);
+}
 
-  std::vector<GatewayKey> keys;
-  std::vector<std::vector<double>> claims;
-  std::vector<bool> flags;
-  frame.for_each_sorted([&](GatewayKey key, std::span<const double> claim, bool flagged) {
-    keys.push_back(key);
-    claims.emplace_back(claim.begin(), claim.end());
-    flags.push_back(flagged);
-  });
-  EXPECT_EQ(keys, (std::vector<GatewayKey>{1, 3, 5, 20}));
-  EXPECT_EQ(claims, (std::vector<std::vector<double>>{
-                        {0.1, 0.1}, {0.3, 0.3, 0.3}, {0.5, 0.5}, {0.9, 0.9}}));
-  EXPECT_EQ(flags, (std::vector<bool>{false, true, false, false}));
-
-  // A correction moves a cell between the lane and the odd map both ways.
-  (void)frame.apply(make_report(3, 1, 0.4, 2));
-  QosReport widened = make_report(5, 1, 0.6, 2);
-  widened.claim = Point{0.6, 0.6, 0.6};
-  (void)frame.apply(widened);
-  EXPECT_TRUE(frame.find(3)->claim == (Point{0.4, 0.4}));
-  EXPECT_TRUE(frame.find(5)->claim == (Point{0.6, 0.6, 0.6}));
-  EXPECT_EQ(frame.device_count(), 4u);
+TEST(Claim, FitsExactlyWhatTheRosterAccepts) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(Claim(Point{0.0, 1.0}).fits(2));
+  EXPECT_TRUE(Claim(Point{-0.0, 0.5}).fits(2));
+  EXPECT_FALSE(Claim(Point{0.5, 0.5}).fits(3));
+  EXPECT_FALSE(Claim(Point{0.5, 0.5, 0.5}).fits(2));
+  EXPECT_FALSE(Claim().fits(2));
+  for (const double x : {-1e-300, 1.0000000000000002, 1.5, nan, inf, -inf}) {
+    SCOPED_TRACE(testing::Message() << "coordinate " << x);
+    const Claim claim(Point{0.5, x});
+    EXPECT_FALSE(claim.fits(2));
+    // The roster's own check, Snapshot::set, refuses the same claims.
+    Snapshot roster(2, {0.5, 0.5});
+    EXPECT_THROW((void)roster.set(0, claim.coords()), std::invalid_argument);
+  }
 }
 
 TEST(LivenessTracker, DisabledTracksNothing) {

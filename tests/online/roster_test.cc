@@ -175,6 +175,40 @@ TEST(FleetRoster, RefusedWritesLeaveTheSnapshotByteIdentical) {
   EXPECT_FALSE(roster.try_report(999, std::span<const double>(good)));
 }
 
+TEST(FleetRoster, ChangeMarksOverReportEveryMove) {
+  // A slot is marked by admit() and by a write that changes its position
+  // under the roll's != test; a write back, or -0.0 over 0.0, changes
+  // nothing; clear_changes() alone clears. A refused write marks nothing.
+  FleetRoster roster(4, 2);
+  const auto marked = [&] {
+    std::vector<DeviceId> slots;
+    for (DeviceId j = 0; j < roster.capacity(); ++j) {
+      if (roster.changes()[j] != 0) slots.push_back(j);
+    }
+    return slots;
+  };
+  (void)roster.admit(10, Point{0.0, 0.5});
+  (void)roster.admit(11, Point{0.0, 0.0});  // at the parked origin: still marked
+  EXPECT_EQ(marked(), (std::vector<DeviceId>{0, 1}));
+  roster.end_interval();
+  EXPECT_EQ(marked(), (std::vector<DeviceId>{0, 1}));  // not the roll's clear
+  roster.clear_changes();
+  EXPECT_TRUE(marked().empty());
+
+  roster.report(10, Point{0.0, 0.5});   // the same position
+  roster.report(11, Point{-0.0, 0.0});  // equal under !=
+  EXPECT_TRUE(marked().empty());
+  EXPECT_THROW(roster.report(10, Point{1.5, 0.5}), std::invalid_argument);
+  EXPECT_TRUE(marked().empty());
+  roster.report(11, Point{0.5, 0.5});
+  roster.report(11, Point{0.0, 0.0});  // moved and moved back: stays marked
+  EXPECT_EQ(marked(), (std::vector<DeviceId>{1}));
+  roster.retire(10);  // a retirement parks the slot where it was
+  EXPECT_EQ(marked(), (std::vector<DeviceId>{1}));
+  EXPECT_EQ(roster.admit(12, Point{0.0, 0.5}), 2u);  // FIFO: slot 2 first
+  EXPECT_EQ(marked(), (std::vector<DeviceId>{1, 2}));
+}
+
 TEST(FleetRoster, ConstructorValidates) {
   EXPECT_THROW(FleetRoster(0, 2), std::invalid_argument);
   EXPECT_THROW(FleetRoster(4, 0), std::invalid_argument);
