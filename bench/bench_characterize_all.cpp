@@ -254,17 +254,14 @@ TelemetryOverhead run_telemetry_overhead(std::size_t n, std::uint32_t errors,
   for (std::size_t k = 0; k < off_reports.size(); ++k) {
     const acn::IntervalReport& off = off_reports[k];
     const acn::IntervalReport& on = on_reports[k];
-    if (off.isolated != on.isolated || off.massive != on.massive ||
-        off.unresolved != on.unresolved ||
+    if (off.abnormal != on.abnormal || off.isolated != on.isolated ||
+        off.massive != on.massive || off.unresolved != on.unresolved ||
         off.decisions.size() != on.decisions.size()) {
       result.identical = false;
       continue;
     }
-    for (const auto& [device, decision] : off.decisions) {
-      const auto it = on.decisions.find(device);
-      if (it == on.decisions.end() || !same_decision(decision, it->second)) {
-        result.identical = false;
-      }
+    for (std::size_t i = 0; i < off.decisions.size(); ++i) {
+      if (!same_decision(off.decisions[i], on.decisions[i])) result.identical = false;
     }
   }
   return result;

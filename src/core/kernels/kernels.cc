@@ -3,8 +3,6 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <vector>
@@ -128,26 +126,15 @@ void select(const Ops* table) noexcept {
 #endif
 }
 
+/// What CPUID picks: AVX2 where compiled in and supported, else scalar.
+const Ops* cpuid_table() noexcept {
+  const Ops* avx2 = avx2_table();
+  return avx2 != nullptr ? avx2 : &kScalarOps;
+}
+
 void init_once() noexcept {
   static std::once_flag once;
-  std::call_once(once, [] {
-    const Ops* avx2 = avx2_table();
-    const Ops* chosen = avx2 != nullptr ? avx2 : &kScalarOps;
-    if (const char* env = std::getenv("ACN_KERNELS"); env != nullptr) {
-      if (std::strcmp(env, "scalar") == 0) {
-        chosen = &kScalarOps;
-      } else if (std::strcmp(env, "avx2") == 0) {
-        if (avx2 == nullptr) {
-          std::fprintf(stderr,
-                       "acn: ACN_KERNELS=avx2 requested but unavailable; "
-                       "using scalar kernels\n");
-        } else {
-          chosen = avx2;
-        }
-      }
-    }
-    select(chosen);
-  });
+  std::call_once(once, [] { select(cpuid_table()); });
 }
 
 #ifndef NDEBUG
@@ -256,8 +243,7 @@ bool force(const char* name) noexcept {
     return true;
   }
   if (std::strcmp(name, "auto") == 0) {
-    const Ops* avx2 = avx2_table();
-    select(avx2 != nullptr ? avx2 : &kScalarOps);
+    select(cpuid_table());
     return true;
   }
   return false;

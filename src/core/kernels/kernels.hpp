@@ -10,9 +10,9 @@
 // the dispatcher installs cross-checking wrappers that run BOTH paths and
 // assert equality on every single call.
 //
-// Selection order: ACN_KERNELS env var ("scalar"/"avx2") > force() test
-// hook > CPUID. The choice is made once and cached; force() exists so the
-// equivalence tests can pin either path in-process.
+// Selection: CPUID picks the table once and caches it; no environment
+// variable overrides it. force() exists so the equivalence tests and
+// bench_kernels can pin either path in-process.
 #pragma once
 
 #include <cstddef>

@@ -13,8 +13,9 @@ std::string CharacterizationReport::to_text() const {
      << "  isolated: " << sets.isolated.size()
      << "  unresolved: " << sets.unresolved.size() << "\n";
   Table table({"device", "class", "rule", "exact", "|M(j)|", "|W(j)|", "collections"});
-  for (const auto& [device, decision] : decisions) {
-    table.add_row({std::to_string(device), to_string(decision.cls),
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    const Decision& decision = decisions[i];
+    table.add_row({std::to_string(abnormal[i]), to_string(decision.cls),
                    to_string(decision.rule), decision.exact ? "yes" : "no",
                    std::to_string(decision.maximal_motion_count),
                    std::to_string(decision.dense_motion_count),
@@ -27,8 +28,9 @@ std::string CharacterizationReport::to_text() const {
 std::string CharacterizationReport::to_csv() const {
   CsvWriter csv({"device", "class", "rule", "exact", "maximal_motions",
                  "dense_motions", "collections_tested"});
-  for (const auto& [device, decision] : decisions) {
-    csv.add_row({std::to_string(device), to_string(decision.cls),
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    const Decision& decision = decisions[i];
+    csv.add_row({std::to_string(abnormal[i]), to_string(decision.cls),
                  to_string(decision.rule), decision.exact ? "1" : "0",
                  std::to_string(decision.maximal_motion_count),
                  std::to_string(decision.dense_motion_count),
@@ -40,12 +42,9 @@ std::string CharacterizationReport::to_csv() const {
 CharacterizationReport make_report(const StatePair& state, Params params,
                                    CharacterizeOptions options) {
   CharacterizationReport report;
-  const std::vector<Decision> decisions =
-      Characterizer(state, params, options).decide();
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    report.decisions.emplace(state.abnormal()[i], decisions[i]);
-  }
-  report.sets = bucket(state.abnormal(), decisions);
+  report.abnormal = state.abnormal();
+  report.decisions = Characterizer(state, params, options).decide();
+  report.sets = bucket(report.abnormal, report.decisions);
   return report;
 }
 

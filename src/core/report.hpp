@@ -2,8 +2,8 @@
 // layer the CLI tool and operator dashboards consume.
 #pragma once
 
-#include <map>
 #include <string>
+#include <vector>
 
 #include "core/characterizer.hpp"
 
@@ -11,8 +11,9 @@ namespace acn {
 
 /// Full per-device results for one interval.
 struct CharacterizationReport {
+  DeviceSet abnormal;  ///< A_k, ascending
   CharacterizationSets sets;
-  std::map<DeviceId, Decision> decisions;
+  std::vector<Decision> decisions;  ///< one per device of `abnormal`, in order
 
   /// Totals line + one row per device: id, class, deciding rule, work.
   [[nodiscard]] std::string to_text() const;

@@ -37,8 +37,9 @@
 namespace acn {
 
 struct OverloadConfig {
-  /// Staged volume (apply attempts) in one interval beyond which claim
-  /// sampling engages for that interval. SIZE_MAX disables shedding.
+  /// Reports staged in one interval, duplicates included
+  /// (StagingFrame::volume()), beyond which claim sampling engages for that
+  /// interval. SIZE_MAX disables shedding.
   std::size_t shed_claim_threshold = static_cast<std::size_t>(-1);
   /// Keep 1 claim in `stride` while shedding (>= 1; 1 keeps everything).
   std::size_t shed_sample_stride = 8;

@@ -81,7 +81,8 @@ void IngestPipeline::push_all(std::span<const QosReport> reports) {
   }
   std::size_t next = 0;
   while (next < reports.size()) {
-    const QosReport& head = reports[next++];
+    const std::size_t at = next++;
+    const QosReport& head = reports[at];
     // A claim the roster would refuse is refused here, before its event
     // time counts for anything: staged, it would throw at the seal.
     if (!head.claim.fits(config_.dim)) {
@@ -90,26 +91,28 @@ void IngestPipeline::push_all(std::span<const QosReport> reports) {
     }
     StagingFrame* frame = open_frame(head);
     if (frame == nullptr) continue;
-    // Overload shed: past the volume threshold, non-flagged claim updates
-    // are sampled by content hash — the flagged ones always land. It reads
-    // the frame's volume before each report, so it runs report by report.
-    if (shed_possible_ && !head.abnormal &&
-        overload_.shed_claim(head.device, head.interval, frame->volume())) {
-      ++counters_.shed_claims;
-      frame->shed_engaged = true;
-    } else {
-      count(frame->apply(head), 1);
+    // The rest of the run can move neither the watermark nor the frame, so
+    // the head and the rest stage in one loop, up to the next interval or
+    // malformed claim.
+    std::span<const QosReport> run = reports.subspan(at);
+    if (shed_possible_) {
+      // Overload shed: past the volume threshold, non-flagged claim updates
+      // are sampled by content hash — the flagged ones always land. It
+      // reads the frame's volume before each report, so it runs report by
+      // report.
+      if (!head.abnormal &&
+          overload_.shed_claim(head.device, head.interval, frame->volume())) {
+        ++counters_.shed_claims;
+        frame->shed_engaged = true;
+        continue;
+      }
+      run = run.first(1);
     }
-    if (shed_possible_) continue;
-    // The rest of the run can move neither the watermark nor the frame; it
-    // stages in one loop, up to the next interval, spill key or malformed
-    // claim.
-    const StagingFrame::RunTally run =
-        frame->stage_run(reports.subspan(next), head.interval);
-    next += run.staged;
-    for (std::size_t outcome = 0; outcome < run.outcomes.size(); ++outcome) {
-      count(static_cast<StagingFrame::Apply>(outcome), run.outcomes[outcome]);
-    }
+    const StagingFrame::Tally tally = frame->stage(run, head.interval);
+    next = at + tally.staged;
+    counters_.accepted += tally.accepted;
+    counters_.superseded += tally.superseded;
+    counters_.duplicates += tally.duplicates;
   }
 }
 
@@ -136,7 +139,6 @@ StagingFrame* IngestPipeline::open_frame(const QosReport& report) {
     seal_ready(/*opening=*/1);
   }
 
-  if (hot_frame_ != nullptr && hot_interval_ == k) return hot_frame_;
   auto it = frames_.find(k);
   if (it == frames_.end()) {
     StagingFrame fresh;
@@ -149,24 +151,7 @@ StagingFrame* IngestPipeline::open_frame(const QosReport& report) {
     fresh.first_seen_tick = tick_;
     it = frames_.emplace(k, std::move(fresh)).first;
   }
-  hot_frame_ = &it->second;  // map nodes are stable until erased
-  hot_interval_ = k;
-  return hot_frame_;
-}
-
-void IngestPipeline::count(StagingFrame::Apply outcome, std::uint64_t reports) {
-  switch (outcome) {
-    case StagingFrame::Apply::kAccepted:
-      counters_.accepted += reports;
-      break;
-    case StagingFrame::Apply::kSuperseded:
-    case StagingFrame::Apply::kStale:
-      counters_.superseded += reports;
-      break;
-    case StagingFrame::Apply::kDuplicate:
-      counters_.duplicates += reports;
-      break;
-  }
+  return &it->second;
 }
 
 void IngestPipeline::seal_ready(std::size_t opening) {
@@ -227,7 +212,6 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced,
     frame = std::move(it->second);
     frames_.erase(it);
     poolable = true;
-    if (hot_interval_ == interval) hot_frame_ = nullptr;
   }
   bool degraded = forced || frame.shed_engaged;
   if (forced) ++counters_.forced_closes;

@@ -51,7 +51,7 @@
 // reset and pooled before the report picks a frame, so a stream keeps one
 // lane per open interval (one in all for an in-order lag-1 stream), and a
 // report whose triggered seal throws is not staged. push_all() stages each
-// same-interval run after its head in one loop (see push_all()).
+// same-interval run, head included, in one loop (see push_all()).
 //
 // Sources on other threads hand reports over through a BoundedReportQueue
 // (block = lossless backpressure, reject = shed at the edge); the pipeline
@@ -149,13 +149,15 @@ class IngestPipeline {
   void push(const QosReport& report);
 
   /// push() for a delivery burst: the same counters, seals and frames as
-  /// pushing each report in order. Only the head of each same-interval run
-  /// takes the claim, late, future, watermark and frame checks; the rest of
-  /// the run can move neither the watermark nor the frame, so it stages in
-  /// one StagingFrame::stage_run() loop, which checks each claim and stops
-  /// at a malformed one. Shedding and spill keys are staged report by
-  /// report. A throwing seal aborts the burst at the report that triggered
-  /// it, which stays unstaged.
+  /// pushing each report in order (push() is push_all() of one report).
+  /// Only the head of each same-interval run takes the claim, late, future,
+  /// watermark and frame checks; the rest of the run can move neither the
+  /// watermark nor the frame, so the whole run, head included, stages in
+  /// one StagingFrame::stage() loop, which checks each claim and stops at a
+  /// malformed one (spill keys included). When shedding can engage, each
+  /// report is a head and stages alone, after the shed test. A throwing
+  /// seal aborts the burst at the report that triggered it, which stays
+  /// unstaged.
   void push_all(std::span<const QosReport> reports);
 
   /// Advances the stall clock by one tick; may force-close the oldest
@@ -196,8 +198,6 @@ class IngestPipeline {
   /// report's event time triggers, then its frame. Returns nullptr for a
   /// dropped report (counted).
   StagingFrame* open_frame(const QosReport& report);
-  /// Adds `reports` reports that ended in `outcome` to the counters.
-  void count(StagingFrame::Apply outcome, std::uint64_t reports);
   /// Seals `interval`. `opening` is 1 when a report waits on this seal to
   /// stage into an interval with no frame yet: the telemetry sample counts
   /// that interval open.
@@ -210,11 +210,6 @@ class IngestPipeline {
   OverloadController overload_;
   LivenessTracker liveness_;
   std::map<std::uint64_t, StagingFrame> frames_;  ///< open intervals, ordered
-  /// Cache of the most recently pushed-to frame (map nodes are stable):
-  /// consecutive reports overwhelmingly target the same interval, so the
-  /// per-report map lookup collapses to one compare.
-  StagingFrame* hot_frame_ = nullptr;
-  std::uint64_t hot_interval_ = 0;
   /// Sealed frames, reset and reused: frame storage (the dense staging
   /// lane is capacity-sized) is allocated at most open-span times, not
   /// once per interval. A seal pools its lane before the report that

@@ -2,27 +2,28 @@
 
 #include <array>
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace acn {
 
 namespace {
 
-using Staged = StagingFrame::Staged;
-using Apply = StagingFrame::Apply;
+using Tally = StagingFrame::Tally;
 
-void stage_fat(Staged& cell, const QosReport& report) {
-  cell.seq = report.arrival_seq;
-  cell.claim = report.claim;
-  cell.flagged = report.abnormal;
-}
-
-Apply resolve_fat(Staged& cell, const QosReport& report) {
-  if (report.arrival_seq == cell.seq) return Apply::kDuplicate;
-  if (report.arrival_seq < cell.seq) return Apply::kStale;
-  stage_fat(cell, report);
-  return Apply::kSuperseded;
+/// Last-write-wins for one cell: counts the report's outcome and returns
+/// true iff its claim is to be written — the cell was empty (`occupied`
+/// false) or held the older seq `held`.
+bool wins(bool occupied, std::uint64_t held, std::uint64_t seq, Tally& tally) {
+  if (!occupied) {
+    ++tally.accepted;
+    return true;
+  }
+  if (seq == held) {
+    ++tally.duplicates;
+    return false;
+  }
+  ++tally.superseded;
+  return seq > held;
 }
 
 /// clear() keeps the bucket array, and every later clear() walks all of
@@ -30,10 +31,11 @@ Apply resolve_fat(Staged& cell, const QosReport& report) {
 /// spike's leftover) is released by a swap with a fresh map; one the
 /// interval filled is kept, so a fleet that spills every interval does not
 /// regrow it each time.
-void release_or_clear(std::unordered_map<GatewayKey, Staged>& map) {
+template <typename Map>
+void release_or_clear(Map& map) {
   if (map.bucket_count() > StagingFrame::kKeptBuckets &&
       map.size() < map.bucket_count() / 8) {
-    std::unordered_map<GatewayKey, Staged>().swap(map);
+    Map().swap(map);
   } else {
     map.clear();
   }
@@ -42,90 +44,79 @@ void release_or_clear(std::unordered_map<GatewayKey, Staged>& map) {
 }  // namespace
 
 void StagingFrame::configure(std::size_t dense_limit, std::size_t dim) {
-  // A dimension no claim can have degrades to spill-everything, which is
-  // semantically identical (just slower).
-  dim_ = (dim == 0 || dim > Claim::kMaxDim) ? 0 : dim;
-  if (dim_ == 0) dense_limit = 0;
+  if (dim == 0 || dim > Claim::kMaxDim) {
+    throw std::invalid_argument("StagingFrame::configure: dimension out of range");
+  }
+  dim_ = dim;
   present_.assign(dense_limit, 0);
   seq_.assign(dense_limit, 0);
   flag_.assign(dense_limit, 0);
   coords_.assign(dense_limit * dim_, 0.0);
 }
 
-StagingFrame::Apply StagingFrame::apply_spill(const QosReport& report) {
-  const auto [it, inserted] = spill_.try_emplace(report.device);
-  if (!inserted) return resolve_fat(it->second, report);
-  stage_fat(it->second, report);
-  return Apply::kAccepted;
-}
-
-void StagingFrame::reject_dimension(const QosReport& report) const {
-  throw std::invalid_argument("StagingFrame::apply: key " + std::to_string(report.device) +
-                              " claims " + std::to_string(report.claim.dim()) +
-                              " coordinates for a lane of " + std::to_string(dim_));
-}
-
-StagingFrame::RunTally StagingFrame::stage_run(std::span<const QosReport> reports,
-                                               std::uint64_t interval) {
-  if (present_.empty()) return {};  // no lane: every key spills
-  // One loop per lane dimension: with D a constant, the claim test and the
+StagingFrame::Tally StagingFrame::stage(std::span<const QosReport> reports,
+                                        std::uint64_t interval) {
+  if (dim_ == 0) throw std::logic_error("StagingFrame::stage: configure() first");
+  // One loop per claim dimension: with D a constant, the claim test and the
   // copy are straight-line code, where a runtime d costs a loop and a
   // memmove call per report.
-  static constexpr auto kRuns = []<std::size_t... D>(std::index_sequence<D...>) {
-    return std::array{&StagingFrame::stage_run_of<D + 1>...};
+  static constexpr auto kLoops = []<std::size_t... D>(std::index_sequence<D...>) {
+    return std::array{&StagingFrame::stage_of<D + 1>...};
   }(std::make_index_sequence<Claim::kMaxDim>{});
-  return (this->*kRuns[dim_ - 1])(reports, interval);
+  return (this->*kLoops[dim_ - 1])(reports, interval);
 }
 
 template <std::size_t D>
-StagingFrame::RunTally StagingFrame::stage_run_of(std::span<const QosReport> reports,
-                                                  std::uint64_t interval) {
-  const Lane lane = this->lane();
+StagingFrame::Tally StagingFrame::stage_of(std::span<const QosReport> reports,
+                                           std::uint64_t interval) {
+  // The lane's storage in locals: the byte stores below may alias the
+  // vectors' own pointers, which would otherwise be reloaded through `this`
+  // for every report.
+  std::uint8_t* const present = present_.data();
+  std::uint64_t* const seq = seq_.data();
+  std::uint8_t* const flag = flag_.data();
+  double* const coords = coords_.data();
   const std::size_t limit = present_.size();
-  RunTally tally;
+  Tally tally;
   std::size_t i = 0;
   for (; i < reports.size(); ++i) {
     const QosReport& report = reports[i];
-    const GatewayKey key = report.device;
     // Claim::fits(D), without a branch per coordinate.
     bool fits = report.claim.dim() == D;
     for (std::size_t t = 0; t < D; ++t) {
       const double x = report.claim[t];
       fits &= (x >= 0.0) & (x <= 1.0);
     }
-    if (report.interval != interval || key >= limit || !fits) break;
-    ++tally.outcomes[static_cast<std::size_t>(stage_dense<D>(lane, key, report))];
+    if (report.interval != interval || !fits) break;
+    const GatewayKey key = report.device;
+    if (key >= limit) {
+      stage_spill(report, tally);
+      continue;
+    }
+    if (!wins(present[key] != 0, seq[key], report.arrival_seq, tally)) continue;
+    present[key] = 1;
+    seq[key] = report.arrival_seq;
+    flag[key] = report.abnormal ? 1 : 0;
+    std::copy_n(report.claim.coords().data(), D, coords + key * D);
   }
   tally.staged = i;
   volume_ += i;
-  dense_count_ += tally.outcomes[static_cast<std::size_t>(Apply::kAccepted)];
+  device_count_ += tally.accepted;
   return tally;
 }
 
-std::optional<StagingFrame::Staged> StagingFrame::find(GatewayKey key) const {
-  if (key < present_.size()) {
-    if (present_[key] == 0) return std::nullopt;
-    return Staged{seq_[key], Claim(lane_claim(key)), flag_[key] != 0};
+void StagingFrame::stage_spill(const QosReport& report, Tally& tally) {
+  const auto [it, inserted] = spill_.try_emplace(report.device);
+  Staged& cell = it->second;
+  if (wins(!inserted, cell.seq, report.arrival_seq, tally)) {
+    cell = {report.arrival_seq, report.claim, report.abnormal};
   }
-  const auto it = spill_.find(key);
-  if (it == spill_.end()) return std::nullopt;
-  return it->second;
-}
-
-std::vector<std::pair<GatewayKey, StagingFrame::Staged>> StagingFrame::sorted()
-    const {
-  std::vector<std::pair<GatewayKey, Staged>> entries;
-  entries.reserve(device_count());
-  for_each_sorted([&](GatewayKey key, std::span<const double>, bool) {
-    entries.emplace_back(key, *find(key));
-  });
-  return entries;
 }
 
 void StagingFrame::reset() {
   std::fill(present_.begin(), present_.end(), std::uint8_t{0});
-  dense_count_ = 0;
   release_or_clear(spill_);
+  device_count_ = 0;
   volume_ = 0;
   first_seen_tick = 0;
   shed_engaged = false;

@@ -92,17 +92,15 @@ IntervalReport OnlineMonitor::step(const Snapshot& positions,
   // `degraded` never reaches it: it is metadata. A throw from here on
   // leaves the hub's region counts behind the rolled state.
   const bool regions_current = std::exchange(regions_current_, false);
-  const std::optional<FrameEngine::Result> result =
+  std::optional<FrameEngine::Result> result =
       engine_.observe(positions, abnormal, changed);
   const std::span<const DeviceId> ordered = engine_.state().abnormal().ids();
   verdicts_.clear();
   if (result.has_value() && !abnormal.empty()) {
-    // A_k is ascending, so every decision lands at the map's end.
-    for (std::size_t i = 0; i < result->decisions.size(); ++i) {
-      report.decisions.emplace_hint(report.decisions.end(), ordered[i],
-                                    result->decisions[i]);
-      verdicts_.push_back(result->decisions[i].cls);
+    for (const Decision& decision : result->decisions) {
+      verdicts_.push_back(decision.cls);
     }
+    report.decisions = std::move(result->decisions);
     report.isolated = result->sets.isolated;
     report.massive = result->sets.massive;
     report.unresolved = result->sets.unresolved;
@@ -129,11 +127,9 @@ IntervalReport OnlineMonitor::step(const Snapshot& positions,
     record.isolated = static_cast<std::uint32_t>(report.isolated.size());
     record.massive = static_cast<std::uint32_t>(report.massive.size());
     record.unresolved = static_cast<std::uint32_t>(report.unresolved.size());
-    if (result.has_value()) {
-      for (const Decision& decision : result->decisions) {
-        if (decision.rule == DecisionRule::kBudgetExhausted) {
-          ++record.budget_exhausted;
-        }
+    for (const Decision& decision : report.decisions) {
+      if (decision.rule == DecisionRule::kBudgetExhausted) {
+        ++record.budget_exhausted;
       }
     }
     record.degraded = degraded;

@@ -14,12 +14,11 @@
 // Closing an interval costs work in proportion to the devices that moved
 // and to |A_k|, not to the fleet: in roster mode the roll compares only
 // the slots the roster marked as changed, the telemetry tally moves only
-// the rolled devices between regions, and the episode merge and the
-// decision map walk A_k in ascending order.
+// the rolled devices between regions, and the episode merge walks A_k in
+// ascending order.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -41,7 +40,8 @@ struct IntervalReport {
   DeviceSet isolated;
   DeviceSet massive;
   DeviceSet unresolved;
-  std::map<DeviceId, Decision> decisions;
+  /// One per device of `abnormal`, in its ascending order.
+  std::vector<Decision> decisions;
   /// Set when the ingestion layer sealed this interval degraded (shed
   /// claims, deferred characterizations, or a forced early close): the
   /// verdicts are sound for the inputs that survived, but the inputs were

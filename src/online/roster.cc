@@ -23,8 +23,6 @@ FleetRoster::FleetRoster(std::size_t capacity, std::size_t dim)
     : positions_(parked_at_origin(capacity, dim)) {
   flags_.assign(capacity, 0);
   slot_lane_.assign(capacity, kNoSlot);
-  key_of_.assign(capacity, 0);
-  occupied_.assign(capacity, 0);
   for (DeviceId slot = 0; slot < capacity; ++slot) free_.push_back(slot);
 }
 
@@ -58,8 +56,6 @@ DeviceId FleetRoster::admit(GatewayKey key, std::span<const double> position) {
   positions_.set(slot, position);  // validates before anything changes
   free_.pop_front();
   flags_[slot] = kChanged | kJustAssigned;
-  key_of_[slot] = key;
-  occupied_[slot] = 1;
   slot_insert(key, slot);
   return slot;
 }
@@ -70,7 +66,6 @@ void FleetRoster::retire(GatewayKey key) {
     throw std::invalid_argument("FleetRoster::retire: key not active");
   }
   slot_erase(key);
-  occupied_[slot] = 0;
   free_.push_back(slot);  // position stays parked where it last reported
 }
 

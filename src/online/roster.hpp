@@ -155,8 +155,6 @@ class FleetRoster {
   std::vector<DeviceId> slot_lane_;         ///< key < capacity; kNoSlot = absent
   std::unordered_map<GatewayKey, DeviceId> slot_spill_;  ///< key >= capacity
   std::size_t active_ = 0;
-  std::vector<GatewayKey> key_of_;          ///< per slot; meaningful iff occupied
-  std::vector<std::uint8_t> occupied_;      ///< per slot
   std::deque<DeviceId> free_;               ///< FIFO recycle queue
 };
 

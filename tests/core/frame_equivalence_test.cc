@@ -260,16 +260,14 @@ TEST(FrameEquivalence, RosterChurnPooledMatchesSerial) {
     EXPECT_EQ(got.massive, want.massive) << "interval " << k;
     EXPECT_EQ(got.unresolved, want.unresolved) << "interval " << k;
     ASSERT_EQ(got.decisions.size(), want.decisions.size()) << "interval " << k;
-    for (const auto& [device, decision] : want.decisions) {
-      const auto it = got.decisions.find(device);
-      ASSERT_NE(it, got.decisions.end()) << "interval " << k << " device " << device;
-      EXPECT_TRUE(it->second.cls == decision.cls &&
-                  it->second.rule == decision.rule &&
-                  it->second.exact == decision.exact &&
-                  it->second.maximal_motion_count == decision.maximal_motion_count &&
-                  it->second.dense_motion_count == decision.dense_motion_count &&
-                  it->second.collections_tested == decision.collections_tested)
-          << "interval " << k << " device " << device;
+    for (std::size_t i = 0; i < want.decisions.size(); ++i) {
+      const Decision& a = got.decisions[i];
+      const Decision& b = want.decisions[i];
+      EXPECT_TRUE(a.cls == b.cls && a.rule == b.rule && a.exact == b.exact &&
+                  a.maximal_motion_count == b.maximal_motion_count &&
+                  a.dense_motion_count == b.dense_motion_count &&
+                  a.collections_tested == b.collections_tested)
+          << "interval " << k << " device " << want.abnormal[i];
     }
   }
 }

@@ -22,6 +22,7 @@ TEST(ReportTest, SetsMatchCharacterizer) {
   EXPECT_EQ(report.sets.massive, DeviceSet({1, 2, 3}));
   EXPECT_EQ(report.sets.unresolved, DeviceSet({0, 4}));
   EXPECT_EQ(report.sets.isolated, DeviceSet({5}));
+  EXPECT_EQ(report.abnormal, state.abnormal());
   EXPECT_EQ(report.decisions.size(), 6u);
 }
 
@@ -40,7 +41,12 @@ TEST(ReportTest, CsvParsesBackWithOneRowPerDevice) {
   ASSERT_EQ(rows.size(), 7u);  // header + 6 devices
   EXPECT_EQ(rows[0][0], "device");
   EXPECT_EQ(rows[0].size(), 7u);
-  for (std::size_t i = 1; i < rows.size(); ++i) EXPECT_EQ(rows[i].size(), 7u);
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].size(), 7u);
+    // One row per device of A_k, ascending, beside its own decision.
+    EXPECT_EQ(rows[i][0], std::to_string(report.abnormal[i - 1]));
+    EXPECT_EQ(rows[i][1], to_string(report.decisions[i - 1].cls));
+  }
 }
 
 TEST(ReportTest, EmptyAbnormalSet) {

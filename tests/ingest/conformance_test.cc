@@ -13,7 +13,6 @@
 // tests/conformance.
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -101,19 +100,19 @@ void run_pipeline(const Params& model, const Materialized& m,
   }
 }
 
-void expect_identical(const std::map<DeviceId, Decision>& got,
-                      const std::map<DeviceId, Decision>& want,
+void expect_identical(const IntervalReport& got, const IntervalReport& want,
                       const char* path, const HostileSpec& spec,
                       std::uint64_t seed, std::size_t interval) {
-  ASSERT_EQ(got.size(), want.size())
+  ASSERT_EQ(got.decisions.size(), want.decisions.size())
       << "REPRO: family=" << spec.name << " suite-seed=" << seed
       << " interval=" << interval << " path=" << path;
-  auto it = want.begin();
-  for (const auto& [device, a] : got) {
-    ASSERT_EQ(device, it->first)
-        << "REPRO: family=" << spec.name << " suite-seed=" << seed
-        << " interval=" << interval << " path=" << path;
-    const Decision& b = it->second;
+  ASSERT_EQ(got.abnormal, want.abnormal)
+      << "REPRO: family=" << spec.name << " suite-seed=" << seed
+      << " interval=" << interval << " path=" << path;
+  for (std::size_t i = 0; i < got.decisions.size(); ++i) {
+    const DeviceId device = got.abnormal[i];
+    const Decision& a = got.decisions[i];
+    const Decision& b = want.decisions[i];
     EXPECT_TRUE(a.cls == b.cls && a.rule == b.rule && a.exact == b.exact &&
                 a.maximal_motion_count == b.maximal_motion_count &&
                 a.dense_motion_count == b.dense_motion_count &&
@@ -124,7 +123,6 @@ void expect_identical(const std::map<DeviceId, Decision>& got,
         << to_string(a.rule) << " exact=" << a.exact
         << ", want cls=" << static_cast<int>(b.cls)
         << " rule=" << to_string(b.rule) << " exact=" << b.exact << ")";
-    ++it;
   }
 }
 
@@ -153,7 +151,7 @@ void run_family(const HostileSpec& spec, std::uint64_t seed, int intervals,
     for (std::size_t k = 0; k < m.intervals.size(); ++k) {
       const IntervalReport want =
           direct.observe(m.intervals[k].positions, m.intervals[k].abnormal);
-      expect_identical(reference[k].decisions, want.decisions, "direct-feed",
+      expect_identical(reference[k], want, "direct-feed",
                        spec, seed, k + 1);
       if (testing::Test::HasFatalFailure()) return;
     }
@@ -190,7 +188,7 @@ void run_family(const HostileSpec& spec, std::uint64_t seed, int intervals,
                  path.threads, path.feed, seed + 3, got);
     if (testing::Test::HasFatalFailure()) return;
     for (std::size_t k = 0; k < reference.size(); ++k) {
-      expect_identical(got[k].decisions, reference[k].decisions, path.name,
+      expect_identical(got[k], reference[k], path.name,
                        spec, seed, k + 1);
       if (testing::Test::HasFatalFailure()) return;
     }

@@ -188,19 +188,19 @@ TEST(FaultInjection, DuplicateFloodIsAbsorbedByteIdentically) {
 
   for (std::size_t k = 0; k < clean.size(); ++k) {
     EXPECT_FALSE(flooded[k].degraded);
+    ASSERT_EQ(flooded[k].report.abnormal, clean[k].report.abnormal)
+        << "interval " << k + 1;
     ASSERT_EQ(flooded[k].report.decisions.size(),
               clean[k].report.decisions.size())
         << "interval " << k + 1;
-    auto it = clean[k].report.decisions.begin();
-    for (const auto& [device, a] : flooded[k].report.decisions) {
-      const Decision& b = it->second;
-      ASSERT_EQ(device, it->first) << "interval " << k + 1;
+    for (std::size_t i = 0; i < clean[k].report.decisions.size(); ++i) {
+      const Decision& a = flooded[k].report.decisions[i];
+      const Decision& b = clean[k].report.decisions[i];
       EXPECT_TRUE(a.cls == b.cls && a.rule == b.rule && a.exact == b.exact &&
                   a.maximal_motion_count == b.maximal_motion_count &&
                   a.dense_motion_count == b.dense_motion_count &&
                   a.collections_tested == b.collections_tested)
-          << "interval " << k + 1 << " device " << device;
-      ++it;
+          << "interval " << k + 1 << " device " << clean[k].report.abnormal[i];
     }
   }
 }

@@ -1,12 +1,16 @@
 // IngestPipeline behaviour: watermark seal timing, late/duplicate/future
 // handling, stall timeout, interval-flood marking, overload sheds, the
-// liveness retire path, alignment with the monitor it feeds, and push_all()
-// against per-report push() on the same schedules.
+// liveness retire path, alignment with the monitor it feeds, push_all()
+// bursts cut at different points against each other on the same schedules,
+// and against a last-write-wins reference written in the test.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <map>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -402,8 +406,14 @@ TEST(IngestPipeline, DeferralDropsOnlyIsolatedFlaggedAndPreservesVerdicts) {
   ASSERT_EQ(capped.deferred.size(), 1u);
   EXPECT_EQ(capped.deferred.front(), 7u);  // the loner, never the cluster
   ASSERT_EQ(capped.report.decisions.size(), 2u);
-  for (const auto& [device, decision] : capped.report.decisions) {
-    const Decision& want = baseline.report.decisions.at(device);
+  for (std::size_t i = 0; i < capped.report.decisions.size(); ++i) {
+    const DeviceId device = capped.report.abnormal[i];
+    const Decision& decision = capped.report.decisions[i];
+    // The baseline's A_k is the capped one's plus the deferred loner.
+    const std::span<const DeviceId> all = baseline.report.abnormal.ids();
+    const auto at = std::find(all.begin(), all.end(), device);
+    ASSERT_NE(at, all.end()) << "device " << device;
+    const Decision& want = baseline.report.decisions[static_cast<std::size_t>(at - all.begin())];
     EXPECT_TRUE(decision.cls == want.cls && decision.rule == want.rule &&
                 decision.exact == want.exact &&
                 decision.maximal_motion_count == want.maximal_motion_count &&
@@ -644,8 +654,14 @@ std::vector<QosReport> hazard_schedule(const Hazards& hazards,
       }
     }
     if (hazards.spill_keys) {
+      // Each spill key also gets a retransmission and a stale straggler
+      // with another claim, so the spill map's dedup shows in the roster.
       for (const GatewayKey key : {GatewayKey{40}, GatewayKey{41}, GatewayKey{977}}) {
-        interval.push_back(make_report(key, k, Point{0.9, 0.1}, false, 10 * k));
+        const QosReport report = make_report(key, k, Point{0.9, 0.1}, false, 10 * k);
+        QosReport stale = report;
+        stale.arrival_seq = 10 * k - 1;
+        stale.claim = Point{0.8, 0.2};
+        interval.insert(interval.end(), {report, report, stale});
       }
     }
     if (hazards.malformed) {
@@ -729,16 +745,14 @@ void expect_same_closed(const ClosedInterval& a, const ClosedInterval& b) {
   EXPECT_TRUE(a.report.massive == b.report.massive);
   EXPECT_TRUE(a.report.unresolved == b.report.unresolved);
   ASSERT_EQ(a.report.decisions.size(), b.report.decisions.size());
-  auto it = b.report.decisions.begin();
-  for (const auto& [device, x] : a.report.decisions) {
-    const Decision& y = it->second;
-    EXPECT_EQ(device, it->first);
+  for (std::size_t i = 0; i < a.report.decisions.size(); ++i) {
+    const Decision& x = a.report.decisions[i];
+    const Decision& y = b.report.decisions[i];
     EXPECT_TRUE(x.cls == y.cls && x.rule == y.rule && x.exact == y.exact &&
                 x.maximal_motion_count == y.maximal_motion_count &&
                 x.dense_motion_count == y.dense_motion_count &&
                 x.collections_tested == y.collections_tested)
-        << "device " << device;
-    ++it;
+        << "device " << a.report.abnormal[i];
   }
 }
 
@@ -771,7 +785,9 @@ void expect_same_samples(IngestPipeline& a, IngestPipeline& b,
 
 /// Feeds `schedule` report by report to one pipeline and as push_all()
 /// bursts ending at `cuts` to another, comparing them at every cut, every
-/// sealed interval and every telemetry sample. Returns the counters.
+/// sealed interval and every telemetry sample. push() is push_all() of one
+/// report, so this compares one staging loop cut at different points; the
+/// reference below pins what that loop computes. Returns the counters.
 IngestCounters expect_push_all_matches_push(const Hazards& hazards,
                                             const std::vector<Point>& fleet,
                                             const std::vector<QosReport>& schedule,
@@ -848,6 +864,146 @@ TEST(IngestPipeline, PushAllMatchesPushOnEverySchedule) {
       EXPECT_EQ(counters.future_rejected > 0, c.hazards.late_and_future);
       EXPECT_EQ(counters.forced_closes > 0, c.hazards.flood);
       EXPECT_EQ(counters.malformed_rejected > 0, c.hazards.malformed);
+    }
+  }
+}
+
+// --- push_all() against a reference written here --------------------------
+
+/// What the pipeline must make of a schedule with no late, future or flood
+/// report, computed from the schedule alone: each (interval, key) cell
+/// resolves to its highest-seq claim, and every report is counted once.
+struct Reference {
+  struct Cell {
+    std::uint64_t seq = 0;
+    Point claim;
+  };
+  std::map<std::pair<std::uint64_t, GatewayKey>, Cell> cells;
+  std::uint64_t accepted = 0;
+  std::uint64_t superseded = 0;
+  std::uint64_t duplicates = 0;
+  std::uint64_t malformed = 0;
+};
+
+Reference reference_of(const std::vector<QosReport>& schedule) {
+  Reference want;
+  for (const QosReport& report : schedule) {
+    const std::span<const double> claim = report.claim.coords();
+    if (claim.size() != 2 ||
+        !std::ranges::all_of(claim, [](double x) { return x >= 0.0 && x <= 1.0; })) {
+      ++want.malformed;
+      continue;
+    }
+    const auto [it, fresh] = want.cells.try_emplace({report.interval, report.device});
+    Reference::Cell& cell = it->second;
+    if (!fresh) {
+      if (report.arrival_seq == cell.seq) {
+        ++want.duplicates;
+        continue;
+      }
+      ++want.superseded;
+      if (report.arrival_seq < cell.seq) continue;
+    } else {
+      ++want.accepted;
+    }
+    cell = {report.arrival_seq, Point(claim)};
+  }
+  return want;
+}
+
+/// The roster once intervals up to next_to_seal() - 1 have sealed: every
+/// active key sits at its latest winning claim (its primed position if it
+/// never reported), and every key that reported in the last sealed
+/// interval is active.
+void expect_roster_matches(const IngestPipeline& pipeline, const Reference& want,
+                           const std::vector<Point>& fleet) {
+  const std::uint64_t sealed = pipeline.next_to_seal() - 1;
+  SCOPED_TRACE(testing::Message() << "after sealing interval " << sealed);
+  std::map<GatewayKey, Point> latest;
+  for (GatewayKey d = 0; d < fleet.size(); ++d) latest[d] = fleet[d];
+  for (const auto& [cell, staged] : want.cells) {
+    if (cell.first > sealed) break;  // cells are ordered by interval first
+    latest[cell.second] = staged.claim;
+  }
+  const FleetRoster& roster = pipeline.monitor().roster();
+  for (const auto& [key, position] : latest) {
+    const std::optional<DeviceId> slot = roster.slot_of(key);
+    if (!slot.has_value()) continue;  // retired by the liveness ladder
+    EXPECT_EQ(roster.snapshot()[*slot], position) << "key " << key;
+  }
+  for (auto it = want.cells.lower_bound({sealed, 0});
+       it != want.cells.end() && it->first.first == sealed; ++it) {
+    EXPECT_TRUE(roster.active(it->first.second)) << "key " << it->first.second;
+  }
+}
+
+TEST(IngestPipeline, PushAllMatchesAReferenceOnEveryCut) {
+  const struct {
+    const char* name;
+    Hazards hazards;
+  } cases[] = {
+      {"dedup-reorder", {}},
+      {"spill-keys", {.spill_keys = true}},
+      {"malformed", {.malformed = true}},
+      {"spill-keys-and-malformed", {.spill_keys = true, .malformed = true}},
+  };
+  for (const auto& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed);
+      const std::vector<Point> fleet = random_fleet(rng);
+      const std::vector<QosReport> schedule = hazard_schedule(c.hazards, fleet, seed);
+      const Reference want = reference_of(schedule);
+      ASSERT_GT(want.duplicates, 0u);
+      ASSERT_GT(want.superseded, 0u);
+      ASSERT_EQ(want.malformed > 0, c.hazards.malformed);
+
+      // One burst, random cuts of 1 to 40, and one report at a time.
+      std::vector<std::size_t> random_cuts;
+      for (std::size_t at = 0; at < schedule.size();) {
+        at = std::min(schedule.size(), at + 1 + rng.uniform_int(std::uint64_t{40}));
+        random_cuts.push_back(at);
+      }
+      std::vector<std::size_t> every_report(schedule.size());
+      for (std::size_t i = 0; i < schedule.size(); ++i) every_report[i] = i + 1;
+      const struct {
+        const char* name;
+        std::vector<std::size_t> cuts;
+      } feeds[] = {{"one burst", {schedule.size()}},
+                   {"random cuts", random_cuts},
+                   {"report by report", every_report}};
+      for (const auto& feed : feeds) {
+        SCOPED_TRACE(testing::Message() << c.name << " seed " << seed << ", " << feed.name);
+        IngestPipeline pipeline(equivalence_config(c.hazards));
+        pipeline.prime(Snapshot(fleet));
+        std::vector<ClosedInterval> sealed;
+        std::size_t begin = 0;
+        for (const std::size_t end : feed.cuts) {
+          pipeline.push_all(std::span(schedule).subspan(begin, end - begin));
+          begin = end;
+          expect_roster_matches(pipeline, want, fleet);
+          for (ClosedInterval& closed : pipeline.drain_ready()) sealed.push_back(std::move(closed));
+        }
+        pipeline.finish();
+        expect_roster_matches(pipeline, want, fleet);
+        for (ClosedInterval& closed : pipeline.drain_ready()) sealed.push_back(std::move(closed));
+
+        const IngestCounters& got = pipeline.counters();
+        EXPECT_EQ(got.accepted, want.accepted);
+        EXPECT_EQ(got.superseded, want.superseded);
+        EXPECT_EQ(got.duplicates, want.duplicates);
+        EXPECT_EQ(got.malformed_rejected, want.malformed);
+        EXPECT_EQ(got.late_sealed, 0u);
+        EXPECT_EQ(got.future_rejected, 0u);
+        ASSERT_EQ(sealed.size(), kIntervals);
+        for (std::uint64_t k = 1; k <= kIntervals; ++k) {
+          const ClosedInterval& closed = sealed[k - 1];
+          EXPECT_EQ(closed.interval, k);
+          const auto first = want.cells.lower_bound({k, 0});
+          const auto last = want.cells.lower_bound({k + 1, 0});
+          EXPECT_EQ(closed.reported, static_cast<std::size_t>(std::distance(first, last)))
+              << "interval " << k;
+        }
+      }
     }
   }
 }

@@ -1,11 +1,12 @@
 // Unit tests for the ingest building blocks: StagingFrame's commutative
-// last-write-wins rule and its run loop, the LivenessTracker retry ladder,
+// last-write-wins rule and its one run loop, the LivenessTracker retry ladder,
 // and the OverloadController's two verdict-safety-aware sheds.
 #include <algorithm>
 #include <array>
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,178 +30,246 @@ QosReport make_report(GatewayKey device, std::uint64_t interval, double x,
   return report;
 }
 
-TEST(StagingFrame, LastWriteWinsBySeq) {
-  StagingFrame frame;
-  EXPECT_EQ(frame.apply(make_report(7, 3, 0.1, 3)), StagingFrame::Apply::kAccepted);
-  // A correction with a higher seq replaces the claim.
-  EXPECT_EQ(frame.apply(make_report(7, 3, 0.2, 5)), StagingFrame::Apply::kSuperseded);
-  // An exact retransmission of the winner is a duplicate.
-  EXPECT_EQ(frame.apply(make_report(7, 3, 0.2, 5)), StagingFrame::Apply::kDuplicate);
-  // A straggler with an older seq loses, whatever its arrival order.
-  EXPECT_EQ(frame.apply(make_report(7, 3, 0.9, 4)), StagingFrame::Apply::kStale);
+/// One staged entry as the seal sees it.
+struct Entry {
+  GatewayKey key = 0;
+  std::vector<double> claim;
+  bool flagged = false;
+  friend bool operator==(const Entry&, const Entry&) = default;
+};
 
-  ASSERT_EQ(frame.device_count(), 1u);
-  EXPECT_EQ(frame.volume(), 4u);
-  const auto cell = frame.find(7);
-  ASSERT_TRUE(cell.has_value());
-  EXPECT_EQ(cell->seq, 5u);
-  EXPECT_DOUBLE_EQ(cell->claim[0], 0.2);
-  EXPECT_FALSE(frame.find(8).has_value());
+std::vector<Entry> entries(const StagingFrame& frame) {
+  std::vector<Entry> out;
+  frame.for_each_sorted([&](GatewayKey key, std::span<const double> claim, bool flagged) {
+    out.push_back({key, {claim.begin(), claim.end()}, flagged});
+  });
+  return out;
+}
+
+std::vector<GatewayKey> keys_of(const std::vector<Entry>& staged) {
+  std::vector<GatewayKey> keys;
+  for (const Entry& entry : staged) keys.push_back(entry.key);
+  return keys;
+}
+
+/// Stages one report and names its outcome.
+const char* stage_one(StagingFrame& frame, const QosReport& report) {
+  const StagingFrame::Tally tally = frame.stage({&report, 1}, report.interval);
+  if (tally.staged != 1) return "stopped";
+  if (tally.accepted == 1) return "accepted";
+  if (tally.superseded == 1) return "superseded";
+  return tally.duplicates == 1 ? "duplicate" : "uncounted";
+}
+
+TEST(StagingFrame, LastWriteWinsBySeqForALaneKeyAndASpillKeyAlike) {
+  // Key 7 takes the lane, key 70 the spill map; each gets a first report,
+  // a correction with a higher seq, an exact retransmission of the
+  // correction and a straggler with an older seq, interleaved.
+  const std::pair<double, std::uint64_t> steps[] = {{0.1, 3}, {0.2, 5}, {0.2, 5}, {0.9, 4}};
+  std::vector<QosReport> run;
+  for (const auto& [x, seq] : steps) {
+    run.push_back(make_report(7, 3, x, seq));
+    run.push_back(make_report(70, 3, x, seq));
+  }
+  const std::vector<Entry> want{{7, {0.2, 0.2}, false}, {70, {0.2, 0.2}, false}};
+
+  StagingFrame by_one;
+  by_one.configure(8, 2);
+  const char* const outcomes[] = {"accepted", "superseded", "duplicate", "superseded"};
+  for (std::size_t i = 0; i < run.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "report " << i << " key " << run[i].device);
+    EXPECT_STREQ(stage_one(by_one, run[i]), outcomes[i / 2]);
+  }
+  EXPECT_EQ(by_one.device_count(), 2u);
+  EXPECT_EQ(by_one.volume(), 8u);
+  EXPECT_EQ(entries(by_one), want);
+
+  StagingFrame by_run;
+  by_run.configure(8, 2);
+  const StagingFrame::Tally tally = by_run.stage(run, 3);
+  EXPECT_EQ(tally.staged, 8u);
+  EXPECT_EQ(tally.accepted, 2u);
+  EXPECT_EQ(tally.superseded, 4u);  // the corrections and the stragglers
+  EXPECT_EQ(tally.duplicates, 2u);
+  EXPECT_EQ(by_run.device_count(), 2u);
+  EXPECT_EQ(by_run.volume(), 8u);
+  EXPECT_EQ(entries(by_run), want);
 }
 
 TEST(StagingFrame, StagedStateIsDeliveryOrderIndependent) {
+  // Keys 0-5 take the lane; 6-9 and 1000 + d spill.
   std::vector<QosReport> reports;
   for (GatewayKey d = 0; d < 10; ++d) {
-    reports.push_back(make_report(d, 1, 0.01 * static_cast<double>(d), 1));
-    reports.push_back(make_report(d, 1, 0.02 * static_cast<double>(d), 2,
-                                  d % 3 == 0));
-    reports.push_back(make_report(d, 1, 0.01 * static_cast<double>(d), 1));
+    for (const GatewayKey key : {d, 1000 + d}) {
+      reports.push_back(make_report(key, 1, 0.01 * static_cast<double>(d), 1));
+      reports.push_back(make_report(key, 1, 0.02 * static_cast<double>(d), 2, d % 3 == 0));
+      reports.push_back(make_report(key, 1, 0.01 * static_cast<double>(d), 1));
+    }
   }
+  std::vector<QosReport> backward(reports.rbegin(), reports.rend());
   StagingFrame forward;
-  for (const QosReport& r : reports) (void)forward.apply(r);
-  StagingFrame backward;
-  for (auto it = reports.rbegin(); it != reports.rend(); ++it) {
-    (void)backward.apply(*it);
-  }
-  const auto a = forward.sorted();
-  const auto b = backward.sorted();
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first);
-    EXPECT_EQ(a[i].second.seq, b[i].second.seq);
-    EXPECT_EQ(a[i].second.flagged, b[i].second.flagged);
-    EXPECT_TRUE(a[i].second.claim == b[i].second.claim);
+  forward.configure(6, 2);
+  EXPECT_EQ(forward.stage(reports, 1).staged, reports.size());
+  StagingFrame reversed;
+  reversed.configure(6, 2);
+  EXPECT_EQ(reversed.stage(backward, 1).staged, backward.size());
+  StagingFrame one_by_one;
+  one_by_one.configure(6, 2);
+  for (const QosReport& report : backward) (void)stage_one(one_by_one, report);
+
+  const std::vector<Entry> staged = entries(forward);
+  ASSERT_EQ(staged.size(), 20u);
+  EXPECT_EQ(staged, entries(reversed));
+  EXPECT_EQ(staged, entries(one_by_one));
+  for (const Entry& entry : staged) {
+    const GatewayKey d = entry.key % 1000;
+    EXPECT_EQ(entry.claim[0], 0.02 * static_cast<double>(d)) << "key " << entry.key;
+    EXPECT_EQ(entry.flagged, d % 3 == 0) << "key " << entry.key;
   }
 }
 
-TEST(StagingFrame, SortedIsAscendingByKey) {
+TEST(StagingFrame, SealOrderIsAscendingAcrossTheLaneAndTheSpillMap) {
   StagingFrame frame;
-  for (const GatewayKey d : {9ULL, 2ULL, 41ULL, 0ULL, 17ULL}) {
-    (void)frame.apply(make_report(d, 1, 0.5, 1));
+  frame.configure(8, 2);  // keys < 8 take the lane; 9, 17, 41 and 100 spill
+  std::vector<QosReport> run;
+  for (const GatewayKey d : {9ULL, 2ULL, 41ULL, 0ULL, 17ULL, 5ULL, 100ULL, 7ULL}) {
+    run.push_back(make_report(d, 1, 0.5, 1, d == 100));
   }
-  const auto entries = frame.sorted();
-  ASSERT_EQ(entries.size(), 5u);
-  EXPECT_TRUE(std::is_sorted(
-      entries.begin(), entries.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; }));
+  EXPECT_EQ(frame.stage(run, 1).staged, run.size());
+  const std::vector<Entry> staged = entries(frame);
+  EXPECT_EQ(keys_of(staged), (std::vector<GatewayKey>{0, 2, 5, 7, 9, 17, 41, 100}));
+  ASSERT_EQ(staged.size(), 8u);
+  EXPECT_TRUE(staged[7].flagged);
+  EXPECT_EQ(frame.device_count(), 8u);
 }
 
-TEST(StagingFrame, DenseLaneSpillAndResetKeepSemantics) {
+TEST(StagingFrame, ResetKeepsTheLaneAndReleasesASpillSpike) {
   StagingFrame frame;
-  frame.configure(8, 2);  // keys < 8 take the flat lane; 41 and 100 spill
-  (void)frame.apply(make_report(5, 1, 0.5, 1));
-  (void)frame.apply(make_report(100, 1, 0.9, 1, true));
-  (void)frame.apply(make_report(2, 1, 0.2, 1));
-  (void)frame.apply(make_report(41, 1, 0.4, 1));
-  EXPECT_EQ(frame.device_count(), 4u);
-
-  // Seal order is ascending across both lanes.
-  const auto entries = frame.sorted();
-  ASSERT_EQ(entries.size(), 4u);
-  EXPECT_EQ(entries[0].first, 2u);
-  EXPECT_EQ(entries[1].first, 5u);
-  EXPECT_EQ(entries[2].first, 41u);
-  EXPECT_EQ(entries[3].first, 100u);
-  EXPECT_TRUE(entries[3].second.flagged);
-
-  // Last-write-wins works identically in the lane and the spill.
-  EXPECT_EQ(frame.apply(make_report(5, 1, 0.7, 3)),
-            StagingFrame::Apply::kSuperseded);
-  EXPECT_EQ(frame.apply(make_report(100, 1, 0.9, 1)),
-            StagingFrame::Apply::kDuplicate);
-  ASSERT_TRUE(frame.find(5).has_value());
-  EXPECT_EQ(frame.find(5)->seq, 3u);
+  frame.configure(8, 2);
+  const std::vector<QosReport> first{make_report(5, 1, 0.5, 1), make_report(100, 1, 0.9, 1)};
+  EXPECT_EQ(frame.stage(first, 1).staged, 2u);
 
   // reset() empties the frame but keeps the lane (the pipeline pools
   // sealed frames), so a reused frame behaves like a fresh one.
   frame.shed_engaged = true;
+  frame.first_seen_tick = 9;
   frame.reset();
   EXPECT_EQ(frame.device_count(), 0u);
   EXPECT_EQ(frame.volume(), 0u);
   EXPECT_FALSE(frame.shed_engaged);
-  EXPECT_FALSE(frame.find(5).has_value());
-  EXPECT_FALSE(frame.find(100).has_value());
-  EXPECT_EQ(frame.apply(make_report(5, 2, 0.1, 1)),
-            StagingFrame::Apply::kAccepted);
-  EXPECT_EQ(frame.device_count(), 1u);
+  EXPECT_EQ(frame.first_seen_tick, 0u);
+  EXPECT_TRUE(entries(frame).empty());
+  EXPECT_STREQ(stage_one(frame, make_report(5, 2, 0.1, 1)), "accepted");
+  EXPECT_EQ(entries(frame), (std::vector<Entry>{{5, {0.1, 0.1}, false}}));
 
   // A spike of spilled keys grows the spill map past the buckets reset()
   // keeps: the reset after the spike keeps them, the next one releases
   // them. Through both the frame behaves like a fresh one.
   const GatewayKey spike = 2 * StagingFrame::kKeptBuckets;
-  for (GatewayKey key = 8; key < 8 + spike; ++key) {
-    (void)frame.apply(make_report(key, 3, 0.3, 1));
-  }
+  std::vector<QosReport> spiked;
+  for (GatewayKey key = 8; key < 8 + spike; ++key) spiked.push_back(make_report(key, 3, 0.3, 1));
+  EXPECT_EQ(frame.stage(spiked, 3).accepted, spike);
   EXPECT_EQ(frame.device_count(), 1u + spike);
   for (std::uint64_t interval = 4; interval <= 5; ++interval) {
     SCOPED_TRACE(testing::Message() << "interval " << interval);
     frame.reset();
     EXPECT_EQ(frame.device_count(), 0u);
     EXPECT_EQ(frame.volume(), 0u);
-    EXPECT_FALSE(frame.find(8).has_value());
-    EXPECT_FALSE(frame.find(7 + spike).has_value());
-    EXPECT_EQ(frame.apply(make_report(41, interval, 0.4, 2)),
-              StagingFrame::Apply::kAccepted);
-    EXPECT_EQ(frame.apply(make_report(41, interval, 0.4, 2)),
-              StagingFrame::Apply::kDuplicate);
-    EXPECT_EQ(frame.apply(make_report(2, interval, 0.2, 1)),
-              StagingFrame::Apply::kAccepted);
-    const auto after = frame.sorted();
-    ASSERT_EQ(after.size(), 2u);
-    EXPECT_EQ(after[0].first, 2u);
-    EXPECT_EQ(after[1].first, 41u);
+    EXPECT_TRUE(entries(frame).empty());
+    EXPECT_STREQ(stage_one(frame, make_report(41, interval, 0.4, 2)), "accepted");
+    EXPECT_STREQ(stage_one(frame, make_report(41, interval, 0.4, 2)), "duplicate");
+    EXPECT_STREQ(stage_one(frame, make_report(2, interval, 0.2, 1)), "accepted");
+    EXPECT_EQ(keys_of(entries(frame)), (std::vector<GatewayKey>{2, 41}));
+    EXPECT_EQ(frame.device_count(), 2u);
   }
 }
 
-TEST(StagingFrame, StageRunMatchesApplyAndStopsAtTheFirstSlowReport) {
-  // Interval 4's run: a first report, a duplicate, a correction, a stale
-  // straggler and a flagged one, then the reports that end the run.
-  std::vector<QosReport> reports{
-      make_report(1, 4, 0.1, 4),       make_report(6, 4, 0.6, 4),
-      make_report(1, 4, 0.1, 4),       make_report(6, 4, 0.7, 5),
-      make_report(6, 4, 0.5, 3),       make_report(2, 4, 0.2, 4, true),
+TEST(StagingFrame, StageStopsOnlyAtAnotherIntervalOrAMalformedClaim) {
+  // Interval 4's run: a first report, a spill key, a duplicate, a
+  // correction, a stale straggler and a flagged one, then the report that
+  // ends the run.
+  const std::vector<QosReport> reports{
+      make_report(1, 4, 0.1, 4),       make_report(9, 4, 0.9, 4),
+      make_report(6, 4, 0.6, 4),       make_report(1, 4, 0.1, 4),
+      make_report(6, 4, 0.7, 5),       make_report(6, 4, 0.5, 3),
+      make_report(2, 4, 0.2, 4, true),
   };
-  QosReport wide = make_report(3, 4, 0.3, 4);
-  wide.claim = Point{0.3, 0.3, 0.3};
-  QosReport outside = make_report(3, 4, 0.3, 4);
-  outside.claim = Point{0.3, 1.5};
-  QosReport not_a_number = make_report(3, 4, 0.3, 4);
-  not_a_number.claim = Point{std::numeric_limits<double>::quiet_NaN(), 0.3};
-  const std::vector<QosReport> stoppers{
-      make_report(0, 5, 0.0, 5),  // another interval
-      make_report(9, 4, 0.9, 4),  // a spill key
-      wide,                       // a claim of another dimension
-      outside,                    // a coordinate outside [0, 1]
-      not_a_number,               // a NaN coordinate
+  const auto with_claim = [](GatewayKey key, const Point& claim) {
+    QosReport report = make_report(key, 4, 0.3, 4);
+    report.claim = claim;
+    return report;
   };
-  for (const QosReport& stopper : stoppers) {
-    SCOPED_TRACE(testing::Message() << "stopper key " << stopper.device);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const struct {
+    const char* name;
+    QosReport report;
+  } stoppers[] = {
+      {"another interval", make_report(0, 5, 0.0, 5)},
+      {"another dimension", with_claim(3, Point{0.3, 0.3, 0.3})},
+      {"fewer coordinates", with_claim(3, Point{0.3})},
+      {"a coordinate outside [0, 1]", with_claim(3, Point{0.3, 1.5})},
+      {"a negative coordinate", with_claim(3, Point{-0.25, 0.3})},
+      {"NaN", with_claim(3, Point{nan, 0.3})},
+      {"a spill key's malformed claim", with_claim(20, Point{0.3, 0.3, 0.3})},
+  };
+  for (const auto& stopper : stoppers) {
+    SCOPED_TRACE(stopper.name);
     std::vector<QosReport> batch = reports;
-    batch.push_back(stopper);
+    batch.push_back(stopper.report);
     batch.push_back(make_report(4, 4, 0.4, 4));
 
     StagingFrame by_run;
     by_run.configure(8, 2);
-    const StagingFrame::RunTally tally = by_run.stage_run(batch, 4);
+    const StagingFrame::Tally tally = by_run.stage(batch, 4);
     EXPECT_EQ(tally.staged, reports.size());
-    EXPECT_EQ(tally.outcomes, (std::array<std::size_t, 4>{3, 1, 1, 1}));
+    EXPECT_EQ(tally.accepted, 4u);
+    EXPECT_EQ(tally.superseded, 2u);
+    EXPECT_EQ(tally.duplicates, 1u);
+    EXPECT_EQ(by_run.volume(), reports.size());
+    EXPECT_EQ(by_run.device_count(), 4u);
+    EXPECT_EQ(by_run.stage(std::span(batch).subspan(reports.size()), 4).staged, 0u);
 
-    StagingFrame by_apply;
-    by_apply.configure(8, 2);
-    for (const QosReport& report : reports) (void)by_apply.apply(report);
-    EXPECT_EQ(by_run.volume(), by_apply.volume());
-    EXPECT_EQ(by_run.device_count(), by_apply.device_count());
-    const auto a = by_run.sorted();
-    const auto b = by_apply.sorted();
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first, b[i].first);
-      EXPECT_EQ(a[i].second.seq, b[i].second.seq);
-      EXPECT_EQ(a[i].second.flagged, b[i].second.flagged);
-      EXPECT_TRUE(a[i].second.claim == b[i].second.claim);
-    }
+    StagingFrame by_one;
+    by_one.configure(8, 2);
+    for (const QosReport& report : reports) (void)stage_one(by_one, report);
+    EXPECT_EQ(entries(by_run), entries(by_one));
+    EXPECT_EQ(keys_of(entries(by_run)), (std::vector<GatewayKey>{1, 2, 6, 9}));
   }
+}
 
+TEST(StagingFrame, ASpillKeyInMidRunDoesNotStopTheRun) {
+  StagingFrame frame;
+  frame.configure(4, 2);
+  const std::vector<QosReport> run{make_report(0, 1, 0.1, 1), make_report(977, 1, 0.9, 1),
+                                   make_report(3, 1, 0.3, 1), make_report(4, 1, 0.4, 1),
+                                   make_report(1, 1, 0.2, 1)};
+  const StagingFrame::Tally tally = frame.stage(run, 1);
+  EXPECT_EQ(tally.staged, run.size());
+  EXPECT_EQ(tally.accepted, run.size());
+  EXPECT_EQ(keys_of(entries(frame)), (std::vector<GatewayKey>{0, 1, 3, 4, 977}));
+}
+
+TEST(StagingFrame, ConfigureRefusesADimensionNoRosterHas) {
+  StagingFrame frame;
+  EXPECT_THROW(frame.configure(8, 0), std::invalid_argument);
+  EXPECT_THROW(frame.configure(8, Claim::kMaxDim + 1), std::invalid_argument);
+  const QosReport report = make_report(3, 1, 0.3, 1);
+  const std::span<const QosReport> run(&report, 1);
+  EXPECT_THROW((void)frame.stage(run, 1), std::logic_error);  // still unconfigured
+
+  // A dense limit of 0 means no lane: every key spills.
+  frame.configure(0, 2);
+  EXPECT_STREQ(stage_one(frame, report), "accepted");
+  EXPECT_EQ(entries(frame), (std::vector<Entry>{{3, {0.3, 0.3}, false}}));
+}
+
+TEST(StagingFrame, StageOnAFrameNeverConfiguredThrows) {
+  StagingFrame frame;
+  const std::vector<QosReport> run{make_report(3, 1, 0.3, 1)};
+  EXPECT_THROW((void)frame.stage(run, 1), std::logic_error);
+  EXPECT_EQ(frame.volume(), 0u);
+  EXPECT_EQ(frame.device_count(), 0u);
+  EXPECT_THROW((void)frame.stage({}, 1), std::logic_error);
 }
 
 TEST(Claim, HoldsUpToTheRosterDimensionLimit) {
@@ -222,18 +291,6 @@ TEST(Claim, HoldsUpToTheRosterDimensionLimit) {
   QosReport report;
   EXPECT_THROW(report.claim = nine, std::invalid_argument);
   EXPECT_EQ(report.claim.dim(), 0u);
-}
-
-TEST(StagingFrame, ApplyRefusesALaneClaimOfAnotherDimension) {
-  StagingFrame frame;
-  frame.configure(8, 2);
-  QosReport wide = make_report(3, 1, 0.3, 1);
-  wide.claim = Point{0.3, 0.3, 0.3};
-  EXPECT_THROW((void)frame.apply(wide), std::invalid_argument);
-  EXPECT_EQ(frame.volume(), 0u);
-  EXPECT_EQ(frame.device_count(), 0u);
-  wide.device = 20;  // a spill key holds any claim; the pipeline checks it
-  EXPECT_EQ(frame.apply(wide), StagingFrame::Apply::kAccepted);
 }
 
 TEST(Claim, FitsExactlyWhatTheRosterAccepts) {

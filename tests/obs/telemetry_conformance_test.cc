@@ -8,7 +8,6 @@
 // decision path.
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -54,18 +53,17 @@ void expect_same_report(const IntervalReport& got, const IntervalReport& want,
       << " interval=" << interval << " path=" << path;
   ASSERT_EQ(got.decisions.size(), want.decisions.size())
       << "REPRO: family=" << spec.name << " interval=" << interval;
-  auto it = want.decisions.begin();
-  for (const auto& [device, a] : got.decisions) {
-    ASSERT_EQ(device, it->first);
-    const Decision& b = it->second;
+  ASSERT_EQ(got.abnormal, want.abnormal);
+  for (std::size_t i = 0; i < got.decisions.size(); ++i) {
+    const Decision& a = got.decisions[i];
+    const Decision& b = want.decisions[i];
     EXPECT_TRUE(a.cls == b.cls && a.rule == b.rule && a.exact == b.exact &&
                 a.maximal_motion_count == b.maximal_motion_count &&
                 a.dense_motion_count == b.dense_motion_count &&
                 a.collections_tested == b.collections_tested)
         << "REPRO: family=" << spec.name << " suite-seed=" << kSuiteSeed
         << " interval=" << interval << " path=" << path
-        << " device=" << device;
-    ++it;
+        << " device=" << got.abnormal[i];
   }
 }
 

@@ -227,17 +227,16 @@ void expect_same_state(const StatePair& got, const StatePair& want) {
 
 void expect_same_verdicts(const IntervalReport& got, const FrameEngine::Result& want,
                           const DeviceSet& abnormal) {
+  ASSERT_EQ(got.abnormal, abnormal);
   ASSERT_EQ(got.decisions.size(), want.decisions.size());
-  std::size_t i = 0;
-  for (const auto& [device, a] : got.decisions) {
+  for (std::size_t i = 0; i < got.decisions.size(); ++i) {
+    const Decision& a = got.decisions[i];
     const Decision& b = want.decisions[i];
-    EXPECT_EQ(device, abnormal[i]);
     EXPECT_TRUE(a.cls == b.cls && a.rule == b.rule && a.exact == b.exact &&
                 a.maximal_motion_count == b.maximal_motion_count &&
                 a.dense_motion_count == b.dense_motion_count &&
                 a.collections_tested == b.collections_tested)
-        << "device " << device;
-    ++i;
+        << "device " << abnormal[i];
   }
 }
 

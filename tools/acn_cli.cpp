@@ -167,10 +167,11 @@ int run_demo(const Options& options) {
   // Score against the generator's ground truth.
   std::size_t correct = 0;
   std::size_t decided = 0;
-  for (const auto& [device, decision] : report.decisions) {
+  for (std::size_t i = 0; i < report.decisions.size(); ++i) {
+    const acn::Decision& decision = report.decisions[i];
     if (decision.cls == acn::AnomalyClass::kUnresolved) continue;
     ++decided;
-    const bool truly_massive = step.truth.truly_massive.contains(device);
+    const bool truly_massive = step.truth.truly_massive.contains(report.abnormal[i]);
     if ((decision.cls == acn::AnomalyClass::kMassive) == truly_massive) ++correct;
   }
   std::printf("\nground truth: %zu/%zu decided verdicts correct\n", correct, decided);

@@ -54,8 +54,8 @@ else
   done
 fi
 
-# The kernel dispatch the run will use (scalar or avx2, decided by CPUID /
-# ACN_KERNELS at startup) — stamped into every recording's header so two
+# The kernel dispatch the run will use (scalar or avx2, decided by CPUID at
+# startup; scalar only in a -DACN_SIMD=off build) — stamped into every recording's header so two
 # BENCH_*.json files are only ever compared like-for-like. bench_kernels
 # prints it; "unknown" when that binary isn't built.
 kernel_dispatch=unknown
