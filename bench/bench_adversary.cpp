@@ -1,11 +1,13 @@
 // Extension bench (§VIII future work): collusion attacks against the
 // characterization, and the clone-filter countermeasure. For a sweep of
-// colluder counts, measures the fake-crowd attack's success probability
-// (isolated victims silenced as "massive") and the scatter-cover attack's
+// colluder counts, measures the shadow-crowd attack's success probability
+// (isolated victims silenced as "massive") and the scatter-chaff attack's
 // success (massive events shredded into isolated verdicts), with and
 // without the defense, plus the defense's collateral damage on honest
-// workloads.
+// workloads. Each trial shapes the colluders' claims with one
+// TrajectoryShaper over one interval: at k-1, then at k.
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "adversary/adversary.hpp"
@@ -31,6 +33,21 @@ acn::ScenarioParams workload(std::uint64_t seed) {
   return params;
 }
 
+/// The state the characterizers observe after `shaper` rewrote the
+/// colluders' claims of `honest`: their S_{k-1} claims with the victim not
+/// yet abnormal, then their S_k claims, with A_k grown by the colluders
+/// that claimed a_k = true at k.
+acn::StatePair shaped(const acn::StatePair& honest, acn::TrajectoryShaper& shaper,
+                      std::optional<acn::DeviceId> victim) {
+  std::vector<acn::Point> prev = honest.prev().positions();
+  std::vector<acn::Point> curr = honest.curr().positions();
+  shaper.shape(victim, false, prev);
+  const acn::DeviceSet fabricated(
+      shaper.shape(victim, victim.has_value() && honest.is_abnormal(*victim), curr));
+  return acn::StatePair(acn::Snapshot(prev), acn::Snapshot(curr),
+                        honest.abnormal().set_union(fabricated));
+}
+
 }  // namespace
 
 int main() {
@@ -39,8 +56,8 @@ int main() {
   std::printf("# %llu trials per cell; defense = clone filter (0.2r, group >= 3)\n\n",
               static_cast<unsigned long long>(trials));
 
-  acn::Table table({"colluders", "fake-crowd success %", "with defense %",
-                    "scatter success %", "honest collateral %"});
+  acn::Table table({"colluders", "shadow-crowd success %", "with defense %",
+                    "scatter-chaff success %", "honest collateral %"});
   for (const std::size_t colluders : {2u, 3u, 4u, 6u, 8u}) {
     std::uint64_t crowd_hits = 0;
     std::uint64_t crowd_hits_defended = 0;
@@ -55,25 +72,25 @@ int main() {
       const acn::ScenarioStep step = generator.advance();
       if (step.truth.abnormal.empty()) continue;
 
-      // --- fake-crowd: silence the first truly isolated victim.
+      // --- shadow-crowd: silence the first truly isolated victim.
       if (!step.truth.truly_isolated.empty()) {
         ++crowd_trials;
         const acn::DeviceId victim = step.truth.truly_isolated[0];
-        acn::AttackConfig attack;
-        attack.strategy = acn::AttackStrategy::kFakeCrowd;
-        attack.target = victim;
-        attack.claim_jitter = 0.05;
-        attack.seed = trial;
+        acn::TrajectoryShaper::Config attack{.strategy = acn::TrajectoryAttack::kShadowCrowd,
+                                             .model = kModel,
+                                             .claim_jitter = 0.05,
+                                             .seed = trial};
         // Colluders: healthy devices (never part of A_k).
         for (acn::DeviceId c = 0; c < step.state.n() && attack.colluders.size() < colluders; ++c) {
           if (!step.truth.abnormal.contains(c)) attack.colluders.push_back(c);
         }
-        const auto compromised = acn::apply_attack(step.state, kModel, attack);
-        acn::Characterizer attacked(compromised.observed, kModel);
+        acn::TrajectoryShaper shaper(std::move(attack));
+        const acn::StatePair observed = shaped(step.state, shaper, victim);
+        acn::Characterizer attacked(observed, kModel);
         if (attacked.characterize(victim).cls == acn::AnomalyClass::kMassive) {
           ++crowd_hits;
         }
-        const acn::StatePair cleaned = kFilter.filtered(compromised.observed, kModel);
+        const acn::StatePair cleaned = kFilter.filtered(observed, kModel);
         if (cleaned.is_abnormal(victim)) {
           acn::Characterizer defended(cleaned, kModel);
           if (defended.characterize(victim).cls == acn::AnomalyClass::kMassive) {
@@ -83,19 +100,20 @@ int main() {
         // A victim filtered out entirely counts as not silenced-by-massive.
       }
 
-      // --- scatter-cover: shred the first truly massive event.
+      // --- scatter-chaff: insiders of the first truly massive event scatter
+      // their claims to shred it.
       for (const auto& event : step.truth.events) {
         if (!event.massive || event.devices.size() <= colluders) continue;
         ++scatter_trials;
-        acn::AttackConfig attack;
-        attack.strategy = acn::AttackStrategy::kScatterCover;
-        attack.target = event.devices[0];
-        attack.seed = trial;
+        acn::TrajectoryShaper::Config attack{.strategy = acn::TrajectoryAttack::kScatterChaff,
+                                             .model = kModel,
+                                             .seed = trial};
         for (std::size_t i = 0; i < colluders; ++i) {
           attack.colluders.push_back(event.devices[i + 1]);
         }
-        const auto compromised = acn::apply_attack(step.state, kModel, attack);
-        acn::Characterizer attacked(compromised.observed, kModel);
+        acn::TrajectoryShaper shaper(std::move(attack));
+        const acn::StatePair observed = shaped(step.state, shaper, std::nullopt);
+        acn::Characterizer attacked(observed, kModel);
         if (attacked.characterize(event.devices[0]).cls ==
             acn::AnomalyClass::kIsolated) {
           ++scatter_hits;
@@ -126,8 +144,8 @@ int main() {
   }
   table.print();
   std::printf(
-      "\n# Shape checks: fake-crowd flips ~100%% once colluders >= tau and the\n"
+      "\n# Shape checks: shadow-crowd flips ~100%% once colluders >= tau and the\n"
       "# clone filter drives it back to ~0 with negligible honest collateral;\n"
-      "# scatter-cover needs enough insiders to starve every dense motion.\n");
+      "# scatter-chaff needs enough insiders to starve every dense motion.\n");
   return 0;
 }

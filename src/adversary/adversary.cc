@@ -1,104 +1,20 @@
 #include "adversary/adversary.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "common/math.hpp"
 
 namespace acn {
-namespace {
-
-Point jittered(const Point& base, double amplitude, Rng& rng) {
-  Point out = base;
-  for (std::size_t i = 0; i < out.dim(); ++i) {
-    out[i] = clamp(out[i] + rng.uniform(-amplitude, amplitude), 0.0, 1.0);
-  }
-  return out;
-}
-
-}  // namespace
-
-CompromisedState apply_attack(const StatePair& honest, Params model,
-                              const AttackConfig& config) {
-  model.validate();
-  for (const DeviceId c : config.colluders) {
-    if (c >= honest.n()) {
-      throw std::invalid_argument("apply_attack: unknown colluder id");
-    }
-  }
-  if (config.target >= honest.n()) {
-    throw std::invalid_argument("apply_attack: unknown target id");
-  }
-
-  Rng rng(config.seed);
-  std::vector<Point> prev;
-  std::vector<Point> curr;
-  prev.reserve(honest.n());
-  curr.reserve(honest.n());
-  for (DeviceId j = 0; j < honest.n(); ++j) {
-    prev.push_back(honest.prev_pos(j));
-    curr.push_back(honest.curr_pos(j));
-  }
-  DeviceSet abnormal = honest.abnormal();
-  DeviceSet fabricated;
-
-  const double jitter = config.claim_jitter * model.r;
-  switch (config.strategy) {
-    case AttackStrategy::kFakeCrowd: {
-      // Shadow the victim's trajectory: colluders claim they started next
-      // to the victim and crashed along with it, fabricating a dense motion
-      // around a genuinely isolated anomaly.
-      for (const DeviceId c : config.colluders) {
-        prev[c] = jittered(honest.prev_pos(config.target), jitter, rng);
-        curr[c] = jittered(honest.curr_pos(config.target), jitter, rng);
-        if (!abnormal.contains(c)) {
-          abnormal = abnormal.with(c);
-          fabricated = fabricated.with(c);
-        }
-      }
-      break;
-    }
-    case AttackStrategy::kScatterCover: {
-      // Colluders genuinely impacted by the target's event claim uniform
-      // nonsense positions, starving the event's motions below tau.
-      for (const DeviceId c : config.colluders) {
-        std::vector<double> coords(honest.dim());
-        for (auto& x : coords) x = rng.uniform();
-        curr[c] = Point{std::span<const double>(coords)};
-        for (auto& x : coords) x = rng.uniform();
-        prev[c] = Point{std::span<const double>(coords)};
-      }
-      break;
-    }
-    case AttackStrategy::kMimicNoise: {
-      // Each colluder replays a random honest abnormal device's trajectory.
-      const DeviceSet& pool = honest.abnormal();
-      if (!pool.empty()) {
-        for (const DeviceId c : config.colluders) {
-          const DeviceId copied = pool[rng.uniform_int(pool.size())];
-          prev[c] = jittered(honest.prev_pos(copied), jitter, rng);
-          curr[c] = jittered(honest.curr_pos(copied), jitter, rng);
-          if (!abnormal.contains(c)) {
-            abnormal = abnormal.with(c);
-            fabricated = fabricated.with(c);
-          }
-        }
-      }
-      break;
-    }
-  }
-
-  return CompromisedState{
-      StatePair(Snapshot(std::move(prev)), Snapshot(std::move(curr)),
-                std::move(abnormal)),
-      DeviceSet(config.colluders), std::move(fabricated)};
-}
 
 TrajectoryShaper::TrajectoryShaper(Config config)
     : config_(std::move(config)), rng_(config_.seed) {
   config_.model.validate();
-  if (config_.claim_jitter < 0.0 || config_.chain_spacing <= 0.0 ||
-      config_.chain_spacing > 1.0) {
+  // Written so NaN fails: a NaN (or infinite) jitter would clamp to NaN
+  // claims, which only a later Snapshot refuses.
+  if (!(std::isfinite(config_.claim_jitter) && config_.claim_jitter >= 0.0 &&
+        config_.chain_spacing > 0.0 && config_.chain_spacing <= 1.0)) {
     throw std::invalid_argument("TrajectoryShaper: bad jitter/spacing");
   }
 }

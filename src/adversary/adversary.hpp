@@ -6,87 +6,28 @@
 //    be detected by the monitoring application."
 //
 // The trajectories the characterizer consumes are *claims* made by peers;
-// nothing in the DSN'14 model authenticates them. This module implements
-// the attack the authors anticipate, plus two variants, by rewriting the
-// state a victim's characterizer observes:
-//
-//   kFakeCrowd — colluders claim trajectories shadowing the victim's real
-//     one. The victim's genuinely *isolated* anomaly now sits inside a
-//     fabricated tau-dense motion: Theorem 5 no longer applies, the victim
-//     concludes "massive" and stays silent — exactly "preventing an
-//     impacted device from being detected".
-//   kScatterCover — colluders impacted by a real massive event claim
-//     scattered positions, bleeding the event's dense motions below tau so
-//     impacted devices mis-report isolated failures (support-desk flood).
-//   kMimicNoise — colluders replay other devices' trajectories with small
-//     perturbations (chaff; degrades precision without a specific victim).
+// nothing in the DSN'14 model authenticates them. A TrajectoryShaper is the
+// adversary: it rewrites its colluders' claims interval after interval, so
+// what a colluder reports at k becomes its honest-looking position at k-1
+// of the next interval. A monitor remembers the previous snapshot, so the
+// fabricated structure has to be built by FOLLOWING the victim through
+// time, which is exactly what a real collusion would do. The hostile
+// scenario suite (sim/hostile) drives it to target verdict flips and
+// BudgetExhausted verdicts; bench_adversary shapes one interval (k-1, then
+// k) per trial to score the attacks against the clone filter
+// (adversary/defense).
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "common/device_set.hpp"
 #include "common/rng.hpp"
-#include "core/state.hpp"
 #include "core/params.hpp"
+#include "core/point.hpp"
 
 namespace acn {
-
-enum class AttackStrategy : std::uint8_t {
-  kFakeCrowd,
-  kScatterCover,
-  kMimicNoise,
-};
-
-[[nodiscard]] constexpr const char* to_string(AttackStrategy s) noexcept {
-  switch (s) {
-    case AttackStrategy::kFakeCrowd: return "fake-crowd";
-    case AttackStrategy::kScatterCover: return "scatter-cover";
-    case AttackStrategy::kMimicNoise: return "mimic-noise";
-  }
-  return "?";
-}
-
-struct AttackConfig {
-  AttackStrategy strategy = AttackStrategy::kFakeCrowd;
-  /// Devices the adversary controls (their claims are rewritten).
-  std::vector<DeviceId> colluders;
-  /// Victim whose verdict the adversary wants to flip (kFakeCrowd) or the
-  /// massive event whose devices it wants to scatter (kScatterCover: any
-  /// member id). Ignored by kMimicNoise.
-  DeviceId target = 0;
-  /// Spatial tightness of fabricated claims, as a fraction of r.
-  double claim_jitter = 0.5;
-  std::uint64_t seed = 1;
-};
-
-/// The compromised state: what honest devices observe after the adversary
-/// rewrites its colluders' claims. Ground truth (`honest`) is kept so the
-/// benches can score the attack.
-struct CompromisedState {
-  StatePair observed;          ///< claims, as fed to characterizers
-  DeviceSet colluders;         ///< which devices lied
-  DeviceSet fabricated_abnormal;  ///< colluders that fabricated a_k = true
-};
-
-/// Applies the attack to an honest state. Colluders must be valid ids;
-/// throws std::invalid_argument otherwise.
-[[nodiscard]] CompromisedState apply_attack(const StatePair& honest, Params model,
-                                            const AttackConfig& config);
-
-// ---------------------------------------------------------------------------
-// Streaming trajectory shaping.
-//
-// apply_attack rewrites ONE StatePair after the fact — fine for a single
-// interval, but a streaming monitor remembers the previous snapshot, so an
-// adversary that rewrites history would be caught by simple consistency
-// checks. A TrajectoryShaper instead shapes the colluders' claims interval
-// after interval: what a colluder reports at k becomes its honest-looking
-// position at k-1 of the next interval. The fabricated structure therefore
-// has to be built by FOLLOWING the victim through time, which is exactly
-// what a real collusion would do. Used by the hostile scenario suite
-// (sim/hostile) to target BudgetExhausted verdicts and verdict flips.
-// ---------------------------------------------------------------------------
 
 enum class TrajectoryAttack : std::uint8_t {
   /// Colluders continuously shadow the victim's reported trajectory inside
@@ -104,7 +45,9 @@ enum class TrajectoryAttack : std::uint8_t {
   kSuperpositionBomb,
   /// Colluders claim fresh uniform positions (and a_k = true) every
   /// interval: untargeted chaff that floods A_k with fake isolated
-  /// anomalies and degrades precision.
+  /// anomalies and degrades precision. Colluders inside a genuine massive
+  /// event starve its dense motions below tau this way, so its honest
+  /// devices mis-report isolated failures (a support-desk flood).
   kScatterChaff,
 };
 
@@ -135,6 +78,8 @@ class TrajectoryShaper {
     std::uint64_t seed = 1;
   };
 
+  /// Throws std::invalid_argument unless the model validates, claim_jitter
+  /// is finite and >= 0, and chain_spacing lies in (0, 1]; NaN fails both.
   explicit TrajectoryShaper(Config config);
 
   /// Rewrites the colluders' claimed positions for the closing interval, in
@@ -143,8 +88,9 @@ class TrajectoryShaper {
   /// device whose verdict is targeted this interval (nullopt: targeted
   /// strategies freeze their claims); `victim_abnormal` says whether the
   /// victim reported a_k = true. Returns the colluders claiming a_k = true
-  /// this interval, ascending. Throws std::invalid_argument on a colluder
-  /// or victim id outside `claimed`.
+  /// this interval, ascending: all of them when the victim is abnormal (and
+  /// always under kScatterChaff), none otherwise. Throws
+  /// std::invalid_argument on a colluder or victim id outside `claimed`.
   std::vector<DeviceId> shape(std::optional<DeviceId> victim,
                               bool victim_abnormal,
                               std::vector<Point>& claimed);

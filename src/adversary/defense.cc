@@ -7,7 +7,9 @@
 namespace acn {
 
 CloneFilter::CloneFilter(Config config) : config_(config) {
-  if (config.suspicion_factor <= 0.0 || config.suspicion_factor >= 1.0) {
+  // Written so NaN fails: a NaN radius would match no pair and silently
+  // switch the defense off.
+  if (!(config.suspicion_factor > 0.0 && config.suspicion_factor < 1.0)) {
     throw std::invalid_argument("CloneFilter: suspicion_factor must be in (0, 1)");
   }
   if (config.min_group < 2) {
@@ -57,17 +59,8 @@ DeviceSet CloneFilter::suspicious(const StatePair& state, Params model) const {
 }
 
 StatePair CloneFilter::filtered(const StatePair& state, Params model) const {
-  const DeviceSet drops = suspicious(state, model);
-  std::vector<Point> prev;
-  std::vector<Point> curr;
-  prev.reserve(state.n());
-  curr.reserve(state.n());
-  for (DeviceId j = 0; j < state.n(); ++j) {
-    prev.push_back(state.prev_pos(j));
-    curr.push_back(state.curr_pos(j));
-  }
-  return StatePair(Snapshot(std::move(prev)), Snapshot(std::move(curr)),
-                   state.abnormal().set_difference(drops));
+  return StatePair(state.prev(), state.curr(),
+                   state.abnormal().set_difference(suspicious(state, model)));
 }
 
 }  // namespace acn

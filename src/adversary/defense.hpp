@@ -34,6 +34,8 @@ class CloneFilter {
     std::size_t min_group = 3;
   };
 
+  /// Throws std::invalid_argument unless suspicion_factor lies in (0, 1)
+  /// (NaN fails) and min_group >= 2.
   explicit CloneFilter(Config config);
 
   /// Returns the devices to drop from A_k: every clone-group of size >=

@@ -97,7 +97,7 @@ class FrameEngine {
     /// Options for every decision; characterize.parallel_grain
     /// is the |A_k| below which the characterization fan-out runs inline
     /// (Characterizer::decide's threshold).
-    CharacterizeOptions characterize;
+    CharacterizeOptions characterize{};
     /// Lanes for every per-interval fan-out (state roll, plane build,
     /// per-family characterization): 1 = inline serial (default), 0 =
     /// hardware concurrency. Verdicts are identical for every value.

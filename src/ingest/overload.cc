@@ -1,9 +1,10 @@
 #include "ingest/overload.hpp"
 
-#include <array>
-#include <cmath>
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
+
+#include "core/grid_index.hpp"
 
 namespace acn {
 namespace {
@@ -15,16 +16,6 @@ std::uint64_t mix(std::uint64_t x) noexcept {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Packs integer cell coordinates into one hashable key.
-std::uint64_t cell_key(const std::int64_t* cell, std::size_t dim) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t t = 0; t < dim; ++t) {
-    h ^= static_cast<std::uint64_t>(cell[t]);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 }  // namespace
@@ -51,51 +42,16 @@ std::vector<std::size_t> OverloadController::defer_candidates(
   std::vector<std::size_t> deferred;
   if (claims.size() <= config_.defer_abnormal_cap) return deferred;
 
-  const std::size_t dim = claims.front().dim();
-  const double cell = window > 0.0 ? window : 1.0;
-
-  // Bucket every claim by its integer cell at side 2r; two points within
-  // chebyshev <= 2r differ by at most one cell per dimension.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
-  buckets.reserve(claims.size());
-  std::vector<std::array<std::int64_t, Point::kMaxDim>> cells(claims.size());
-  for (std::size_t i = 0; i < claims.size(); ++i) {
-    for (std::size_t t = 0; t < dim; ++t) {
-      cells[i][t] = static_cast<std::int64_t>(std::floor(claims[i][t] / cell));
-    }
-    buckets[cell_key(cells[i].data(), dim)].push_back(i);
-  }
-
-  // A device defers iff no OTHER flagged claim lies within `window`.
-  std::array<std::int64_t, Point::kMaxDim> probe{};
-  for (std::size_t i = 0; i < claims.size(); ++i) {
-    bool adjacent = false;
-    // Enumerate the 3^dim neighbouring cells (odometer walk).
-    std::array<int, Point::kMaxDim> offset{};
-    offset.fill(-1);
-    while (!adjacent) {
-      for (std::size_t t = 0; t < dim; ++t) {
-        probe[t] = cells[i][t] + offset[t];
-      }
-      if (const auto it = buckets.find(cell_key(probe.data(), dim));
-          it != buckets.end()) {
-        for (const std::size_t other : it->second) {
-          if (other != i && chebyshev(claims[i], claims[other]) <= window) {
-            adjacent = true;
-            break;
-          }
-        }
-      }
-      // Advance the odometer; done after {+1,+1,...,+1}.
-      std::size_t t = 0;
-      while (t < dim && offset[t] == 1) {
-        offset[t] = -1;
-        ++t;
-      }
-      if (t == dim) break;
-      ++offset[t];
-    }
-    if (!adjacent) deferred.push_back(i);
+  // Both halves of the state are the claims, so the joint distance of two
+  // devices is the Chebyshev distance of their claims, and a device defers
+  // iff no OTHER flagged claim lies within `window`.
+  const Snapshot snapshot(claims);
+  std::vector<DeviceId> all(claims.size());
+  std::iota(all.begin(), all.end(), DeviceId{0});
+  const StatePair state(snapshot, snapshot, DeviceSet::from_sorted(std::move(all)));
+  const GridIndex grid(state, state.abnormal(), std::max(window, kMinGridCell));
+  for (DeviceId i = 0; i < claims.size(); ++i) {
+    if (grid.within(i, window).size() == 1) deferred.push_back(i);
   }
   return deferred;
 }

@@ -67,7 +67,10 @@ class OverloadController {
   /// claims.size() > defer_abnormal_cap, and then selecting every device
   /// with no other flagged device within chebyshev distance `window`
   /// (= 2r) of its claimed position. Returned ascending. Cost is
-  /// O(|claims|) expected via a uniform cell hash at cell size `window`.
+  /// O(|claims|) expected: one GridIndex over the claims, cell side
+  /// `window` (at least kMinGridCell), queried once per device. When
+  /// engaged, throws std::invalid_argument unless the claims are points of
+  /// one [0,1]^d with d <= Claim::kMaxDim, as every staged claim is.
   [[nodiscard]] std::vector<std::size_t> defer_candidates(
       const std::vector<Point>& claims, double window) const;
 

@@ -65,7 +65,7 @@ class OnlineMonitor {
     /// hardware concurrency. Verdicts are identical either way.
     unsigned characterize_threads = 1;
     std::uint64_t episode_quiet_intervals = 1;
-    std::optional<AdaptiveSampler::Config> adaptive;  ///< nullopt = fixed rate
+    std::optional<AdaptiveSampler::Config> adaptive{};  ///< nullopt = fixed rate
     /// Churned-fleet mode: a fixed slot capacity > 0 embeds a FleetRoster
     /// and enables admit/retire/report/close_interval — gateways may join
     /// and leave mid-stream while the engine below keeps its fixed device
@@ -79,7 +79,7 @@ class OnlineMonitor {
     /// Telemetry reads only the interval's outputs — verdicts are
     /// byte-identical with it on or off (pinned by the conformance test).
     /// nullopt (default) compiles the hot path down to a null check.
-    std::optional<obs::TelemetryConfig> telemetry;
+    std::optional<obs::TelemetryConfig> telemetry{};
     /// The engine's byte cap on its motion-plane arenas
     /// (FrameEngine::Config::plane_arena_budget): past it observe() and
     /// close_interval() throw ArenaBudgetExceeded after the state roll,

@@ -1,6 +1,9 @@
 // The §VIII future-work attack surface: collusion can flip verdicts, and
-// the clone filter claws the fake-crowd attack back.
+// the clone filter claws the shadow-crowd attack back.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <optional>
 
 #include "adversary/adversary.hpp"
 #include "adversary/defense.hpp"
@@ -11,6 +14,7 @@ namespace acn {
 namespace {
 
 const Params kModel{.r = 0.05, .tau = 3};
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Victim (device 0) suffers an isolated crash; devices 1..6 are healthy
 /// bystanders scattered far away.
@@ -28,52 +32,78 @@ StatePair honest_scene() {
       DeviceSet({0}));
 }
 
-TEST(FakeCrowdAttackTest, FlipsIsolatedVictimToMassive) {
+/// Five devices genuinely crash together: a massive event.
+StatePair massive_scene() {
+  return test::make_state_1d(
+      {
+          {0.10, 0.60}, {0.12, 0.62}, {0.14, 0.64}, {0.16, 0.66}, {0.18, 0.68},
+      },
+      DeviceSet({0, 1, 2, 3, 4}));
+}
+
+/// What the characterizers observe after one shaper rewrote the colluders'
+/// claims over one interval of `honest`.
+struct Shaped {
+  StatePair observed;     ///< shaped claims, A_k grown by `fabricated`
+  DeviceSet fabricated;   ///< colluders that claimed a_k = true at k
+};
+
+/// Shapes S_{k-1} with the victim not yet abnormal, then S_k with the
+/// victim abnormal iff it is in A_k.
+Shaped shape_interval(const StatePair& honest, TrajectoryShaper& shaper,
+                      std::optional<DeviceId> victim) {
+  std::vector<Point> prev = honest.prev().positions();
+  std::vector<Point> curr = honest.curr().positions();
+  shaper.shape(victim, false, prev);
+  DeviceSet fabricated(
+      shaper.shape(victim, victim.has_value() && honest.is_abnormal(*victim), curr));
+  StatePair observed(Snapshot(prev), Snapshot(curr),
+                     honest.abnormal().set_union(fabricated));
+  return {std::move(observed), std::move(fabricated)};
+}
+
+TrajectoryShaper shadow_crowd(std::vector<DeviceId> colluders,
+                              double claim_jitter = 0.35) {
+  return TrajectoryShaper({.strategy = TrajectoryAttack::kShadowCrowd,
+                           .colluders = std::move(colluders),
+                           .model = kModel,
+                           .claim_jitter = claim_jitter});
+}
+
+TEST(ShadowCrowdAttackTest, FlipsIsolatedVictimToMassive) {
   const StatePair honest = honest_scene();
   Characterizer before(honest, kModel);
   ASSERT_EQ(before.characterize(0).cls, AnomalyClass::kIsolated);
 
-  AttackConfig attack;
-  attack.strategy = AttackStrategy::kFakeCrowd;
-  attack.colluders = {1, 2, 3};  // tau colluders + victim = dense motion
-  attack.target = 0;
-  const CompromisedState compromised = apply_attack(honest, kModel, attack);
+  TrajectoryShaper shaper = shadow_crowd({1, 2, 3});  // tau colluders + victim
+  const Shaped attacked = shape_interval(honest, shaper, 0);
 
-  Characterizer after(compromised.observed, kModel);
+  Characterizer after(attacked.observed, kModel);
   EXPECT_EQ(after.characterize(0).cls, AnomalyClass::kMassive)
       << "the paper's anticipated attack: the victim now believes the whole "
          "neighbourhood crashed and never calls support";
-  EXPECT_EQ(compromised.fabricated_abnormal.size(), 3u);
+  EXPECT_EQ(attacked.fabricated, DeviceSet({1, 2, 3}));
 }
 
-TEST(FakeCrowdAttackTest, TooFewColludersFail) {
-  const StatePair honest = honest_scene();
-  AttackConfig attack;
-  attack.strategy = AttackStrategy::kFakeCrowd;
-  attack.colluders = {1, 2};  // tau - 1: motion stays sparse
-  attack.target = 0;
-  const CompromisedState compromised = apply_attack(honest, kModel, attack);
-  Characterizer after(compromised.observed, kModel);
+TEST(ShadowCrowdAttackTest, TooFewColludersFail) {
+  TrajectoryShaper shaper = shadow_crowd({1, 2});  // tau - 1: motion stays sparse
+  const Shaped attacked = shape_interval(honest_scene(), shaper, 0);
+  Characterizer after(attacked.observed, kModel);
   EXPECT_EQ(after.characterize(0).cls, AnomalyClass::kIsolated);
 }
 
 TEST(CloneFilterTest, RecoversTheVictim) {
-  const StatePair honest = honest_scene();
-  AttackConfig attack;
-  attack.strategy = AttackStrategy::kFakeCrowd;
-  attack.colluders = {1, 2, 3, 4};
-  attack.target = 0;
-  attack.claim_jitter = 0.05;  // tight collusion, as the attack needs
-  const CompromisedState compromised = apply_attack(honest, kModel, attack);
+  // Tight collusion, as the attack needs.
+  TrajectoryShaper shaper = shadow_crowd({1, 2, 3, 4}, 0.05);
+  const Shaped attacked = shape_interval(honest_scene(), shaper, 0);
 
   const CloneFilter filter({.suspicion_factor = 0.2, .min_group = 3});
-  const DeviceSet dropped = filter.suspicious(compromised.observed, kModel);
+  const DeviceSet dropped = filter.suspicious(attacked.observed, kModel);
   // The clone group is the victim + colluders; all but one member dropped.
   EXPECT_GE(dropped.size(), 3u);
-  EXPECT_TRUE(dropped.is_subset_of(
-      compromised.colluders.with(0)));
+  EXPECT_TRUE(dropped.is_subset_of(DeviceSet({0, 1, 2, 3, 4})));
 
-  const StatePair cleaned = filter.filtered(compromised.observed, kModel);
+  const StatePair cleaned = filter.filtered(attacked.observed, kModel);
   // After filtering, whoever survived of the clone group decides isolated.
   Characterizer after(cleaned, kModel);
   for (const DeviceId j : cleaned.abnormal()) {
@@ -103,50 +133,75 @@ TEST(CloneFilterTest, HonestMassiveGroupSurvives) {
   EXPECT_EQ(characterizer.characterize(0).cls, AnomalyClass::kMassive);
 }
 
-TEST(ScatterCoverAttackTest, HidesAMassiveEvent) {
-  // Five devices genuinely crash together; three of them are colluders who
-  // scatter their claims: the two honest victims lose their dense motion.
-  const StatePair honest = test::make_state_1d(
-      {
-          {0.10, 0.60}, {0.12, 0.62}, {0.14, 0.64}, {0.16, 0.66}, {0.18, 0.68},
-      },
-      DeviceSet({0, 1, 2, 3, 4}));
+TEST(ScatterChaffAttackTest, HidesAMassiveEvent) {
+  // Three of the five crashed devices are colluders who scatter their
+  // claims: the two honest victims lose their dense motion.
+  const StatePair honest = massive_scene();
   Characterizer before(honest, kModel);
   ASSERT_EQ(before.characterize(0).cls, AnomalyClass::kMassive);
 
-  AttackConfig attack;
-  attack.strategy = AttackStrategy::kScatterCover;
-  attack.colluders = {2, 3, 4};
-  attack.target = 0;
-  const CompromisedState compromised = apply_attack(honest, kModel, attack);
-  Characterizer after(compromised.observed, kModel);
+  TrajectoryShaper shaper({.strategy = TrajectoryAttack::kScatterChaff,
+                           .colluders = {2, 3, 4},
+                           .model = kModel});
+  const Shaped attacked = shape_interval(honest, shaper, std::nullopt);
+  EXPECT_EQ(attacked.observed.abnormal(), honest.abnormal());
+  Characterizer after(attacked.observed, kModel);
   EXPECT_EQ(after.characterize(0).cls, AnomalyClass::kIsolated)
       << "the honest victims now flood the support desk";
 }
 
-TEST(MimicNoiseAttackTest, InflatesTheAbnormalSet) {
-  const StatePair honest = honest_scene();
-  AttackConfig attack;
-  attack.strategy = AttackStrategy::kMimicNoise;
-  attack.colluders = {4, 5, 6};
-  const CompromisedState compromised = apply_attack(honest, kModel, attack);
-  EXPECT_EQ(compromised.observed.abnormal().size(),
-            honest.abnormal().size() + 3u);
+TEST(TrajectoryShaperTest, FabricatesTheColludersAscendingOnlyForAnAbnormalVictim) {
+  for (const TrajectoryAttack strategy :
+       {TrajectoryAttack::kShadowCrowd, TrajectoryAttack::kSuperpositionBomb}) {
+    SCOPED_TRACE(to_string(strategy));
+    TrajectoryShaper shaper({.strategy = strategy,
+                             .colluders = {5, 1, 3},
+                             .model = kModel});
+    std::vector<Point> claimed = honest_scene().curr().positions();
+    EXPECT_TRUE(shaper.shape(0, false, claimed).empty());
+    EXPECT_EQ(shaper.shape(0, true, claimed), (std::vector<DeviceId>{1, 3, 5}));
+    // No victim: the targeted strategies freeze their claims.
+    const std::vector<Point> frozen = claimed;
+    EXPECT_TRUE(shaper.shape(std::nullopt, true, claimed).empty());
+    EXPECT_EQ(claimed, frozen);
+  }
+  // Untargeted chaff claims a_k = true every interval.
+  TrajectoryShaper chaff({.strategy = TrajectoryAttack::kScatterChaff,
+                          .colluders = {5, 1, 3},
+                          .model = kModel});
+  std::vector<Point> claimed = honest_scene().curr().positions();
+  EXPECT_EQ(chaff.shape(std::nullopt, false, claimed), (std::vector<DeviceId>{1, 3, 5}));
 }
 
-TEST(AttackValidationTest, RejectsBadIds) {
-  const StatePair honest = honest_scene();
-  AttackConfig attack;
-  attack.colluders = {99};
-  EXPECT_THROW((void)apply_attack(honest, kModel, attack), std::invalid_argument);
-  attack.colluders = {1};
-  attack.target = 99;
-  EXPECT_THROW((void)apply_attack(honest, kModel, attack), std::invalid_argument);
+TEST(TrajectoryShaperTest, RejectsBadIds) {
+  std::vector<Point> claimed = honest_scene().curr().positions();
+  TrajectoryShaper unknown_colluder = shadow_crowd({99});
+  EXPECT_THROW((void)unknown_colluder.shape(0, true, claimed), std::invalid_argument);
+  TrajectoryShaper shaper = shadow_crowd({1});
+  EXPECT_THROW((void)shaper.shape(99, true, claimed), std::invalid_argument);
+}
+
+TEST(TrajectoryShaperTest, RejectsNaNAndOutOfRangeSettings) {
+  const auto make = [](double claim_jitter, double chain_spacing) {
+    return TrajectoryShaper({.colluders = {1},
+                             .model = kModel,
+                             .claim_jitter = claim_jitter,
+                             .chain_spacing = chain_spacing});
+  };
+  EXPECT_NO_THROW(make(0.0, 1.0));
+  EXPECT_THROW(make(kNaN, 0.75), std::invalid_argument);
+  EXPECT_THROW(make(std::numeric_limits<double>::infinity(), 0.75),
+               std::invalid_argument);
+  EXPECT_THROW(make(-0.1, 0.75), std::invalid_argument);
+  EXPECT_THROW(make(0.35, kNaN), std::invalid_argument);
+  EXPECT_THROW(make(0.35, 0.0), std::invalid_argument);
+  EXPECT_THROW(make(0.35, 1.5), std::invalid_argument);
 }
 
 TEST(CloneFilterTest, Validation) {
   EXPECT_THROW(CloneFilter({.suspicion_factor = 0.0}), std::invalid_argument);
   EXPECT_THROW(CloneFilter({.suspicion_factor = 1.0}), std::invalid_argument);
+  EXPECT_THROW(CloneFilter({.suspicion_factor = kNaN}), std::invalid_argument);
   EXPECT_THROW(CloneFilter({.suspicion_factor = 0.2, .min_group = 1}),
                std::invalid_argument);
 }

@@ -41,7 +41,9 @@ TEST(BoundedReportQueue, BlockPolicyIsLossless) {
   bool first = true;
   while (const std::optional<QosReport> report = queue.pop()) {
     // Single producer + FIFO queue: arrival order is emission order.
-    if (!first) EXPECT_EQ(report->arrival_seq, last_seq + 1);
+    if (!first) {
+      EXPECT_EQ(report->arrival_seq, last_seq + 1);
+    }
     last_seq = report->arrival_seq;
     first = false;
     ++received;
@@ -110,7 +112,9 @@ TEST(BoundedReportQueue, ManyProducersOnePump) {
     while (const std::optional<QosReport> report = queue.pop()) {
       // Per-producer FIFO survives interleaving.
       const auto p = static_cast<std::size_t>(report->device);
-      if (report->arrival_seq > 0) EXPECT_EQ(report->arrival_seq, last[p] + 1);
+      if (report->arrival_seq > 0) {
+        EXPECT_EQ(report->arrival_seq, last[p] + 1);
+      }
       last[p] = report->arrival_seq;
       ++received;
     }

@@ -11,9 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+#include "core/state.hpp"
 #include "ingest/liveness.hpp"
 #include "ingest/overload.hpp"
-#include "core/state.hpp"
 #include "ingest/staging.hpp"
 
 namespace acn {
@@ -394,6 +395,53 @@ TEST(OverloadController, DeferSelectsExactlyTheIsolatedFlagged) {
   const std::vector<std::size_t> deferred =
       controller.defer_candidates(claims, window);
   EXPECT_EQ(deferred, (std::vector<std::size_t>{2, 5}));
+}
+
+TEST(OverloadController, DeferMatchesAPairwiseReference) {
+  // Random claims, partners exactly `window` apart on one axis, and exact
+  // duplicates, against an O(m^2) Chebyshev loop: a claim defers iff no
+  // other claim lies within `window` of it.
+  OverloadController controller(OverloadConfig{.defer_abnormal_cap = 0});
+  std::size_t cases = 0;
+  std::size_t deferred_total = 0;
+  std::size_t kept_total = 0;
+  for (const std::size_t dim : {1u, 2u, 3u}) {
+    for (const double window : {0.0, 0.02, 0.06, 0.25}) {
+      for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        Rng rng(seed * 100 + dim);
+        std::vector<Point> claims;
+        const std::size_t m = 1 + rng.uniform_int(40);
+        for (std::size_t i = 0; i < m; ++i) {
+          std::array<double, 3> x{};
+          for (std::size_t t = 0; t < dim; ++t) x[t] = rng.uniform();
+          claims.emplace_back(std::span<const double>(x.data(), dim));
+          if (rng.bernoulli(0.3)) {
+            Point partner = claims.back();
+            const std::size_t axis = rng.uniform_int(dim);
+            partner[axis] += partner[axis] + window <= 1.0 ? window : -window;
+            claims.push_back(partner);
+          }
+          if (rng.bernoulli(0.1)) claims.push_back(claims.back());
+        }
+        std::vector<std::size_t> reference;
+        for (std::size_t i = 0; i < claims.size(); ++i) {
+          bool adjacent = false;
+          for (std::size_t k = 0; k < claims.size() && !adjacent; ++k) {
+            adjacent = k != i && chebyshev(claims[i], claims[k]) <= window;
+          }
+          if (!adjacent) reference.push_back(i);
+        }
+        EXPECT_EQ(controller.defer_candidates(claims, window), reference)
+            << "d=" << dim << " window=" << window << " seed=" << seed;
+        ++cases;
+        deferred_total += reference.size();
+        kept_total += claims.size() - reference.size();
+      }
+    }
+  }
+  EXPECT_EQ(cases, 240u);
+  EXPECT_GT(deferred_total, 0u);
+  EXPECT_GT(kept_total, 0u);
 }
 
 TEST(OverloadController, DeferDisengagedAtOrBelowCap) {
