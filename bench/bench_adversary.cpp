@@ -5,7 +5,8 @@
 // success (massive events shredded into isolated verdicts), with and
 // without the defense, plus the defense's collateral damage on honest
 // workloads. Each trial shapes the colluders' claims with one
-// TrajectoryShaper over one interval: at k-1, then at k.
+// TrajectoryShaper over one interval: at k-1, then at k
+// (shaped_interval.hpp, which the adversary tests pin).
 #include <cstdio>
 #include <optional>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "adversary/defense.hpp"
 #include "common/table.hpp"
 #include "core/characterizer.hpp"
+#include "shaped_interval.hpp"
 #include "sim/scenario.hpp"
 
 namespace {
@@ -31,21 +33,6 @@ acn::ScenarioParams workload(std::uint64_t seed) {
   params.massive_anchor_retries = 16;
   params.seed = seed;
   return params;
-}
-
-/// The state the characterizers observe after `shaper` rewrote the
-/// colluders' claims of `honest`: their S_{k-1} claims with the victim not
-/// yet abnormal, then their S_k claims, with A_k grown by the colluders
-/// that claimed a_k = true at k.
-acn::StatePair shaped(const acn::StatePair& honest, acn::TrajectoryShaper& shaper,
-                      std::optional<acn::DeviceId> victim) {
-  std::vector<acn::Point> prev = honest.prev().positions();
-  std::vector<acn::Point> curr = honest.curr().positions();
-  shaper.shape(victim, false, prev);
-  const acn::DeviceSet fabricated(
-      shaper.shape(victim, victim.has_value() && honest.is_abnormal(*victim), curr));
-  return acn::StatePair(acn::Snapshot(prev), acn::Snapshot(curr),
-                        honest.abnormal().set_union(fabricated));
 }
 
 }  // namespace
@@ -85,7 +72,8 @@ int main() {
           if (!step.truth.abnormal.contains(c)) attack.colluders.push_back(c);
         }
         acn::TrajectoryShaper shaper(std::move(attack));
-        const acn::StatePair observed = shaped(step.state, shaper, victim);
+        const acn::StatePair observed =
+            acn::bench::shape_interval(step.state, shaper, victim).observed;
         acn::Characterizer attacked(observed, kModel);
         if (attacked.characterize(victim).cls == acn::AnomalyClass::kMassive) {
           ++crowd_hits;
@@ -112,7 +100,8 @@ int main() {
           attack.colluders.push_back(event.devices[i + 1]);
         }
         acn::TrajectoryShaper shaper(std::move(attack));
-        const acn::StatePair observed = shaped(step.state, shaper, std::nullopt);
+        const acn::StatePair observed =
+            acn::bench::shape_interval(step.state, shaper, std::nullopt).observed;
         acn::Characterizer attacked(observed, kModel);
         if (attacked.characterize(event.devices[0]).cls ==
             acn::AnomalyClass::kIsolated) {

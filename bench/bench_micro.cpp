@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark) for the core primitives: neighbourhood
 // queries, maximal-motion enumeration (Algorithm 2), full characterization
-// (Algorithms 3-5), greedy partition construction (Algorithm 1) and the
-// baselines, across system sizes and densities.
+// (Algorithms 3-5), greedy partition construction (Algorithm 1), overload
+// deferral and the baselines, across system sizes and densities.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "baseline/central_kmeans.hpp"
 #include "baseline/tessellation.hpp"
@@ -12,6 +13,7 @@
 #include "core/grid_index.hpp"
 #include "core/motion_plane.hpp"
 #include "core/partition.hpp"
+#include "ingest/overload.hpp"
 #include "sim/scenario.hpp"
 
 namespace {
@@ -43,6 +45,29 @@ void BM_NeighbourhoodQuery(benchmark::State& state) {
                           static_cast<std::int64_t>(step.state.abnormal().size()));
 }
 BENCHMARK(BM_NeighbourhoodQuery)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000);
+
+// Overload deferral over 10,000 flagged 2-d claims. Arg 0: a clustered
+// flood, every claim inside one Chebyshev ball of radius r = 0.03 (all
+// pairs within the 2r window); 1: uniform claims at r = 0.03 (nearly all
+// kept); 2: uniform claims at r = 0.001 (most deferred).
+void BM_DeferCandidates(benchmark::State& state) {
+  const double r = state.range(0) == 2 ? 0.001 : 0.03;
+  acn::Rng rng(7);
+  const auto coord = [&] {
+    return state.range(0) == 0 ? 0.5 + rng.uniform(-r, r) : rng.uniform();
+  };
+  std::vector<acn::Point> claims;
+  for (int i = 0; i < 10000; ++i) {
+    const double x = coord();
+    claims.push_back(acn::Point{x, coord()});
+  }
+  const acn::OverloadController controller({.defer_abnormal_cap = 0});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(controller.defer_candidates(claims, 2.0 * r));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(claims.size()));
+}
+BENCHMARK(BM_DeferCandidates)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_MaximalMotionEnumeration(benchmark::State& state) {
   const auto step = make_step(1000, static_cast<std::uint32_t>(state.range(0)), 0.2, 2);

@@ -118,6 +118,24 @@ std::vector<DeviceId> GridIndex::within(DeviceId j, double radius) const {
   return out;
 }
 
+bool GridIndex::has_neighbour(DeviceId j, double radius) const {
+  std::array<std::int64_t, Point::kMaxDim> base{};
+  coords_of(j, base.data());
+  const auto near_in = [&](std::uint32_t c) {
+    for (const DeviceId other : cell_members(c)) {
+      if (other != j && state_.joint_distance(j, other) <= radius) return true;
+    }
+    return false;
+  };
+  const std::uint32_t own = find_cell(base.data());
+  if (own != kNoCell && near_in(own)) return true;
+  bool found = false;
+  for_each_cell_near(base.data(), reach_for(radius), false, [&](std::uint32_t c) {
+    if (!found && c != own) found = near_in(c);
+  });
+  return found;
+}
+
 void GridIndex::for_each_cell_pair(
     double radius, const std::function<void(std::uint32_t, std::uint32_t)>& visit) const {
   const std::size_t d = state_.dim();

@@ -47,6 +47,11 @@ class GridIndex {
   /// including j itself when indexed. Sorted by id. The query device does not
   /// have to be a member. `radius` may exceed the cell size (4r queries).
   [[nodiscard]] std::vector<DeviceId> within(DeviceId j, double radius) const;
+  /// True iff within(j, radius) holds a device other than j, without
+  /// building it: scans j's own cell first and stops at the first such
+  /// device. With `radius` at least the cell side, a device that shares its
+  /// cell stops there after O(1) distance checks.
+  [[nodiscard]] bool has_neighbour(DeviceId j, double radius) const;
 
   /// Number of occupied cells.
   [[nodiscard]] std::size_t cell_count() const noexcept {

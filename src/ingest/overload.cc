@@ -51,7 +51,7 @@ std::vector<std::size_t> OverloadController::defer_candidates(
   const StatePair state(snapshot, snapshot, DeviceSet::from_sorted(std::move(all)));
   const GridIndex grid(state, state.abnormal(), std::max(window, kMinGridCell));
   for (DeviceId i = 0; i < claims.size(); ++i) {
-    if (grid.within(i, window).size() == 1) deferred.push_back(i);
+    if (!grid.has_neighbour(i, window)) deferred.push_back(i);
   }
   return deferred;
 }

@@ -66,11 +66,13 @@ class OverloadController {
   /// Indices into `claims` of devices to defer: engaged only when
   /// claims.size() > defer_abnormal_cap, and then selecting every device
   /// with no other flagged device within chebyshev distance `window`
-  /// (= 2r) of its claimed position. Returned ascending. Cost is
-  /// O(|claims|) expected: one GridIndex over the claims, cell side
-  /// `window` (at least kMinGridCell), queried once per device. When
-  /// engaged, throws std::invalid_argument unless the claims are points of
-  /// one [0,1]^d with d <= Claim::kMaxDim, as every staged claim is.
+  /// (= 2r) of its claimed position. Returned ascending. One GridIndex over
+  /// the claims (cell side `window`, at least kMinGridCell) answers one
+  /// has_neighbour() per device, which stops at the first flagged claim in
+  /// `window`: O(|claims|) for a flood clustered in one 2r ball, and up to
+  /// 3^d cells' members for a claim alone in its cell. When engaged, throws
+  /// std::invalid_argument unless the claims are points of one [0,1]^d with
+  /// d <= Claim::kMaxDim, as every staged claim is.
   [[nodiscard]] std::vector<std::size_t> defer_candidates(
       const std::vector<Point>& claims, double window) const;
 

@@ -8,6 +8,7 @@
 #include "adversary/adversary.hpp"
 #include "adversary/defense.hpp"
 #include "core/characterizer.hpp"
+#include "shaped_interval.hpp"
 #include "support/test_util.hpp"
 
 namespace acn {
@@ -41,27 +42,6 @@ StatePair massive_scene() {
       DeviceSet({0, 1, 2, 3, 4}));
 }
 
-/// What the characterizers observe after one shaper rewrote the colluders'
-/// claims over one interval of `honest`.
-struct Shaped {
-  StatePair observed;     ///< shaped claims, A_k grown by `fabricated`
-  DeviceSet fabricated;   ///< colluders that claimed a_k = true at k
-};
-
-/// Shapes S_{k-1} with the victim not yet abnormal, then S_k with the
-/// victim abnormal iff it is in A_k.
-Shaped shape_interval(const StatePair& honest, TrajectoryShaper& shaper,
-                      std::optional<DeviceId> victim) {
-  std::vector<Point> prev = honest.prev().positions();
-  std::vector<Point> curr = honest.curr().positions();
-  shaper.shape(victim, false, prev);
-  DeviceSet fabricated(
-      shaper.shape(victim, victim.has_value() && honest.is_abnormal(*victim), curr));
-  StatePair observed(Snapshot(prev), Snapshot(curr),
-                     honest.abnormal().set_union(fabricated));
-  return {std::move(observed), std::move(fabricated)};
-}
-
 TrajectoryShaper shadow_crowd(std::vector<DeviceId> colluders,
                               double claim_jitter = 0.35) {
   return TrajectoryShaper({.strategy = TrajectoryAttack::kShadowCrowd,
@@ -76,7 +56,7 @@ TEST(ShadowCrowdAttackTest, FlipsIsolatedVictimToMassive) {
   ASSERT_EQ(before.characterize(0).cls, AnomalyClass::kIsolated);
 
   TrajectoryShaper shaper = shadow_crowd({1, 2, 3});  // tau colluders + victim
-  const Shaped attacked = shape_interval(honest, shaper, 0);
+  const bench::ShapedInterval attacked = bench::shape_interval(honest, shaper, 0);
 
   Characterizer after(attacked.observed, kModel);
   EXPECT_EQ(after.characterize(0).cls, AnomalyClass::kMassive)
@@ -87,7 +67,7 @@ TEST(ShadowCrowdAttackTest, FlipsIsolatedVictimToMassive) {
 
 TEST(ShadowCrowdAttackTest, TooFewColludersFail) {
   TrajectoryShaper shaper = shadow_crowd({1, 2});  // tau - 1: motion stays sparse
-  const Shaped attacked = shape_interval(honest_scene(), shaper, 0);
+  const bench::ShapedInterval attacked = bench::shape_interval(honest_scene(), shaper, 0);
   Characterizer after(attacked.observed, kModel);
   EXPECT_EQ(after.characterize(0).cls, AnomalyClass::kIsolated);
 }
@@ -95,7 +75,7 @@ TEST(ShadowCrowdAttackTest, TooFewColludersFail) {
 TEST(CloneFilterTest, RecoversTheVictim) {
   // Tight collusion, as the attack needs.
   TrajectoryShaper shaper = shadow_crowd({1, 2, 3, 4}, 0.05);
-  const Shaped attacked = shape_interval(honest_scene(), shaper, 0);
+  const bench::ShapedInterval attacked = bench::shape_interval(honest_scene(), shaper, 0);
 
   const CloneFilter filter({.suspicion_factor = 0.2, .min_group = 3});
   const DeviceSet dropped = filter.suspicious(attacked.observed, kModel);
@@ -143,7 +123,7 @@ TEST(ScatterChaffAttackTest, HidesAMassiveEvent) {
   TrajectoryShaper shaper({.strategy = TrajectoryAttack::kScatterChaff,
                            .colluders = {2, 3, 4},
                            .model = kModel});
-  const Shaped attacked = shape_interval(honest, shaper, std::nullopt);
+  const bench::ShapedInterval attacked = bench::shape_interval(honest, shaper, std::nullopt);
   EXPECT_EQ(attacked.observed.abnormal(), honest.abnormal());
   Characterizer after(attacked.observed, kModel);
   EXPECT_EQ(after.characterize(0).cls, AnomalyClass::kIsolated)

@@ -29,6 +29,9 @@ TEST(GridIndexTest, RadiusFiltersByJointDistance) {
   const GridIndex grid(state, state.abnormal(), 0.1);
   EXPECT_EQ(grid.within(0, 0.1), (std::vector<DeviceId>{0}));
   EXPECT_EQ(grid.within(0, 0.4), (std::vector<DeviceId>{0, 1}));
+  // The two share a cell at k; has_neighbour filters it the same way.
+  EXPECT_FALSE(grid.has_neighbour(0, 0.1));
+  EXPECT_TRUE(grid.has_neighbour(0, 0.4));
 }
 
 TEST(GridIndexTest, OnlyIndexedMembersReturned) {
@@ -51,6 +54,22 @@ TEST(GridIndexTest, BoundaryDistanceIncluded) {
   const StatePair state = test::make_static_1d({0.25, 0.375});
   const GridIndex grid(state, state.abnormal(), 0.125);
   EXPECT_EQ(grid.within(0, 0.125), (std::vector<DeviceId>{0, 1}));
+}
+
+TEST(GridIndexTest, HasNeighbourSkipsTheQueryDeviceAndKeepsTheBoundary) {
+  // 0 and 1 share a cell; 2 is one cell over, exactly 0.125 from 1; 3 is
+  // alone. Every value and distance is an exact double.
+  const StatePair state = test::make_static_1d({0.25, 0.3125, 0.4375, 0.875});
+  const GridIndex grid(state, state.abnormal(), 0.125);
+  EXPECT_TRUE(grid.has_neighbour(0, 0.125));   // in its own cell
+  EXPECT_TRUE(grid.has_neighbour(2, 0.125));   // in the next cell, on the boundary
+  EXPECT_FALSE(grid.has_neighbour(2, 0.12));
+  EXPECT_FALSE(grid.has_neighbour(3, 0.125));  // only itself
+  // A query device need not be indexed, and a lone member has none.
+  const GridIndex partial(state, DeviceSet({0, 3}), 0.125);
+  EXPECT_TRUE(partial.has_neighbour(1, 0.125));
+  EXPECT_FALSE(partial.has_neighbour(2, 0.125));
+  EXPECT_FALSE(partial.has_neighbour(0, 0.125));
 }
 
 class GridRandomSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -76,6 +95,8 @@ TEST_P(GridRandomSweep, MatchesLinearScan) {
         if (state.joint_distance(j, other) <= radius) expected.push_back(other);
       }
       EXPECT_EQ(grid.within(j, radius), expected)
+          << "j=" << j << " radius=" << radius << " seed=" << GetParam();
+      EXPECT_EQ(grid.has_neighbour(j, radius), expected.size() > 1)
           << "j=" << j << " radius=" << radius << " seed=" << GetParam();
     }
   }

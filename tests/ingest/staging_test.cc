@@ -444,6 +444,24 @@ TEST(OverloadController, DeferMatchesAPairwiseReference) {
   EXPECT_GT(kept_total, 0u);
 }
 
+TEST(OverloadController, DeferKeepsEveryClaimOfAClusteredFlood) {
+  // 2,000 claims inside one Chebyshev ball of radius r, so every pair lies
+  // within the 2r window, and three loners: one far off, one in a corner,
+  // one a cell beyond the cluster but just over 2r from every claim in it.
+  OverloadController controller(OverloadConfig{.defer_abnormal_cap = 0});
+  const double r = 0.03;
+  Rng rng(11);
+  std::vector<Point> claims = {Point{0.05, 0.95}};
+  for (int i = 0; i < 2000; ++i) {
+    const double x = 0.5 + rng.uniform(-r, r);
+    claims.push_back(Point{x, 0.5 + rng.uniform(-r, r)});
+  }
+  claims.push_back(Point{1.0, 0.0});
+  claims.push_back(Point{0.5, 0.5 + 3.0 * r + 0.001});
+  EXPECT_EQ(controller.defer_candidates(claims, 2.0 * r),
+            (std::vector<std::size_t>{0, 2001, 2002}));
+}
+
 TEST(OverloadController, DeferDisengagedAtOrBelowCap) {
   OverloadController controller(OverloadConfig{.defer_abnormal_cap = 6});
   const std::vector<Point> claims = {Point{0.1, 0.1}, Point{0.9, 0.9}};
