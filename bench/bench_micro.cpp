@@ -1,12 +1,14 @@
 // Microbenchmarks (google-benchmark) for the core primitives: neighbourhood
 // queries, maximal-motion enumeration (Algorithm 2), full characterization
 // (Algorithms 3-5), greedy partition construction (Algorithm 1), overload
-// deferral and the baselines, across system sizes and densities.
+// deferral, the clone filter and the baselines, across system sizes and
+// densities.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "adversary/defense.hpp"
 #include "baseline/central_kmeans.hpp"
 #include "baseline/tessellation.hpp"
 #include "core/characterizer.hpp"
@@ -56,11 +58,12 @@ void BM_DeferCandidates(benchmark::State& state) {
   const auto coord = [&] {
     return state.range(0) == 0 ? 0.5 + rng.uniform(-r, r) : rng.uniform();
   };
-  std::vector<acn::Point> claims;
+  std::vector<acn::Point> points;
   for (int i = 0; i < 10000; ++i) {
     const double x = coord();
-    claims.push_back(acn::Point{x, coord()});
+    points.push_back(acn::Point{x, coord()});
   }
+  const acn::Snapshot claims(points);
   const acn::OverloadController controller({.defer_abnormal_cap = 0});
   for (auto _ : state) {
     benchmark::DoNotOptimize(controller.defer_candidates(claims, 2.0 * r));
@@ -68,6 +71,29 @@ void BM_DeferCandidates(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(claims.size()));
 }
 BENCHMARK(BM_DeferCandidates)->Arg(0)->Arg(1)->Arg(2);
+
+// The clone filter over |A_k| = Arg uniform 2-d claims at both times,
+// r = 0.03, suspicion factor 0.2: its groups are the components of one
+// GridIndex at the suspicion radius.
+void BM_CloneFilter(benchmark::State& state) {
+  const std::size_t m = static_cast<std::size_t>(state.range(0));
+  acn::Rng rng(5);
+  std::vector<double> prev(2 * m);
+  std::vector<double> curr(2 * m);
+  for (std::size_t i = 0; i < 2 * m; ++i) {
+    prev[i] = rng.uniform();
+    curr[i] = rng.uniform();
+  }
+  std::vector<acn::DeviceId> all(m);
+  for (std::size_t i = 0; i < m; ++i) all[i] = static_cast<acn::DeviceId>(i);
+  const acn::StatePair pair(acn::Snapshot(2, std::move(prev)), acn::Snapshot(2, std::move(curr)),
+                            acn::DeviceSet::from_sorted(std::move(all)));
+  const acn::CloneFilter filter({.suspicion_factor = 0.2, .min_group = 3});
+  const acn::Params model{.r = 0.03, .tau = 3};
+  for (auto _ : state) benchmark::DoNotOptimize(filter.suspicious(pair, model));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(m));
+}
+BENCHMARK(BM_CloneFilter)->Arg(1500)->Arg(6000)->Unit(benchmark::kMillisecond);
 
 void BM_MaximalMotionEnumeration(benchmark::State& state) {
   const auto step = make_step(1000, static_cast<std::uint32_t>(state.range(0)), 0.2, 2);

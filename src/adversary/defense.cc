@@ -1,8 +1,11 @@
 #include "adversary/defense.hpp"
 
-#include <numeric>
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
+
+#include "core/grid_index.hpp"
+#include "core/motion_plane.hpp"
 
 namespace acn {
 
@@ -20,37 +23,27 @@ CloneFilter::CloneFilter(Config config) : config_(config) {
 DeviceSet CloneFilter::suspicious(const StatePair& state, Params model) const {
   model.validate();
   const double radius = config_.suspicion_factor * model.r;
-  const std::vector<DeviceId> abnormal(state.abnormal().begin(),
-                                       state.abnormal().end());
+  const DeviceSet& abnormal = state.abnormal();
+  if (abnormal.empty()) return {};
 
-  // Union-find over clone edges (joint distance below the suspicion radius).
-  std::vector<std::size_t> parent(abnormal.size());
-  std::iota(parent.begin(), parent.end(), 0);
-  const auto find = [&](std::size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (std::size_t a = 0; a < abnormal.size(); ++a) {
-    for (std::size_t b = a + 1; b < abnormal.size(); ++b) {
-      if (state.joint_distance(abnormal[a], abnormal[b]) <= radius) {
-        parent[find(a)] = find(b);
-      }
-    }
+  // Clone groups: the components of A_k under joint distance <= radius.
+  std::vector<std::uint32_t> rank_of(abnormal.ids().back() + 1);
+  for (std::uint32_t rank = 0; rank < abnormal.size(); ++rank) {
+    rank_of[abnormal[rank]] = rank;
   }
+  const std::vector<std::uint32_t> root = component_roots(
+      state, GridIndex(state, abnormal, std::max(radius, kMinGridCell)), radius, rank_of,
+      abnormal.size());
 
   std::vector<std::size_t> group_size(abnormal.size(), 0);
-  for (std::size_t a = 0; a < abnormal.size(); ++a) ++group_size[find(a)];
+  for (const std::uint32_t r : root) ++group_size[r];
 
   std::vector<DeviceId> drops;
   std::vector<bool> keeper_chosen(abnormal.size(), false);
   for (std::size_t a = 0; a < abnormal.size(); ++a) {
-    const std::size_t root = find(a);
-    if (group_size[root] < config_.min_group) continue;
-    if (!keeper_chosen[root]) {
-      keeper_chosen[root] = true;  // smallest id survives (abnormal sorted)
+    if (group_size[root[a]] < config_.min_group) continue;
+    if (!keeper_chosen[root[a]]) {
+      keeper_chosen[root[a]] = true;  // smallest id survives (abnormal sorted)
       continue;
     }
     drops.push_back(abnormal[a]);

@@ -4,11 +4,13 @@
 // one error share a displacement but keep their idiosyncratic offsets
 // (they were spread across a radius-r ball before the error); colluders
 // shadowing a victim cluster tightly around the victim's own trajectory in
-// the joint space. CloneFilter flags groups of devices whose pairwise joint
-// distance is below a suspicion radius much smaller than r — legitimate
+// the joint space. CloneFilter flags groups of devices chained by joint
+// distances below a suspicion radius much smaller than r — legitimate
 // under the model's own dimensioning only with negligible probability —
 // and drops all but one representative from the abnormal set before
-// characterization.
+// characterization. The groups are the components of A_k under that
+// radius, from the motion plane's own component pass over one GridIndex
+// (component_roots), so the filter never tests every pair.
 //
 // This is deliberately a *heuristic* defense (the paper leaves the
 // Byzantine extension to future work); the bench quantifies both its

@@ -267,16 +267,14 @@ bool CliqueSearch::expand(std::size_t depth, std::size_t r_size) {
   return false;
 }
 
-/// Pass 1 of the plane build: connected components of the 2r-interaction
-/// graph over A_k, as the union-find root of every A_k rank (`rank_of` maps
-/// an abnormal id to its rank), fed straight from the A_k grid's cells. Two
-/// devices within 2r share a cell or sit in neighbouring cells, so only
-/// those pairs are tested, and only while their roots still differ. A cell
-/// whose joint bounding box fits the window joins wholesale with no
-/// distance test: rounding is monotone, so no member pair's computed
-/// joint_distance exceeds the computed span. A cell that is one component
-/// stays one, so a pair of such cells stops at its first same-root or
-/// joined pair.
+}  // namespace
+
+// Only pairs within a cell or across a neighbouring cell pair are tested,
+// and only while their roots still differ. A cell whose joint bounding box
+// fits the window joins wholesale with no distance test: rounding is
+// monotone, so no member pair's computed joint_distance exceeds the
+// computed span. A cell that is one component stays one, so a pair of such
+// cells stops at its first same-root or joined pair.
 std::vector<std::uint32_t> component_roots(const StatePair& state, const GridIndex& grid,
                                            double window,
                                            std::span<const std::uint32_t> rank_of,
@@ -360,8 +358,6 @@ std::vector<std::uint32_t> component_roots(const StatePair& state, const GridInd
   }
   return parent;
 }
-
-}  // namespace
 
 std::vector<DeviceSet> maximal_motions(const StatePair& state, const Params& params,
                                        std::vector<DeviceId> pool,

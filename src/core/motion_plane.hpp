@@ -126,6 +126,19 @@ struct PlaneBuildLanes {
   std::vector<double> enumerate_lane_ms;
 };
 
+/// Connected components of the graph joining two devices of `grid` iff
+/// their joint_distance is <= `window`, the same components a test of
+/// every pair finds, as the union-find root of each device's rank:
+/// `rank_of` maps an indexed id to its rank in [0, m), and entry r of the
+/// result is the rank of r's root. Only devices in one cell or in a cell
+/// pair for_each_cell_pair(window) visits are compared; a cell side of at
+/// least `window` keeps those pairs to neighbouring cells. The plane's
+/// first pass (A_k at 2r) and CloneFilter's clone groups (A_k at the
+/// suspicion radius).
+[[nodiscard]] std::vector<std::uint32_t> component_roots(
+    const StatePair& state, const GridIndex& grid, double window,
+    std::span<const std::uint32_t> rank_of, std::size_t m);
+
 /// Algorithm 2's core: all inclusion-maximal r-consistent motions within
 /// `pool` — the maximal cliques of its 2r-graph; when `anchor` is set, only
 /// those containing the anchor (R = {anchor}, P = pool ∩ N(anchor)). The

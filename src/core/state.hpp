@@ -5,7 +5,6 @@
 // algorithm in the paper.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <span>
@@ -22,9 +21,11 @@ class WorkerPool;
 /// columns: col(t)[j] is coordinate t of device j, one contiguous double
 /// row per dimension ([dim][n]). Every coordinate lies in [0, 1] at all
 /// times: the constructors check it, and set(), the one mutator, checks a
-/// position before writing it. Point values exist only at the edges (the
-/// vector constructor, operator[], positions()); the per-interval readers
-/// (the state roll, the telemetry tally) read columns.
+/// position before writing it. set() takes the position's length at run
+/// time or, for the ingest hand-off, at compile time; both are one template.
+/// Point values exist only at the edges (the vector constructor,
+/// operator[], positions()); the per-interval readers (the state roll, the
+/// telemetry tally) read columns.
 class Snapshot {
  public:
   /// Builds from per-device positions; all points must share the same
@@ -53,12 +54,20 @@ class Snapshot {
   /// the one it replaced (so -0.0 over 0.0 is no move). Throws
   /// std::invalid_argument, leaving the snapshot unchanged, unless j <
   /// size(), position.size() == dim() and every coordinate lies in [0, 1]
-  /// (NaN fails). Inline: FleetRoster writes every report through it.
+  /// (NaN fails). The overload below is the one write; this is its
+  /// runtime-length instance.
   bool set(DeviceId j, std::span<const double> position) {
-    if (j >= n_ || position.size() != dim_ ||
-        !std::all_of(position.begin(), position.end(), in_unit_interval)) {
-      reject(j, position);
-    }
+    return set<std::dynamic_extent>(j, position);
+  }
+  /// set() with the claim's length D fixed at compile time, as the ingest
+  /// hand-off writes each sealed claim: the range check, the compare and
+  /// the strided write are then straight-line code. Inline: FleetRoster
+  /// writes every report through it.
+  template <std::size_t D>
+  bool set(DeviceId j, std::span<const double, D> position) {
+    bool fits = j < n_ && position.size() == dim_;
+    for (const double x : position) fits &= in_unit_interval(x);
+    if (!fits) reject(j, position);
     double* at = cols_.data() + j;
     bool differs = false;
     for (const double x : position) {

@@ -37,18 +37,17 @@ bool OverloadController::shed_claim(GatewayKey device, std::uint64_t interval,
          0;
 }
 
-std::vector<std::size_t> OverloadController::defer_candidates(
-    const std::vector<Point>& claims, double window) const {
+std::vector<std::size_t> OverloadController::defer_candidates(const Snapshot& claims,
+                                                             double window) const {
   std::vector<std::size_t> deferred;
   if (claims.size() <= config_.defer_abnormal_cap) return deferred;
 
   // Both halves of the state are the claims, so the joint distance of two
   // devices is the Chebyshev distance of their claims, and a device defers
   // iff no OTHER flagged claim lies within `window`.
-  const Snapshot snapshot(claims);
   std::vector<DeviceId> all(claims.size());
   std::iota(all.begin(), all.end(), DeviceId{0});
-  const StatePair state(snapshot, snapshot, DeviceSet::from_sorted(std::move(all)));
+  const StatePair state(claims, claims, DeviceSet::from_sorted(std::move(all)));
   const GridIndex grid(state, state.abnormal(), std::max(window, kMinGridCell));
   for (DeviceId i = 0; i < claims.size(); ++i) {
     if (!grid.has_neighbour(i, window)) deferred.push_back(i);

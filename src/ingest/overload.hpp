@@ -25,13 +25,15 @@
 //      motion with anyone — it is precisely the Theorem-5 isolated
 //      configuration, the one class whose full characterization buys the
 //      operator nothing a distance check didn't already say.
+//      The pipeline reads the flagged claims back from the roster only
+//      when the cap is passed, so an interval under it pays no copy.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/point.hpp"
+#include "core/state.hpp"
 #include "ingest/report.hpp"
 
 namespace acn {
@@ -63,18 +65,19 @@ class OverloadController {
   [[nodiscard]] bool shed_claim(GatewayKey device, std::uint64_t interval,
                                 std::size_t frame_volume) const noexcept;
 
-  /// Indices into `claims` of devices to defer: engaged only when
-  /// claims.size() > defer_abnormal_cap, and then selecting every device
-  /// with no other flagged device within chebyshev distance `window`
-  /// (= 2r) of its claimed position. Returned ascending. One GridIndex over
-  /// the claims (cell side `window`, at least kMinGridCell) answers one
-  /// has_neighbour() per device, which stops at the first flagged claim in
-  /// `window`: O(|claims|) for a flood clustered in one 2r ball, and up to
-  /// 3^d cells' members for a claim alone in its cell. When engaged, throws
-  /// std::invalid_argument unless the claims are points of one [0,1]^d with
-  /// d <= Claim::kMaxDim, as every staged claim is.
-  [[nodiscard]] std::vector<std::size_t> defer_candidates(
-      const std::vector<Point>& claims, double window) const;
+  /// Indices into `claims` (one entry per flagged device) of devices to
+  /// defer: engaged only when claims.size() > defer_abnormal_cap, and then
+  /// selecting every device with no other flagged device within chebyshev
+  /// distance `window` (= 2r) of its claimed position. Returned ascending.
+  /// One GridIndex over the claims (cell side `window`, at least
+  /// kMinGridCell) answers one has_neighbour() per device, which stops at
+  /// the first flagged claim in `window`: O(|claims|) for a flood clustered
+  /// in one 2r ball, and up to 3^d cells' members for a claim alone in its
+  /// cell. The index reads a StatePair whose halves both copy the claims.
+  /// When engaged, throws std::invalid_argument if claims.dim() exceeds
+  /// Claim::kMaxDim, which no staged claim does.
+  [[nodiscard]] std::vector<std::size_t> defer_candidates(const Snapshot& claims,
+                                                          double window) const;
 
  private:
   OverloadConfig config_;

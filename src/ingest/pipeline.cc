@@ -27,6 +27,20 @@ OnlineMonitor::Config roster_backed(OnlineMonitor::Config monitor,
   return monitor;
 }
 
+/// The roster's current positions of `keys`, all active, as a snapshot.
+Snapshot claims_of(const FleetRoster& roster, std::span<const GatewayKey> keys) {
+  const Snapshot& positions = roster.snapshot();
+  const std::size_t m = keys.size();
+  std::vector<double> cols(positions.dim() * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const DeviceId slot = roster.slot_of(keys[i]).value();
+    for (std::size_t t = 0; t < positions.dim(); ++t) {
+      cols[t * m + i] = positions.col(t)[slot];
+    }
+  }
+  return Snapshot(positions.dim(), std::move(cols));
+}
+
 }  // namespace
 
 IngestPipeline::IngestPipeline(Config config)
@@ -217,35 +231,14 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced,
   if (forced) ++counters_.forced_closes;
 
   // Apply the staged claims in key order (deterministic under any delivery
-  // permutation). First-seen keys are auto-admitted; when the roster is
-  // full the report is refused and the interval marked degraded. Only the
-  // flagged claims become Points: they are the overload deferral's input.
+  // permutation), in the walk of the roster's claim dimension, picked once
+  // per seal. First-seen keys are auto-admitted; when the roster is full
+  // the report is refused and the interval marked degraded.
+  static constexpr auto kHandOffs = []<std::size_t... D>(std::index_sequence<D...>) {
+    return std::array{&IngestPipeline::hand_off<D + 1>...};
+  }(std::make_index_sequence<Claim::kMaxDim>{});
   std::vector<GatewayKey> flagged;
-  std::vector<Point> flagged_claims;
-  const FleetRoster& roster = monitor_.roster();
-  const bool liveness_on = liveness_.enabled();
-  frame.for_each_sorted([&](GatewayKey key, std::span<const double> claim,
-                            bool is_flagged) {
-    if (monitor_.try_report(key, claim)) {
-      if (liveness_on && liveness_.reported(key, interval)) {
-        ++counters_.revived_devices;
-      }
-    } else {
-      if (roster.active_count() >= roster.capacity()) {
-        ++counters_.admit_rejected;
-        degraded = true;
-        return;
-      }
-      monitor_.admit(key, claim);
-      if (liveness_on) liveness_.admitted(key, interval);
-      ++counters_.admitted_devices;
-    }
-    ++closed.reported;
-    if (is_flagged) {
-      flagged.push_back(key);
-      flagged_claims.emplace_back(claim);
-    }
-  });
+  if (!(this->*kHandOffs[config_.dim - 1])(frame, closed, flagged)) degraded = true;
   if (poolable) {
     frame.reset();
     frame_pool_.push_back(std::move(frame));
@@ -268,8 +261,13 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced,
   // Overload deferral: past the abnormal cap, flagged devices with no
   // flagged 2r-neighbour (at claimed positions) are deferred — provably
   // without effect on the surviving devices' verdicts (see overload.hpp).
-  const std::vector<std::size_t> deferred = overload_.defer_candidates(
-      flagged_claims, config_.monitor.model.window());
+  // Only then are the claims read back from the roster's columns, where
+  // the hand-off wrote them.
+  const std::vector<std::size_t> deferred =
+      flagged.size() > config_.overload.defer_abnormal_cap
+          ? overload_.defer_candidates(claims_of(monitor_.roster(), flagged),
+                                       config_.monitor.model.window())
+          : std::vector<std::size_t>{};
   if (!deferred.empty()) {
     degraded = true;
     counters_.deferred_devices += deferred.size();
@@ -312,6 +310,34 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced,
 
   ready_.push_back(std::move(closed));
   ++next_to_seal_;
+}
+
+template <std::size_t D>
+bool IngestPipeline::hand_off(const StagingFrame& frame, ClosedInterval& closed,
+                              std::vector<GatewayKey>& flagged) {
+  FleetRoster& roster = monitor_.roster();
+  const bool liveness_on = liveness_.enabled();
+  bool admitted_all = true;
+  frame.for_each_sorted<D>([&](GatewayKey key, std::span<const double, D> claim,
+                               bool is_flagged) {
+    if (roster.try_report(key, claim)) {
+      if (liveness_on && liveness_.reported(key, closed.interval)) {
+        ++counters_.revived_devices;
+      }
+    } else {
+      if (roster.active_count() >= roster.capacity()) {
+        ++counters_.admit_rejected;
+        admitted_all = false;
+        return;
+      }
+      roster.admit(key, claim);
+      if (liveness_on) liveness_.admitted(key, closed.interval);
+      ++counters_.admitted_devices;
+    }
+    ++closed.reported;
+    if (is_flagged) flagged.push_back(key);
+  });
+  return admitted_all;
 }
 
 }  // namespace acn

@@ -53,6 +53,11 @@
 // report whose triggered seal throws is not staged. push_all() stages each
 // same-interval run, head included, in one loop (see push_all()).
 //
+// The seal hands the sealed lane to the roster the same way: it picks the
+// walk of the roster's claim dimension once per seal, and each claim goes
+// to FleetRoster::try_report<D> directly, a fixed-length check, compare,
+// write and change mark, with a first-seen key admitted in its place.
+//
 // Sources on other threads hand reports over through a BoundedReportQueue
 // (block = lossless backpressure, reject = shed at the edge); the pipeline
 // itself is single-threaded — sealing order is the stream's order.
@@ -202,6 +207,14 @@ class IngestPipeline {
   /// stage into an interval with no frame yet: the telemetry sample counts
   /// that interval open.
   void seal(std::uint64_t interval, bool forced, std::size_t opening);
+  /// seal()'s hand-off for claims of dimension D (the roster's, picked
+  /// once per seal): writes `frame`'s claims to the roster in key order,
+  /// admitting first-seen keys while a slot is free. Counts the claims the
+  /// roster took in closed.reported and lists the flagged ones in
+  /// `flagged`; returns false iff the roster was full for some key.
+  template <std::size_t D>
+  bool hand_off(const StagingFrame& frame, ClosedInterval& closed,
+                std::vector<GatewayKey>& flagged);
   /// Seals every interval the watermark or the flood bound has passed.
   void seal_ready(std::size_t opening);
 

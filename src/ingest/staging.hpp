@@ -20,16 +20,19 @@
 // the lane stride and every staged claim is one the roster accepts at the
 // seal. The pipeline sets the lane to the roster capacity and pools sealed
 // frames, so in the steady state a report costs one bounds check and a few
-// indexed stores, and the seal hands each claim to the roster as a span of
-// the lane's own coordinates. stage() is the one entry point: it stages a
-// run of same-interval reports, lane and spill keys alike, in one loop
-// with the lane pointers in locals. reset() keeps the lane but not the
-// bucket array a spill spike grew (see reset()).
+// indexed stores. stage() is the one entry point: it stages a run of
+// same-interval reports, lane and spill keys alike, in one loop per claim
+// dimension with the lane pointers in locals. for_each_sorted<D>() is the
+// one way out, the seal's walk: one loop per claim dimension too, so the
+// seal hands each claim to the roster as a span of the lane's own
+// coordinates whose length is a compile-time constant. reset() keeps the
+// lane but not the bucket array a spill spike grew (see reset()).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -68,16 +71,29 @@ class StagingFrame {
   [[nodiscard]] std::size_t volume() const noexcept { return volume_; }
 
   /// Visits every staged entry in ascending key order — the deterministic
-  /// seal order — as fn(key, claim coordinates, flagged). The dense lane is
-  /// ordered by construction and every spill key is >= the lane limit, so
-  /// the traversal is lane-then-sorted-spill. The span views the frame's
-  /// own storage: it is valid for the call only.
-  template <typename Fn>
+  /// seal order — as fn(key, claim, flagged), the claim a
+  /// std::span<const double, D>. The dense lane is ordered by construction
+  /// and every spill key is >= the lane limit, so the traversal is
+  /// lane-then-sorted-spill. D is the frame's dimension, fixed at compile
+  /// time so the caller's per-claim work is straight-line code: the seal
+  /// picks the walk once per seal, as stage() picks its run loop. The span
+  /// views the frame's own storage: it is valid for the call only. Throws
+  /// std::logic_error if D is not the configured dimension of a frame that
+  /// holds a staged entry.
+  template <std::size_t D, typename Fn>
   void for_each_sorted(Fn&& fn) const {
-    for (std::size_t key = 0; key < present_.size(); ++key) {
-      if (present_[key] == 0) continue;
-      fn(static_cast<GatewayKey>(key),
-         std::span<const double>(coords_.data() + key * dim_, dim_), flag_[key] != 0);
+    if (D != dim_ && device_count_ != 0) {
+      throw std::logic_error("StagingFrame::for_each_sorted: not the frame's dimension");
+    }
+    // The lane in locals: fn's stores may alias the vectors' own pointers.
+    const std::uint8_t* const present = present_.data();
+    const std::uint8_t* const flag = flag_.data();
+    const double* const coords = coords_.data();
+    const std::size_t limit = present_.size();
+    for (std::size_t key = 0; key < limit; ++key) {
+      if (present[key] == 0) continue;
+      fn(static_cast<GatewayKey>(key), std::span<const double, D>(coords + key * D, D),
+         flag[key] != 0);
     }
     if (spill_.empty()) return;
     std::vector<GatewayKey> keys;
@@ -86,7 +102,7 @@ class StagingFrame {
     std::sort(keys.begin(), keys.end());
     for (const GatewayKey key : keys) {
       const Staged& spilled = spill_.at(key);
-      fn(key, spilled.claim.coords(), spilled.flagged);
+      fn(key, std::span<const double, D>(spilled.claim.coords().data(), D), spilled.flagged);
     }
   }
 

@@ -143,6 +143,11 @@ class OnlineMonitor {
 
   /// The embedded roster (requires roster mode).
   [[nodiscard]] const FleetRoster& roster() const;
+  /// The embedded roster, writable: the ingestion layer's seal reports and
+  /// admits every sealed claim through it, with one roster-mode check per
+  /// seal instead of one per device. Retire through retire(), which also
+  /// closes the device's episode.
+  [[nodiscard]] FleetRoster& roster() { return roster_or_throw("OnlineMonitor::roster"); }
 
   /// Next sampling interval suggested by the §VII-C controller (the
   /// configured fixed interval when adaptivity is off).

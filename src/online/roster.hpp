@@ -32,6 +32,11 @@
 // the roll finds it unmoved — and the monitor clears them only after a
 // close returned, so an exception anywhere leaves extra marks, never a
 // missing one.
+//
+// The ingestion layer's seal writes every sealed claim through
+// try_report<D>, D the claim dimension fixed at compile time, so the
+// per-device work is the key lookup and a fixed-length Snapshot::set; the
+// runtime-length try_report()/report() are instances of the same write.
 #pragma once
 
 #include <cstdint>
@@ -84,13 +89,20 @@ class FleetRoster {
   /// claim is a caller bug, not churn), with the snapshot unchanged. A
   /// changed position marks the slot (branch-free: `|=` of the test).
   bool try_report(GatewayKey key, std::span<const double> position) {
+    return try_report<std::dynamic_extent>(key, position);
+  }
+  bool try_report(GatewayKey key, const Point& position) {
+    return try_report(key, position.coords());
+  }
+  /// try_report() with the claim's length D fixed at compile time: the
+  /// seal's per-device write. The overloads above are its runtime-length
+  /// instance.
+  template <std::size_t D>
+  bool try_report(GatewayKey key, std::span<const double, D> position) {
     const DeviceId slot = slot_lookup(key);
     if (slot == kNoSlot) return false;
     flags_[slot] |= static_cast<std::uint8_t>(positions_.set(slot, position));  // kChanged
     return true;
-  }
-  bool try_report(GatewayKey key, const Point& position) {
-    return try_report(key, position.coords());
   }
 
   [[nodiscard]] bool active(GatewayKey key) const noexcept {

@@ -2,11 +2,15 @@
 // the clone filter claws the shadow-crowd attack back.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <numeric>
 #include <optional>
+#include <vector>
 
 #include "adversary/adversary.hpp"
 #include "adversary/defense.hpp"
+#include "common/rng.hpp"
 #include "core/characterizer.hpp"
 #include "shaped_interval.hpp"
 #include "support/test_util.hpp"
@@ -176,6 +180,117 @@ TEST(TrajectoryShaperTest, RejectsNaNAndOutOfRangeSettings) {
   EXPECT_THROW(make(0.35, kNaN), std::invalid_argument);
   EXPECT_THROW(make(0.35, 0.0), std::invalid_argument);
   EXPECT_THROW(make(0.35, 1.5), std::invalid_argument);
+}
+
+/// The clone groups by testing every pair of A_k: the reference the grid
+/// components must match.
+DeviceSet pairwise_suspicious(const StatePair& state, double radius,
+                              std::size_t min_group) {
+  const std::vector<DeviceId> abnormal(state.abnormal().begin(), state.abnormal().end());
+  std::vector<std::size_t> parent(abnormal.size());
+  std::iota(parent.begin(), parent.end(), 0);
+  const auto find = [&](std::size_t x) {
+    while (parent[x] != x) x = parent[x];
+    return x;
+  };
+  for (std::size_t a = 0; a < abnormal.size(); ++a) {
+    for (std::size_t b = a + 1; b < abnormal.size(); ++b) {
+      if (state.joint_distance(abnormal[a], abnormal[b]) <= radius) {
+        parent[find(a)] = find(b);
+      }
+    }
+  }
+  std::vector<std::size_t> group_size(abnormal.size(), 0);
+  for (std::size_t a = 0; a < abnormal.size(); ++a) ++group_size[find(a)];
+  std::vector<DeviceId> drops;
+  std::vector<bool> keeper_chosen(abnormal.size(), false);
+  for (std::size_t a = 0; a < abnormal.size(); ++a) {
+    const std::size_t root = find(a);
+    if (group_size[root] < min_group) continue;
+    if (!keeper_chosen[root]) {
+      keeper_chosen[root] = true;
+      continue;
+    }
+    drops.push_back(abnormal[a]);
+  }
+  return DeviceSet(std::move(drops));
+}
+
+TEST(CloneFilterTest, GroupsMatchThePairwiseReference) {
+  // Random claims in d = 1..3 with clone groups planted (jitter below the
+  // suspicion radius, at both times), partners exactly one radius apart on
+  // one axis, exact duplicates and normal devices in between.
+  std::size_t cases = 0;
+  std::size_t dropped_total = 0;
+  for (const std::size_t dim : {1u, 2u, 3u}) {
+    for (const double factor : {0.05, 0.2, 0.9}) {
+      for (const std::size_t min_group : {2u, 3u}) {
+        const CloneFilter filter({.suspicion_factor = factor, .min_group = min_group});
+        const double radius = factor * kModel.r;
+        for (std::uint64_t seed = 1; seed <= 67; ++seed) {
+          Rng rng(seed * 1000 + dim * 10 + min_group);
+          std::vector<std::vector<double>> at(2);  // [time][device * dim + t]
+          const auto add = [&](const std::vector<double>& joint) {
+            for (std::size_t t = 0; t < 2 * dim; ++t) at[t / dim].push_back(joint[t]);
+          };
+          const auto joint_of = [&](std::size_t j) {
+            std::vector<double> joint;
+            for (std::size_t h = 0; h < 2; ++h) {
+              joint.insert(joint.end(), at[h].begin() + j * dim, at[h].begin() + (j + 1) * dim);
+            }
+            return joint;
+          };
+          const std::size_t m = 1 + rng.uniform_int(std::uint64_t{40});
+          for (std::size_t i = 0; i < m; ++i) {
+            std::vector<double> joint(2 * dim);
+            for (double& x : joint) x = rng.uniform();
+            add(joint);
+            const std::size_t base = at[0].size() / dim - 1;
+            if (rng.bernoulli(0.2)) {  // a clone group around it
+              const std::size_t clones = 1 + rng.uniform_int(std::uint64_t{4});
+              for (std::size_t c = 0; c < clones; ++c) {
+                std::vector<double> clone = joint_of(base);
+                for (double& x : clone) {
+                  x = std::clamp(x + rng.uniform(-0.5, 0.5) * radius, 0.0, 1.0);
+                }
+                add(clone);
+              }
+            }
+            if (rng.bernoulli(0.15)) {  // a partner exactly one radius away
+              std::vector<double> partner = joint_of(base);
+              const std::size_t axis = rng.uniform_int(std::uint64_t{2 * dim});
+              partner[axis] += partner[axis] + radius <= 1.0 ? radius : -radius;
+              add(partner);
+            }
+            if (rng.bernoulli(0.05)) add(joint_of(base));  // an exact duplicate
+          }
+          const std::size_t n = at[0].size() / dim;
+          std::vector<DeviceId> abnormal;
+          for (DeviceId j = 0; j < n; ++j) {
+            if (rng.bernoulli(0.8)) abnormal.push_back(j);
+          }
+          std::vector<double> prev(dim * n);
+          std::vector<double> curr(dim * n);
+          for (std::size_t j = 0; j < n; ++j) {
+            for (std::size_t t = 0; t < dim; ++t) {
+              prev[t * n + j] = at[0][j * dim + t];
+              curr[t * n + j] = at[1][j * dim + t];
+            }
+          }
+          const StatePair state(Snapshot(dim, std::move(prev)), Snapshot(dim, std::move(curr)),
+                                DeviceSet(std::move(abnormal)));
+          const DeviceSet reference = pairwise_suspicious(state, radius, min_group);
+          EXPECT_EQ(filter.suspicious(state, kModel), reference)
+              << "d=" << dim << " factor=" << factor << " min_group=" << min_group
+              << " seed=" << seed;
+          ++cases;
+          dropped_total += reference.size();
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 1206u);
+  EXPECT_GT(dropped_total, 0u);
 }
 
 TEST(CloneFilterTest, Validation) {

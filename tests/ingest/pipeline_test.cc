@@ -10,6 +10,7 @@
 #include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -104,6 +105,14 @@ TEST(IngestPipeline, NaNClaimIsRefusedLikeAnOutOfBoxClaim) {
 }
 
 TEST(IngestPipeline, ClaimsOfEveryRosterDimensionRoundTripBitExact) {
+  // The seal hands claims to the roster in one walk per claim dimension, so
+  // every case below runs at every roster dimension. Lane keys 0..6, of
+  // which 0, 1, 3, 4 and 6 are primed; then, in interval 1:
+  //   0  flagged, moves           3  silent, then revived in interval 2
+  //   1  -0.0 over 0.0, no move   4  unchanged
+  //   2  first seen, mid-lane     5  never reports
+  //   6  the last lane key, moves
+  // and spill keys 1000 (admitted, filling the roster) and 1001 (refused).
   // Awkward doubles: both ends of [0, 1], the smallest subnormal, the
   // neighbours of 1 and 1/2, and values with no short decimal form.
   const std::vector<double> awkward{
@@ -112,9 +121,12 @@ TEST(IngestPipeline, ClaimsOfEveryRosterDimensionRoundTripBitExact) {
   const auto bits_equal = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof a) == 0;
   };
+  constexpr std::size_t kCapacity = 7;
+  const std::vector<GatewayKey> primed_keys{0, 1, 3, 4, 6};
   for (std::size_t d = 1; d <= Claim::kMaxDim; ++d) {
     SCOPED_TRACE(testing::Message() << "d = " << d);
-    // Claim c of device j: coordinate t is awkward[(j + t + c) % 8].
+    // Claim c of key j: coordinate t is awkward[(j + t + c) % 8]. Primed
+    // claims are c = 8 - j, whose coordinate 0 is awkward[0] = 0.0.
     const auto claim_of = [&](GatewayKey j, std::size_t c) {
       std::vector<double> coords(d);
       for (std::size_t t = 0; t < d; ++t) {
@@ -122,31 +134,73 @@ TEST(IngestPipeline, ClaimsOfEveryRosterDimensionRoundTripBitExact) {
       }
       return Point(coords);
     };
-    IngestPipeline::Config config = base_config(4);
-    config.dim = d;
-    IngestPipeline pipeline(config);
-    std::vector<Point> primed;
-    for (GatewayKey j = 0; j < 3; ++j) primed.push_back(claim_of(j, 0));
-    pipeline.prime(Snapshot(primed));
-    const FleetRoster& roster = pipeline.monitor().roster();
-    for (GatewayKey j = 0; j < 3; ++j) {
-      for (std::size_t t = 0; t < d; ++t) {
-        ASSERT_TRUE(bits_equal(roster.snapshot().col(t)[j], primed[j][t]));
+    const auto primed_claim = [&](GatewayKey j) {
+      return claim_of(j, awkward.size() - static_cast<std::size_t>(j) % awkward.size());
+    };
+    Point negative_zero = primed_claim(1);
+    negative_zero[0] = -0.0;
+    const std::map<GatewayKey, Point> sent{
+        {0, claim_of(0, 3)},  {1, negative_zero},    {2, claim_of(2, 3)},
+        {4, primed_claim(4)}, {6, claim_of(6, 3)}, {1000, claim_of(1000, 3)}};
+
+    const auto run = [&](std::uint64_t arena_budget) {
+      IngestPipeline::Config config = base_config(kCapacity);
+      config.dim = d;
+      config.watermark.allowed_lag = 1;
+      config.liveness.silent_intervals = 1;
+      config.monitor.plane_arena_budget = arena_budget;
+      auto pipeline = std::make_unique<IngestPipeline>(config);
+      std::vector<std::pair<GatewayKey, Point>> fleet;
+      for (const GatewayKey key : primed_keys) fleet.emplace_back(key, primed_claim(key));
+      pipeline->prime(fleet);
+      for (const auto& [key, claim] : sent) {
+        pipeline->push(make_report(key, 1, claim, /*abnormal=*/key == 0));
+      }
+      pipeline->push(make_report(1001, 1, claim_of(1001, 3)));
+      return pipeline;
+    };
+
+    // A close that throws after the roll leaves the hand-off's change marks
+    // in place: only moved slots and admitted ones carry one.
+    {
+      const std::unique_ptr<IngestPipeline> pipeline = run(/*arena_budget=*/1);
+      EXPECT_THROW(pipeline->push(make_report(3, 2, primed_claim(3))), ArenaBudgetExceeded);
+      const FleetRoster& roster = pipeline->monitor().roster();
+      for (const GatewayKey key : {0, 1, 2, 3, 4, 6, 1000}) {
+        const bool marked = roster.changes()[roster.slot_of(key).value()] != 0;
+        EXPECT_EQ(marked, key != 1 && key != 3 && key != 4) << "key " << key;
       }
     }
-    // Interval 1: the dense keys report, and a spill key is admitted.
-    const std::vector<GatewayKey> keys{0, 1, 2, 1000};
-    for (const GatewayKey key : keys) pipeline.push(make_report(key, 1, claim_of(key, 3)));
-    pipeline.finish();
-    ASSERT_EQ(pipeline.monitor().intervals_seen(), 2u);
-    for (const GatewayKey key : keys) {
-      const DeviceId slot = *roster.slot_of(key);
-      const Point sent = claim_of(key, 3);
+
+    const std::unique_ptr<IngestPipeline> pipeline = run(FrameEngine::Config{}.plane_arena_budget);
+    const FleetRoster& roster = pipeline->monitor().roster();
+    pipeline->push(make_report(3, 2, primed_claim(3)));  // seals interval 1
+    const std::vector<ClosedInterval> first = pipeline->drain_ready();
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].reported, sent.size());
+    EXPECT_TRUE(first[0].degraded);
+    EXPECT_EQ(pipeline->counters().admitted_devices, 2u);
+    EXPECT_EQ(pipeline->counters().admit_rejected, 1u);
+    EXPECT_TRUE(roster.active(2));
+    EXPECT_FALSE(roster.active(1001));
+    for (const auto& [key, claim] : sent) {
+      const DeviceId slot = roster.slot_of(key).value();
       for (std::size_t t = 0; t < d; ++t) {
-        EXPECT_TRUE(bits_equal(roster.snapshot().col(t)[slot], sent[t]))
+        EXPECT_TRUE(bits_equal(roster.snapshot().col(t)[slot], claim[t]))
             << "key " << key << " coordinate " << t;
       }
     }
+    EXPECT_EQ(first[0].report.abnormal, DeviceSet::singleton(roster.slot_of(0).value()));
+    // The roll moved the movers and the admitted slots (parked at the
+    // origin before); -0.0 over 0.0 and the unchanged claim are no move.
+    const std::span<const DeviceId> moved = pipeline->monitor().engine().state().moved();
+    std::vector<DeviceId> movers;
+    for (const GatewayKey key : {0, 2, 6, 1000}) movers.push_back(roster.slot_of(key).value());
+    EXPECT_EQ(DeviceSet(moved), DeviceSet(movers));
+
+    pipeline->finish();  // seals interval 2: key 3 was suspect since seal 1
+    EXPECT_EQ(pipeline->counters().revived_devices, 1u);
+    EXPECT_EQ(pipeline->counters().retired_devices, 0u);
   }
 }
 
@@ -421,6 +475,38 @@ TEST(IngestPipeline, DeferralDropsOnlyIsolatedFlaggedAndPreservesVerdicts) {
                 decision.collections_tested == want.collections_tested)
         << "device " << device;
   }
+}
+
+TEST(IngestPipeline, DeferralReadsEachFlaggedClaimAtItsOwnSlot) {
+  // Deferral reads the flagged claims back from the roster at each flagged
+  // key's slot. Priming the keys in reverse puts key k at slot 7 - k, so
+  // neither a key nor its rank among the flagged is its slot. Keys 2 and 5
+  // converge within 2r and key 6 crashes alone; key 100 is first seen and
+  // flagged, and the full roster refuses it, so it is neither in A_k nor
+  // among the claims deferral reads.
+  const std::vector<Point> positions = fleet_positions();
+  std::vector<std::pair<GatewayKey, Point>> fleet;
+  for (GatewayKey key = positions.size(); key-- > 0;) fleet.emplace_back(key, positions[key]);
+  IngestPipeline::Config config = base_config();
+  config.watermark.allowed_lag = 1;
+  config.overload.defer_abnormal_cap = 2;
+  IngestPipeline pipeline(config);
+  pipeline.prime(fleet);
+  const std::map<GatewayKey, Point> moves{
+      {2, Point{0.20, 0.10}}, {5, Point{0.21, 0.10}}, {6, Point{0.95, 0.95}}};
+  for (GatewayKey key = 0; key < positions.size(); ++key) {
+    const auto move = moves.find(key);
+    const bool moved = move != moves.end();
+    pipeline.push(make_report(key, 1, moved ? move->second : positions[key], moved));
+  }
+  pipeline.push(make_report(100, 1, Point{0.5, 0.9}, /*abnormal=*/true));
+  push_interval(pipeline, 2);  // seals 1
+  const std::vector<ClosedInterval> closed = pipeline.drain_ready();
+  ASSERT_EQ(closed.size(), 1u);
+  EXPECT_EQ(pipeline.counters().admit_rejected, 1u);
+  EXPECT_EQ(closed[0].deferred, (std::vector<GatewayKey>{6}));
+  const FleetRoster& roster = pipeline.monitor().roster();
+  EXPECT_EQ(closed[0].report.abnormal, (DeviceSet{*roster.slot_of(2), *roster.slot_of(5)}));
 }
 
 TEST(IngestPipeline, LivenessRetiresSilentDeviceAndReadmitsOnReturn) {

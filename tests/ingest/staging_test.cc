@@ -41,7 +41,8 @@ struct Entry {
 
 std::vector<Entry> entries(const StagingFrame& frame) {
   std::vector<Entry> out;
-  frame.for_each_sorted([&](GatewayKey key, std::span<const double> claim, bool flagged) {
+  frame.for_each_sorted<2>([&](GatewayKey key, std::span<const double, 2> claim,
+                               bool flagged) {
     out.push_back({key, {claim.begin(), claim.end()}, flagged});
   });
   return out;
@@ -262,6 +263,10 @@ TEST(StagingFrame, ConfigureRefusesADimensionNoRosterHas) {
   frame.configure(0, 2);
   EXPECT_STREQ(stage_one(frame, report), "accepted");
   EXPECT_EQ(entries(frame), (std::vector<Entry>{{3, {0.3, 0.3}, false}}));
+  // The seal's walk reads claims at its own dimension's stride, so a walk
+  // of another dimension than the frame's is refused.
+  EXPECT_THROW(frame.for_each_sorted<3>([](GatewayKey, std::span<const double, 3>, bool) {}),
+               std::logic_error);
 }
 
 TEST(StagingFrame, StageOnAFrameNeverConfiguredThrows) {
@@ -393,7 +398,7 @@ TEST(OverloadController, DeferSelectsExactlyTheIsolatedFlagged) {
       Point{0.10, 0.90},                     // loner (index 5)
   };
   const std::vector<std::size_t> deferred =
-      controller.defer_candidates(claims, window);
+      controller.defer_candidates(Snapshot(claims), window);
   EXPECT_EQ(deferred, (std::vector<std::size_t>{2, 5}));
 }
 
@@ -431,7 +436,7 @@ TEST(OverloadController, DeferMatchesAPairwiseReference) {
           }
           if (!adjacent) reference.push_back(i);
         }
-        EXPECT_EQ(controller.defer_candidates(claims, window), reference)
+        EXPECT_EQ(controller.defer_candidates(Snapshot(claims), window), reference)
             << "d=" << dim << " window=" << window << " seed=" << seed;
         ++cases;
         deferred_total += reference.size();
@@ -458,14 +463,14 @@ TEST(OverloadController, DeferKeepsEveryClaimOfAClusteredFlood) {
   }
   claims.push_back(Point{1.0, 0.0});
   claims.push_back(Point{0.5, 0.5 + 3.0 * r + 0.001});
-  EXPECT_EQ(controller.defer_candidates(claims, 2.0 * r),
+  EXPECT_EQ(controller.defer_candidates(Snapshot(claims), 2.0 * r),
             (std::vector<std::size_t>{0, 2001, 2002}));
 }
 
 TEST(OverloadController, DeferDisengagedAtOrBelowCap) {
   OverloadController controller(OverloadConfig{.defer_abnormal_cap = 6});
   const std::vector<Point> claims = {Point{0.1, 0.1}, Point{0.9, 0.9}};
-  EXPECT_TRUE(controller.defer_candidates(claims, 0.06).empty());
+  EXPECT_TRUE(controller.defer_candidates(Snapshot(claims), 0.06).empty());
 }
 
 }  // namespace
