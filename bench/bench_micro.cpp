@@ -16,6 +16,7 @@
 #include "core/motion_plane.hpp"
 #include "core/partition.hpp"
 #include "ingest/overload.hpp"
+#include "online/roster.hpp"
 #include "sim/scenario.hpp"
 
 namespace {
@@ -48,27 +49,33 @@ void BM_NeighbourhoodQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighbourhoodQuery)->Arg(500)->Arg(1000)->Arg(2000)->Arg(4000);
 
-// Overload deferral over 10,000 flagged 2-d claims. Arg 0: a clustered
-// flood, every claim inside one Chebyshev ball of radius r = 0.03 (all
-// pairs within the 2r window); 1: uniform claims at r = 0.03 (nearly all
-// kept); 2: uniform claims at r = 0.001 (most deferred).
+// Overload deferral as a seal pays it once the abnormal cap is passed: the
+// gather of 10,000 flagged 2-d claims from a 20,000-device roster (the
+// even keys) and the deferral over them. Arg 0: a clustered flood, every
+// flagged claim inside one Chebyshev ball of radius r = 0.03 (all pairs
+// within the 2r window); 1: uniform claims at r = 0.03 (nearly all kept);
+// 2: uniform claims at r = 0.001 (most deferred).
 void BM_DeferCandidates(benchmark::State& state) {
   const double r = state.range(0) == 2 ? 0.001 : 0.03;
+  constexpr acn::GatewayKey kFleet = 20000;
   acn::Rng rng(7);
-  const auto coord = [&] {
-    return state.range(0) == 0 ? 0.5 + rng.uniform(-r, r) : rng.uniform();
+  const auto coord = [&](bool flagged) {
+    return flagged && state.range(0) == 0 ? 0.5 + rng.uniform(-r, r) : rng.uniform();
   };
-  std::vector<acn::Point> points;
-  for (int i = 0; i < 10000; ++i) {
-    const double x = coord();
-    points.push_back(acn::Point{x, coord()});
+  acn::FleetRoster roster(kFleet, 2);
+  std::vector<acn::GatewayKey> flagged;
+  for (acn::GatewayKey key = 0; key < kFleet; ++key) {
+    const bool is_flagged = key % 2 == 0;
+    const double x = coord(is_flagged);
+    (void)roster.admit(key, acn::Point{x, coord(is_flagged)});
+    if (is_flagged) flagged.push_back(key);
   }
-  const acn::Snapshot claims(points);
   const acn::OverloadController controller({.defer_abnormal_cap = 0});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(controller.defer_candidates(claims, 2.0 * r));
+    benchmark::DoNotOptimize(
+        controller.defer_candidates(roster.positions_of(flagged), 2.0 * r));
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(claims.size()));
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(flagged.size()));
 }
 BENCHMARK(BM_DeferCandidates)->Arg(0)->Arg(1)->Arg(2);
 

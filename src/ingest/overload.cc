@@ -40,7 +40,7 @@ bool OverloadController::shed_claim(GatewayKey device, std::uint64_t interval,
 std::vector<std::size_t> OverloadController::defer_candidates(const Snapshot& claims,
                                                              double window) const {
   std::vector<std::size_t> deferred;
-  if (claims.size() <= config_.defer_abnormal_cap) return deferred;
+  if (!defers(claims.size())) return deferred;
 
   // Both halves of the state are the claims, so the joint distance of two
   // devices is the Chebyshev distance of their claims, and a device defers

@@ -25,8 +25,6 @@
 //      motion with anyone — it is precisely the Theorem-5 isolated
 //      configuration, the one class whose full characterization buys the
 //      operator nothing a distance check didn't already say.
-//      The pipeline reads the flagged claims back from the roster only
-//      when the cap is passed, so an interval under it pays no copy.
 #pragma once
 
 #include <cstddef>
@@ -65,8 +63,14 @@ class OverloadController {
   [[nodiscard]] bool shed_claim(GatewayKey device, std::uint64_t interval,
                                 std::size_t frame_volume) const noexcept;
 
+  /// True iff deferral engages for an interval with `flagged` flagged
+  /// devices: flagged > defer_abnormal_cap.
+  [[nodiscard]] bool defers(std::size_t flagged) const noexcept {
+    return flagged > config_.defer_abnormal_cap;
+  }
+
   /// Indices into `claims` (one entry per flagged device) of devices to
-  /// defer: engaged only when claims.size() > defer_abnormal_cap, and then
+  /// defer: engaged only when defers(claims.size()), and then
   /// selecting every device with no other flagged device within chebyshev
   /// distance `window` (= 2r) of its claimed position. Returned ascending.
   /// One GridIndex over the claims (cell side `window`, at least

@@ -27,20 +27,6 @@ OnlineMonitor::Config roster_backed(OnlineMonitor::Config monitor,
   return monitor;
 }
 
-/// The roster's current positions of `keys`, all active, as a snapshot.
-Snapshot claims_of(const FleetRoster& roster, std::span<const GatewayKey> keys) {
-  const Snapshot& positions = roster.snapshot();
-  const std::size_t m = keys.size();
-  std::vector<double> cols(positions.dim() * m);
-  for (std::size_t i = 0; i < m; ++i) {
-    const DeviceId slot = roster.slot_of(keys[i]).value();
-    for (std::size_t t = 0; t < positions.dim(); ++t) {
-      cols[t * m + i] = positions.col(t)[slot];
-    }
-  }
-  return Snapshot(positions.dim(), std::move(cols));
-}
-
 }  // namespace
 
 IngestPipeline::IngestPipeline(Config config)
@@ -261,11 +247,11 @@ void IngestPipeline::seal(std::uint64_t interval, bool forced,
   // Overload deferral: past the abnormal cap, flagged devices with no
   // flagged 2r-neighbour (at claimed positions) are deferred — provably
   // without effect on the surviving devices' verdicts (see overload.hpp).
-  // Only then are the claims read back from the roster's columns, where
-  // the hand-off wrote them.
+  // Only then are the claims read back from the roster, where the hand-off
+  // wrote them.
   const std::vector<std::size_t> deferred =
-      flagged.size() > config_.overload.defer_abnormal_cap
-          ? overload_.defer_candidates(claims_of(monitor_.roster(), flagged),
+      overload_.defers(flagged.size())
+          ? overload_.defer_candidates(monitor_.roster().positions_of(flagged),
                                        config_.monitor.model.window())
           : std::vector<std::size_t>{};
   if (!deferred.empty()) {

@@ -81,6 +81,19 @@ std::optional<DeviceId> FleetRoster::slot_of(GatewayKey key) const noexcept {
   return slot;
 }
 
+Snapshot FleetRoster::positions_of(std::span<const GatewayKey> keys) const {
+  const std::size_t m = keys.size();
+  std::vector<double> cols(dim() * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const DeviceId slot = slot_lookup(keys[i]);
+    if (slot == kNoSlot) {
+      throw std::invalid_argument("FleetRoster::positions_of: key not active");
+    }
+    for (std::size_t t = 0; t < dim(); ++t) cols[t * m + i] = positions_.col(t)[slot];
+  }
+  return Snapshot(dim(), std::move(cols));
+}
+
 DeviceSet FleetRoster::abnormal_slots(std::span<const GatewayKey> keys) const {
   std::vector<DeviceId> slots;
   slots.reserve(keys.size());

@@ -120,6 +120,11 @@ class FleetRoster {
   /// roster's lifetime and sees every later write.
   [[nodiscard]] const Snapshot& snapshot() const noexcept { return positions_; }
 
+  /// The current positions of `keys`, in order, as a snapshot with one
+  /// device per key: device i holds keys[i]'s position. Throws
+  /// std::invalid_argument if `keys` is empty or a key is not active.
+  [[nodiscard]] Snapshot positions_of(std::span<const GatewayKey> keys) const;
+
   /// Maps abnormal gateway keys to slots, dropping keys that are not active
   /// and slots (re)assigned since the last end_interval() — a device with
   /// no previous-interval trajectory cannot be characterized. Unknown keys

@@ -137,6 +137,25 @@ TEST(IngestPipeline, ClaimsOfEveryRosterDimensionRoundTripBitExact) {
     const auto primed_claim = [&](GatewayKey j) {
       return claim_of(j, awkward.size() - static_cast<std::size_t>(j) % awkward.size());
     };
+
+    // prime(Snapshot) admits key j from entry j of each of the d columns.
+    {
+      IngestPipeline::Config config = base_config(kCapacity);
+      config.dim = d;
+      IngestPipeline pipeline(config);
+      std::vector<Point> primed;
+      for (GatewayKey j = 0; j < kCapacity; ++j) primed.push_back(claim_of(j, 0));
+      pipeline.prime(Snapshot(primed));
+      const FleetRoster& roster = pipeline.monitor().roster();
+      for (GatewayKey j = 0; j < kCapacity; ++j) {
+        const DeviceId slot = roster.slot_of(j).value();
+        for (std::size_t t = 0; t < d; ++t) {
+          EXPECT_TRUE(bits_equal(roster.snapshot().col(t)[slot], primed[j][t]))
+              << "primed key " << j << " coordinate " << t;
+        }
+      }
+    }
+
     Point negative_zero = primed_claim(1);
     negative_zero[0] = -0.0;
     const std::map<GatewayKey, Point> sent{

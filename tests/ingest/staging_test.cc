@@ -468,9 +468,15 @@ TEST(OverloadController, DeferKeepsEveryClaimOfAClusteredFlood) {
 }
 
 TEST(OverloadController, DeferDisengagedAtOrBelowCap) {
-  OverloadController controller(OverloadConfig{.defer_abnormal_cap = 6});
-  const std::vector<Point> claims = {Point{0.1, 0.1}, Point{0.9, 0.9}};
+  // At the cap, two isolated claims stay; a third engages deferral.
+  OverloadController controller(OverloadConfig{.defer_abnormal_cap = 2});
+  std::vector<Point> claims = {Point{0.1, 0.1}, Point{0.9, 0.9}};
+  EXPECT_FALSE(controller.defers(claims.size()));
   EXPECT_TRUE(controller.defer_candidates(Snapshot(claims), 0.06).empty());
+  claims.push_back(Point{0.5, 0.5});
+  EXPECT_TRUE(controller.defers(claims.size()));
+  EXPECT_EQ(controller.defer_candidates(Snapshot(claims), 0.06),
+            (std::vector<std::size_t>{0, 1, 2}));
 }
 
 }  // namespace

@@ -209,6 +209,28 @@ TEST(FleetRoster, ChangeMarksOverReportEveryMove) {
   EXPECT_EQ(marked(), (std::vector<DeviceId>{1, 2}));
 }
 
+TEST(FleetRoster, PositionsOfReadsEachKeyAtItsOwnSlot) {
+  // Device i of positions_of(keys) is keys[i]'s current position, whatever
+  // slot holds it: key 7 takes recycled slot 1, spill key 1000 slot 2.
+  FleetRoster roster(3, 2);
+  (void)roster.admit(5, Point{0.1, 0.2});
+  (void)roster.admit(6, Point{0.3, 0.4});
+  (void)roster.admit(1000, Point{0.5, 0.6});
+  roster.retire(6);
+  EXPECT_EQ(roster.admit(7, Point{0.7, 0.8}), 1u);
+  roster.report(5, Point{0.9, 1.0});
+  const std::vector<GatewayKey> keys{1000, 7, 5};
+  const Snapshot positions = roster.positions_of(keys);
+  ASSERT_EQ(positions.size(), 3u);
+  ASSERT_EQ(positions.dim(), 2u);
+  EXPECT_EQ(positions[0], (Point{0.5, 0.6}));
+  EXPECT_EQ(positions[1], (Point{0.7, 0.8}));
+  EXPECT_EQ(positions[2], (Point{0.9, 1.0}));
+  const std::vector<GatewayKey> retired{5, 6};
+  EXPECT_THROW((void)roster.positions_of(retired), std::invalid_argument);
+  EXPECT_THROW((void)roster.positions_of({}), std::invalid_argument);
+}
+
 TEST(FleetRoster, ConstructorValidates) {
   EXPECT_THROW(FleetRoster(0, 2), std::invalid_argument);
   EXPECT_THROW(FleetRoster(4, 0), std::invalid_argument);
